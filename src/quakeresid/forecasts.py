@@ -10,6 +10,7 @@ pixels never mentioned are inactive.
 
 from __future__ import annotations
 
+import io
 import warnings
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -25,16 +26,6 @@ DEFAULT_WINDOW_START = datetime(2006, 1, 1, tzinfo=timezone.utc)
 DEFAULT_WINDOW_END = datetime(2011, 1, 1, tzinfo=timezone.utc)
 
 _EDGE_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class ForecastBin:
-    pixel_index: int
-    mag_lo: float
-    mag_hi: float
-    rate: float
-    depth_lo: float = 0.0
-    depth_hi: float = 30.0
 
 
 @dataclass(frozen=True)
@@ -56,13 +47,11 @@ class Forecast:
             raise ValidationError("negative forecast rate")
         if np.any(self.mag_lo >= self.mag_hi):
             raise ValidationError("mag_lo must be < mag_hi")
-        keys = set()
-        for pix, lo in zip(self.pixel_index, self.mag_lo):
-            key = (int(pix), round(float(lo), 9))
-            if key in keys:
-                raise ValidationError(
-                    f"duplicate (pixel, magnitude-bin) key: pixel {pix}, mag_lo {lo}")
-            keys.add(key)
+        dup = _first_duplicate(self.pixel_index, self.mag_lo)
+        if dup is not None:
+            pix, lo = self.pixel_index[dup[0]], self.mag_lo[dup[0]]
+            raise ValidationError(
+                f"duplicate (pixel, magnitude-bin) key: pixel {pix}, mag_lo {lo}")
 
     @property
     def n_bins(self) -> int:
@@ -72,16 +61,29 @@ class Forecast:
     def mag_min(self) -> float:
         return float(self.mag_lo.min()) if self.n_bins else float("nan")
 
-    def iter_bins(self):
-        for i in range(self.n_bins):
-            yield ForecastBin(int(self.pixel_index[i]), float(self.mag_lo[i]),
-                              float(self.mag_hi[i]), float(self.rate[i]),
-                              float(self.depth_lo[i]), float(self.depth_hi[i]))
 
-    def pixels_with_bins(self) -> np.ndarray:
-        """Flat indices of active pixels that carry at least one bin."""
-        active = set(self.grid.active_indices().tolist())
-        return np.array(sorted(active & set(self.pixel_index.tolist())), dtype=int)
+def _first_duplicate(pixel, mag_lo):
+    """First repeated (pixel, mag_lo to 9 decimals) key, in row order.
+
+    Returns (i, j): row i repeats the key first held by row j < i; None when
+    no key repeats.  Two keys can only match between rows of one pixel whose
+    mag_lo differ by at most 1e-9, so one sort and a comparison of
+    neighbouring rows settle the usual case.  Only when such a pair exists
+    does the row loop decide, with Python's decimal-exact round.
+    """
+    order = np.lexsort((mag_lo, pixel))
+    p, m = pixel[order], mag_lo[order]
+    # "not >" keeps the inf - inf = nan neighbours for the row loop
+    near = (p[1:] == p[:-1]) & ~(m[1:] - m[:-1] > 2e-9)
+    if not near.any():
+        return None
+    seen = {}
+    for i, (pix, lo) in enumerate(zip(pixel.tolist(), mag_lo.tolist())):
+        key = (int(pix), round(lo, 9))
+        if key in seen:
+            return i, seen[key]
+        seen[key] = i
+    return None
 
 
 def _empty_forecast(window_start, window_end):
@@ -92,14 +94,13 @@ def _empty_forecast(window_start, window_end):
                     window_start=window_start, window_end=window_end)
 
 
-def parse_forecast(text: str, window_start=DEFAULT_WINDOW_START,
-                   window_end=DEFAULT_WINDOW_END) -> Forecast:
-    """Parse forecast-file content into a Forecast.
+def _rows_by_line(text: str):
+    """Read the data rows one line at a time: (line numbers, (n, 10) array).
 
-    The grid is inferred from the union of rows; all rows must describe
-    pixels of one common size on one common lattice.
+    The reference reader, and the only one that knows line numbers: it
+    raises ParseError naming the first line that is not ten numbers.
     """
-    rows = []
+    linenos, rows = [], []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -111,12 +112,54 @@ def parse_forecast(text: str, window_start=DEFAULT_WINDOW_START,
             vals = [float(f) for f in fields]
         except ValueError as exc:
             raise ParseError(str(exc), lineno) from None
-        rows.append((lineno, vals))
+        linenos.append(lineno)
+        rows.append(vals)
+    return linenos, np.array(rows, dtype=float).reshape(-1, 10)
 
-    if not rows:
+
+# Characters at which str.splitlines ends a line but np.loadtxt sees
+# whitespace inside one.  A lone "\r" is a third case: np.loadtxt ends a
+# line there, except inside a comment, which it runs on to the next "\n".
+_LOADTXT_UNSPLIT_BREAKS = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+def _bulk_rows(text: str):
+    """Read the data rows in one np.loadtxt pass: an (n, 10) array, or None.
+
+    None means the line reader must decide: the text holds a line break
+    that np.loadtxt does not split as str.splitlines does, a token
+    np.loadtxt rejects (float() accepts a few more, such as "1_0"), or rows
+    that are not ten columns.  Whatever np.loadtxt accepts otherwise,
+    _rows_by_line reads to the same array.
+    """
+    if (any(c in text for c in _LOADTXT_UNSPLIT_BREAKS)
+            or "\r" in text and text.count("\r") != text.count("\r\n")):
+        return None
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            arr = np.loadtxt(io.StringIO(text.replace("−", "-")),
+                             comments="#", ndmin=2)
+    except ValueError:
+        return None
+    return arr if arr.shape[1] == 10 else None
+
+
+def parse_forecast(text: str, window_start=DEFAULT_WINDOW_START,
+                   window_end=DEFAULT_WINDOW_END) -> Forecast:
+    """Parse forecast-file content into a Forecast.
+
+    The grid is inferred from the union of rows; all rows must describe
+    pixels of one common size on one common lattice.  The rows are read in
+    one bulk pass and checked as arrays; the text is read again line by
+    line only to name the line of an error.
+    """
+    arr = _bulk_rows(text)
+    if arr is None:
+        arr = _rows_by_line(text)[1]
+    if len(arr) == 0:
         return _empty_forecast(window_start, window_end)
 
-    arr = np.array([v for _, v in rows])
     lon_lo, lon_hi, lat_lo, lat_hi = arr[:, 0], arr[:, 1], arr[:, 2], arr[:, 3]
     dxs = lon_hi - lon_lo
     dys = lat_hi - lat_lo
@@ -126,11 +169,13 @@ def parse_forecast(text: str, window_start=DEFAULT_WINDOW_START,
     if dx <= 0 or dy <= 0:
         raise SchemaError("pixel edges must have positive extent")
 
-    for (lineno, vals) in rows:
-        if vals[8] < 0:
-            raise ValidationError(f"line {lineno}: negative rate {vals[8]}")
-        if vals[6] >= vals[7]:
-            raise ValidationError(f"line {lineno}: mag_lo >= mag_hi")
+    bad = (arr[:, 8] < 0) | (arr[:, 6] >= arr[:, 7])
+    if bad.any():
+        i = int(np.argmax(bad))
+        lineno = _rows_by_line(text)[0][i]
+        if arr[i, 8] < 0:
+            raise ValidationError(f"line {lineno}: negative rate {float(arr[i, 8])}")
+        raise ValidationError(f"line {lineno}: mag_lo >= mag_hi")
 
     lon_min, lon_max = lon_lo.min(), lon_hi.max()
     lat_min, lat_max = lat_lo.min(), lat_hi.max()
@@ -154,14 +199,12 @@ def parse_forecast(text: str, window_start=DEFAULT_WINDOW_START,
     grid = Grid(float(lon_min), float(lon_max), float(lat_min), float(lat_max),
                 float(dx), float(dy), n_x, n_y, active)
 
-    keys = {}
-    for i, (lineno, _) in enumerate(rows):
-        key = (int(pixel[i]), round(float(arr[i, 6]), 9))
-        if key in keys:
-            raise ValidationError(
-                f"line {lineno}: duplicate (pixel, magnitude-bin) key "
-                f"(first seen on line {keys[key]})")
-        keys[key] = lineno
+    dup = _first_duplicate(pixel, arr[:, 6])
+    if dup is not None:
+        linenos = _rows_by_line(text)[0]
+        raise ValidationError(
+            f"line {linenos[dup[0]]}: duplicate (pixel, magnitude-bin) key "
+            f"(first seen on line {linenos[dup[1]]})")
 
     return Forecast(grid, pixel, arr[:, 6].copy(), arr[:, 7].copy(),
                     arr[:, 8].copy(), arr[:, 4].copy(), arr[:, 5].copy(),

@@ -20,7 +20,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .errors import OutsideRegionError, ValidationError
 from .grids import Grid
@@ -323,7 +323,7 @@ def wk_confidence_bands(radii, area: float, total_intensity: float,
         raise ValidationError("total intensity must be positive")
     if not (0.0 <= level < 1.0):
         raise ValidationError("level must lie in [0, 1)")
-    z = stats.norm.ppf(0.5 + level / 2.0)
+    z = special.ndtri(0.5 + level / 2.0)
     mean = np.pi * radii ** 2
     half = z * np.sqrt(2.0 * np.pi * radii ** 2 * area) / total_intensity
     return mean - half, mean + half

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 import xml.dom.minidom
 
 import numpy as np
 import pytest
 
+import quakeresid
 from quakeresid.cli import main
 
 FORECAST = """\
@@ -191,3 +195,14 @@ def test_report_directory(workspace):
     assert "ntest" in scores and "ltest" in scores
     manifest = json.loads((outdir / "manifest.json").read_text())
     assert manifest["version"]
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats alone costs about a second of start-up in every command
+    src = os.path.dirname(os.path.dirname(os.path.abspath(quakeresid.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import quakeresid.cli, sys; print('scipy.stats' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from quakeresid import forecasts
 from quakeresid import (ParseError, SchemaError, ValidationError,
                         gr_extrapolate, parse_forecast, seismic_moment,
                         serialize_forecast, tapered_gr_survivor)
@@ -21,6 +22,85 @@ def test_parse_infers_grid():
     assert fc.n_bins == 4
     assert fc.mag_min == 3.95
     assert fc.rate.sum() == pytest.approx(1.0)
+
+
+ROW = "0 0.5 0 0.5 0 30 3.95 4.05 0.1 1"
+
+
+def _outcome(text):
+    """Arrays of the parsed forecast, or the type and text of its error."""
+    try:
+        fc = parse_forecast(text)
+    except Exception as exc:  # compared, never swallowed
+        return type(exc), str(exc)
+    return (fc.pixel_index.tolist(), fc.mag_lo.tolist(), fc.mag_hi.tolist(),
+            fc.rate.tolist(), fc.depth_lo.tolist(), fc.depth_hi.tolist(),
+            fc.grid.active_mask.tolist(), fc.grid.lon_min, fc.grid.lat_min)
+
+
+def _bulk_and_line_outcomes(text, monkeypatch):
+    bulk = _outcome(text)
+    with monkeypatch.context() as m:
+        m.setattr(forecasts, "_bulk_rows", lambda text: None)
+        by_line = _outcome(text)
+    return bulk, by_line
+
+
+@pytest.mark.parametrize("text, bulk_reads_it", [
+    ("# header\n" + ROW + "  # trailing\n# end\n", True),
+    ("\n\n" + ROW + "\n   \n\t\n", True),
+    (ROW + "\r\n" + ROW.replace("0.5 0 0.5", "0.5 0.5 1") + "\r\n", True),
+    (ROW.replace(" ", "\t"), True),
+    ("−0.5 0 0 0.5 0 30 3.95 4.05 0.1 1\n", True),
+    (ROW, True),
+    ("# only a comment\n", False),
+    ("", False),
+    ("0 0.5 0 0.5 0 30 3.95 4.05 0.1\n", False),
+    (ROW + "\n0 0.5 0 0.5 0 30 3.95 4.05 0.1\n", False),
+    (ROW + "\n0 0.5 0 0.5 0 30 x 4.05 0.1 1\n", False),
+    (ROW.replace(" 30 ", " 3_0 "), False),
+    # str.splitlines ends a line at these; np.loadtxt reads whitespace
+    ("0 0.5 0 0.5 0\f30 3.95 4.05 0.1 1\n", False),
+    (ROW + "\x1c" + ROW.replace("0.5 0 0.5", "0.5 0.5 1"), False),
+    # a lone CR ends a line, also one inside a comment
+    ("# note\r" + ROW + "\n", False),
+])
+def test_bulk_parse_matches_line_reader(text, bulk_reads_it, monkeypatch):
+    assert (forecasts._bulk_rows(text) is not None) == bulk_reads_it
+    bulk, by_line = _bulk_and_line_outcomes(text, monkeypatch)
+    assert bulk == by_line
+
+
+@pytest.mark.parametrize("bad_row, message", [
+    ("0.5 1 0 0.5 0 30 3.95 4.05 -0.1 1", "line 6: negative rate -0.1"),
+    ("0.5 1 0 0.5 0 30 4.05 4.05 0.1 1", "line 6: mag_lo >= mag_hi"),
+    ("0.5 1 0 0.5 0 30 4.05 3.95 -0.1 1", "line 6: negative rate -0.1"),
+    ("0 0.5 0 0.5 0 30 3.9500000001 4.05 0.7 1",
+     "line 6: duplicate (pixel, magnitude-bin) key (first seen on line 3)"),
+])
+def test_row_errors_name_line_after_comments(bad_row, message, monkeypatch):
+    text = "# header\n\n" + ROW + "\n# between\n\n" + bad_row + "\n"
+    bulk, by_line = _bulk_and_line_outcomes(text, monkeypatch)
+    assert bulk == by_line == (ValidationError, message)
+
+
+def test_near_but_distinct_magnitudes_are_not_duplicates():
+    # 3.9500000004 and 3.9500000006 round to different 9-decimal keys
+    fc = parse_forecast(ROW.replace("3.95", "3.9500000004") + "\n" +
+                        ROW.replace("3.95", "3.9500000006") + "\n")
+    assert fc.n_bins == 2
+
+
+def test_forecast_reports_first_duplicate_in_row_order():
+    fc = parse_forecast(SIMPLE)
+    # rows 3 and 4 both repeat a key; row 3 comes first, pixel 1 sorts first
+    pixel = np.array([1, 3, 2, 3, 1])
+    mag_lo = np.array([4.0, 5.0, 4.0, 5.0, 4.0])
+    with pytest.raises(ValidationError,
+                       match=r"^duplicate \(pixel, magnitude-bin\) key: "
+                             r"pixel 3, mag_lo 5.0$"):
+        forecasts.Forecast(fc.grid, pixel, mag_lo, mag_lo + 0.1,
+                           np.ones(5), np.zeros(5), np.ones(5))
 
 
 def test_unicode_minus_and_comments():
