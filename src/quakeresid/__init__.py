@@ -23,8 +23,8 @@ from .regions import GridRegion, RowIntervalRegion, TransposedRegion
 from .residuals import (PixelResidualMap, deviance_residuals, lr_score,
                         pearson_residuals, raw_residuals)
 from .rng import SeededStream, poisson
-from .secondorder import (KCurve, centered_l, default_radii, envelope_bands,
-                          pairs_within, radii_grid, ripley_k, weighted_k,
+from .secondorder import (KCurve, default_radii, envelope_bands, pairs_within,
+                          radii_grid, ripley_k, weighted_k,
                           weighted_k_constant, wk_confidence_bands)
 from .simulate import (simulate_catalog, simulate_cox_complement,
                        simulate_homogeneous, simulated_counts)

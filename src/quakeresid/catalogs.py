@@ -108,25 +108,27 @@ def filter_catalog(catalog: Catalog, forecast: Forecast, mag_min: float,
     one forecast bin.  Drop counts are reported in the result's metadata.
     """
     grid = forecast.grid
-    forecast_pixels = set(int(p) for p in forecast.pixel_index)
-    dropped = {"magnitude": 0, "window": 0, "depth": 0, "location": 0}
-    kept = []
-    for e in catalog.events:
-        if e.magnitude < mag_min:
-            dropped["magnitude"] += 1
-            continue
-        if not (forecast.window_start <= e.time < forecast.window_end):
-            dropped["window"] += 1
-            continue
-        if e.depth > depth_max:
-            dropped["depth"] += 1
-            continue
-        if not bool(grid.contains(e.lon, e.lat)):
-            dropped["location"] += 1
-            continue
-        ix, iy = grid.pixel_of(e.lon, e.lat)
-        if int(grid.flat_index(ix, iy)) not in forecast_pixels:
-            dropped["location"] += 1
-            continue
-        kept.append(e)
-    return Catalog(tuple(kept), dropped=dropped)
+    events = catalog.events
+    mag = np.array([e.magnitude for e in events], dtype=float)
+    depth = np.array([e.depth for e in events], dtype=float)
+    lon = np.array([e.lon for e in events], dtype=float)
+    lat = np.array([e.lat for e in events], dtype=float)
+    start, end = forecast.window_start, forecast.window_end
+    in_window = np.array([start <= e.time < end for e in events], dtype=bool)
+    # each event counts once, under the first check it fails, in this order
+    # (a NaN magnitude or depth fails no check of its own)
+    fails = {"magnitude": mag < mag_min, "window": ~in_window,
+             "depth": depth > depth_max}
+    loc_ok = grid.contains(lon, lat)
+    if loc_ok.any():
+        ix, iy = grid.pixel_of(lon[loc_ok], lat[loc_ok])
+        loc_ok[loc_ok] = np.isin(grid.flat_index(ix, iy), forecast.pixel_index)
+    fails["location"] = ~loc_ok
+    dropped = {}
+    remaining = np.ones(len(events), dtype=bool)
+    for reason, fail in fails.items():
+        hit = remaining & fail
+        dropped[reason] = int(hit.sum())
+        remaining &= ~hit
+    kept = tuple(e for e, keep in zip(events, remaining.tolist()) if keep)
+    return Catalog(kept, dropped=dropped)

@@ -24,8 +24,8 @@ from .manifest import build_manifest
 from .residuals import (deviance_residuals, lr_score, pearson_residuals,
                         raw_residuals)
 from .rng import SeededStream
-from .secondorder import (radii_grid, ripley_k, weighted_k,
-                          wk_confidence_bands)
+from .secondorder import (DEFAULT_R_MAX, DEFAULT_R_STEP, radii_grid,
+                          ripley_k, weighted_k, wk_confidence_bands)
 from .simulate import simulate_catalog
 from .svg import k_curve_svg, point_map_svg, residual_map_svg
 from .transforms import (assess_homogeneity, rescale, super_thin, superpose,
@@ -34,8 +34,6 @@ from .transforms import (assess_homogeneity, rescale, super_thin, superpose,
 DEFAULT_MAG_MIN = 3.95
 DEFAULT_DEPTH_MAX = 30.0
 DEFAULT_SIMS = 1000
-DEFAULT_R_MAX = 0.7
-DEFAULT_R_STEP = 0.01
 
 
 def _read(path: str) -> str:
@@ -77,12 +75,6 @@ def _radii(args):
     if n < 1:
         raise QuakeResidError("rmax must be at least dr")
     return radii_grid(np.linspace(args.dr, args.rmax, n))
-
-
-def _event_array(catalog):
-    if len(catalog) == 0:
-        return np.zeros((0, 2))
-    return np.column_stack([catalog.lons(), catalog.lats()])
 
 
 def _score_json(name: str, score, extra=None) -> str:
@@ -163,7 +155,7 @@ def cmd_resid(args, parser) -> int:
         sys.stdout.write(json.dumps(footer, sort_keys=True) + "\n")
     if args.svg:
         _write(args.svg, residual_map_svg(
-            rmap, f"{args.kind} residuals", events=_event_array(catalog)))
+            rmap, f"{args.kind} residuals", events=catalog.points()))
     _sidecar(args.out, build_manifest(
         "resid", inputs, None,
         {"kind": args.kind, "mag_min": args.mag_min,
@@ -176,7 +168,7 @@ def cmd_k(args) -> int:
     from dataclasses import replace
 
     _, catalog, fld = _load_pair(args)
-    pts = _event_array(catalog)
+    pts = catalog.points()
     radii = _radii(args)
     if args.weighted:
         curve = weighted_k(pts, fld, radii, args.edge)
@@ -292,7 +284,7 @@ def cmd_report(args) -> int:
     _write(out("scores.json"),
            json.dumps(summary, indent=2, sort_keys=True) + "\n")
 
-    events = _event_array(catalog)
+    events = catalog.points()
     raw = raw_residuals(fld, catalog)
     pear = pearson_residuals(fld, catalog)
     _write(out("residuals_raw.csv"), raw.to_csv())

@@ -75,7 +75,7 @@ def _loglik_from_counts(lam: np.ndarray, counts: np.ndarray) -> float:
     pos = counts > 0
     term = -lam.sum()
     term += float(np.sum(counts[pos] * np.log(lam[pos])))
-    term -= float(sum(lgamma(c + 1.0) for c in counts[pos]))
+    term -= float(sum(map(lgamma, (counts[pos] + 1.0).tolist())))
     return float(term)
 
 

@@ -177,6 +177,13 @@ def parse_forecast(text: str, window_start=DEFAULT_WINDOW_START,
             raise ValidationError(f"line {lineno}: negative rate {float(arr[i, 8])}")
         raise ValidationError(f"line {lineno}: mag_lo >= mag_hi")
 
+    # a NaN or infinite edge gets past the checks above; stop it before the
+    # grid size's int(round(...))
+    nonfinite = ~np.isfinite(arr[:, :4]).all(axis=1)
+    if nonfinite.any():
+        lineno = _rows_by_line(text)[0][int(np.argmax(nonfinite))]
+        raise SchemaError(f"line {lineno}: pixel edges must be finite")
+
     lon_min, lon_max = lon_lo.min(), lon_hi.max()
     lat_min, lat_max = lat_lo.min(), lat_hi.max()
     n_x = int(round((lon_max - lon_min) / dx))

@@ -10,7 +10,7 @@ so outputs stay bit-reproducible across library versions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lgamma, log
+from math import floor, lgamma, log
 
 import numpy as np
 
@@ -55,8 +55,7 @@ def poisson(rng: np.random.Generator, mu) -> np.ndarray:
     if np.any(small):
         out[small] = _poisson_inversion(rng, mu_flat[small])
     large = mu_flat >= _INVERSION_CUTOFF
-    for i in np.nonzero(large)[0]:
-        out[i] = _poisson_ptrs(rng, float(mu_flat[i]))
+    out[large] = _poisson_ptrs(rng, mu_flat[large].tolist())
 
     if scalar:
         return out.reshape(mu_arr.shape)[()]
@@ -78,23 +77,40 @@ def _poisson_inversion(rng, mu):
     return k
 
 
-def _poisson_ptrs(rng, mu):
-    """Hormann (1993) PTRS transformed rejection, valid for mu >= 10."""
-    smu = mu ** 0.5
-    b = 0.931 + 2.53 * smu
-    a = -0.059 + 0.02483 * b
-    inv_alpha = 1.1239 + 1.1328 / (b - 3.4)
-    v_r = 0.9277 - 3.6224 / (b - 2.0)
-    log_mu = log(mu)
-    while True:
-        u = rng.random() - 0.5
-        v = rng.random()
-        us = 0.5 - abs(u)
-        k = int(np.floor((2.0 * a / us + b) * u + mu + 0.43))
-        if us >= 0.07 and v <= v_r:
-            return k
-        if k < 0 or (us < 0.013 and v > us):
-            continue
-        if (log(v) + log(inv_alpha) - log(a / (us * us) + b)
-                <= k * log_mu - mu - lgamma(k + 1.0)):
-            return k
+def _poisson_ptrs(rng, mus):
+    """Hormann (1993) PTRS transformed rejection, valid for mu >= 10.
+
+    The means are served in order, each from consecutive (u, v) uniform
+    pairs until one is accepted, exactly as one scalar loop per mean would
+    draw them.  Uniforms come in blocks of one pair per unfinished mean:
+    each of those needs at least one more pair, so a block never reads past
+    the scalar loop's draws and the generator ends in the same state.
+    """
+    out = []
+    pending = len(mus)
+    block, pos = [], 0
+    for mu in mus:
+        smu = mu ** 0.5
+        b = 0.931 + 2.53 * smu
+        a = -0.059 + 0.02483 * b
+        inv_alpha = 1.1239 + 1.1328 / (b - 3.4)
+        v_r = 0.9277 - 3.6224 / (b - 2.0)
+        log_mu = log(mu)
+        while True:
+            if pos == len(block):
+                block, pos = rng.random(2 * pending).tolist(), 0
+            u = block[pos] - 0.5
+            v = block[pos + 1]
+            pos += 2
+            us = 0.5 - abs(u)
+            k = floor((2.0 * a / us + b) * u + mu + 0.43)
+            if us >= 0.07 and v <= v_r:
+                break
+            if k < 0 or (us < 0.013 and v > us):
+                continue
+            if (log(v) + log(inv_alpha) - log(a / (us * us) + b)
+                    <= k * log_mu - mu - lgamma(k + 1.0)):
+                break
+        out.append(k)
+        pending -= 1
+    return out

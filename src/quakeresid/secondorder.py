@@ -16,7 +16,6 @@ arc sampling for irregular masks.
 from __future__ import annotations
 
 import io
-from collections import defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,6 +33,7 @@ DEFAULT_R_STEP = 0.01
 
 _ARC_SAMPLES = 360
 _MIN_ARC_FRACTION = 0.5 / _ARC_SAMPLES
+_MASK_CHUNK = 4096  # circles sampled at once by circle_fraction_mask
 
 
 def default_radii(r_max: float = DEFAULT_R_MAX,
@@ -92,54 +92,29 @@ class KCurve:
         return out.getvalue()
 
 
-def centered_l(curve: KCurve) -> np.ndarray:
-    return curve.centered_l
-
-
 # ---------------------------------------------------------------------------
-# pair search: uniform spatial hash with cell size = max radius
+# pair search: k-d tree with a slightly widened radius, then exact filtering
 
 def pairs_within(points: np.ndarray, r_max: float):
     """All unordered pairs (i < j) at distance <= r_max.
 
-    Returns (i, j, distance) arrays.  Expected O(n * neighbors) via a
-    uniform hash grid; distances are filtered exactly.
+    Returns (i, j, distance) arrays sorted by (i, j).  A k-d tree finds the
+    candidates within a radius widened by 1e-9 relative; the distances are
+    then recomputed with np.hypot and filtered exactly, so pairs at exactly
+    r_max are kept.  Points with a non-finite coordinate pair with nothing.
     """
     pts = np.asarray(points, dtype=float)
-    n = len(pts)
-    if n < 2:
+    finite = np.flatnonzero(np.isfinite(pts).all(axis=-1))
+    if len(finite) < 2:
         return (np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros(0))
-    cell = max(r_max, 1e-300)
-    cx = np.floor(pts[:, 0] / cell).astype(np.int64)
-    cy = np.floor(pts[:, 1] / cell).astype(np.int64)
-    buckets = defaultdict(list)
-    for idx in range(n):
-        buckets[(int(cx[idx]), int(cy[idx]))].append(idx)
-    # forward half-neighborhood so each cell pair is visited once
-    offsets = ((0, 0), (1, 0), (-1, 1), (0, 1), (1, 1))
-    ii, jj = [], []
-    for (bx, by), members in buckets.items():
-        a = np.array(members, dtype=int)
-        for ox, oy in offsets:
-            other = buckets.get((bx + ox, by + oy))
-            if other is None:
-                continue
-            b = np.array(other, dtype=int)
-            if ox == 0 and oy == 0:
-                ia, jb = np.triu_indices(len(a), k=1)
-                ii.append(a[ia])
-                jj.append(a[jb])
-            else:
-                ia, jb = np.meshgrid(a, b, indexing="ij")
-                ii.append(ia.ravel())
-                jj.append(jb.ravel())
-    ii = np.concatenate(ii)
-    jj = np.concatenate(jj)
+    from scipy.spatial import cKDTree  # loaded only by commands that need it
+
+    pairs = cKDTree(pts[finite]).query_pairs(r_max * (1 + 1e-9),
+                                             output_type="ndarray")
+    ii, jj = finite[pairs[:, 0]], finite[pairs[:, 1]]
     d = np.hypot(pts[ii, 0] - pts[jj, 0], pts[ii, 1] - pts[jj, 1])
     keep = d <= r_max
     ii, jj, d = ii[keep], jj[keep], d[keep]
-    swap = ii > jj
-    ii[swap], jj[swap] = jj[swap], ii[swap]
     order = np.lexsort((jj, ii))
     return ii[order], jj[order], d[order]
 
@@ -170,21 +145,30 @@ def circle_fraction_rect(cx, cy, t, x0, x1, y0, y1):
 
 
 def circle_fraction_mask(cx, cy, t, grid: Grid):
-    """Arc-sampled fraction of the circle inside the active-pixel union."""
+    """Arc-sampled fraction of the circle inside the active-pixel union.
+
+    Circles are sampled in chunks of _MASK_CHUNK, so peak memory is bounded
+    by the chunk, not by the number of circles.
+    """
     cx = np.asarray(cx, dtype=float)
     cy = np.asarray(cy, dtype=float)
     t = np.asarray(t, dtype=float)
     ang = np.linspace(0.0, 2.0 * np.pi, _ARC_SAMPLES, endpoint=False)
-    px = cx[:, None] + t[:, None] * np.cos(ang)
-    py = cy[:, None] + t[:, None] * np.sin(ang)
-    inbox = (px >= grid.lon_min) & (px <= grid.lon_max) & \
-            (py >= grid.lat_min) & (py <= grid.lat_max)
-    ix = np.clip(np.floor((px - grid.lon_min) / grid.dx).astype(int),
-                 0, grid.n_x - 1)
-    iy = np.clip(np.floor((py - grid.lat_min) / grid.dy).astype(int),
-                 0, grid.n_y - 1)
-    inside = inbox & grid.active_mask[iy, ix]
-    return inside.mean(axis=1)
+    cos, sin = np.cos(ang), np.sin(ang)
+    out = np.empty(len(t))
+    for lo in range(0, len(t), _MASK_CHUNK):
+        part = slice(lo, lo + _MASK_CHUNK)
+        px = cx[part, None] + t[part, None] * cos
+        py = cy[part, None] + t[part, None] * sin
+        inbox = (px >= grid.lon_min) & (px <= grid.lon_max) & \
+                (py >= grid.lat_min) & (py <= grid.lat_max)
+        ix = np.clip(np.floor((px - grid.lon_min) / grid.dx).astype(int),
+                     0, grid.n_x - 1)
+        iy = np.clip(np.floor((py - grid.lat_min) / grid.dy).astype(int),
+                     0, grid.n_y - 1)
+        inside = inbox & grid.active_mask[iy, ix]
+        out[part] = inside.mean(axis=1)
+    return out
 
 
 def _correction_weights(region, centers, dists):

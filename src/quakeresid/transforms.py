@@ -73,12 +73,6 @@ class ResidualSet:
         return out.getvalue()
 
 
-def _event_points(catalog: Catalog) -> np.ndarray:
-    if len(catalog) == 0:
-        return np.zeros((0, 2))
-    return np.column_stack([catalog.lons(), catalog.lats()])
-
-
 def _rates_at_events(fld: IntensityField, pts: np.ndarray) -> np.ndarray:
     if len(pts) == 0:
         return np.zeros(0)
@@ -100,7 +94,7 @@ def rescale(catalog: Catalog, fld: IntensityField,
         raise ValidationError(f"unknown axis {axis!r}")
     grid = fld.grid
     rates = np.where(grid.active_mask, fld.rate_per_area, 0.0)
-    pts = _event_points(catalog)
+    pts = catalog.points()
     if len(pts) and not np.all(grid.contains(pts[:, 0], pts[:, 1])):
         raise ValidationError("catalog events outside the active region")
 
@@ -149,7 +143,7 @@ def thin_exact(catalog: Catalog, fld: IntensityField,
     if b == 0:
         raise DegenerateInfimumError(
             "rate infimum is zero; exact thinning would delete everything")
-    pts = _event_points(catalog)
+    pts = catalog.points()
     lam = _rates_at_events(fld, pts)
     rng = stream.generator()
     keep = rng.random(len(pts)) < b / lam if len(pts) else \
@@ -171,7 +165,7 @@ def thin_approx(catalog: Catalog, fld: IntensityField, k_count: float,
     """
     if k_count <= 0:
         raise ValidationError("k_count must be positive")
-    pts = _event_points(catalog)
+    pts = catalog.points()
     lam = _rates_at_events(fld, pts)
     if np.any(lam == 0):
         raise ValidationError("thinning is undefined for events on zero rate")
@@ -209,7 +203,7 @@ def superpose(catalog: Catalog, fld: IntensityField, stream: SeededStream,
         level = sup
     if sup == 0:
         raise ValidationError("rate supremum is zero; nothing to superpose onto")
-    pts = _event_points(catalog)
+    pts = catalog.points()
     if len(pts) and not np.all(fld.grid.contains(pts[:, 0], pts[:, 1])):
         raise ValidationError("catalog events outside the active region")
     xs, ys = simulate_cox_complement(fld, level, "superpose", stream)
@@ -238,7 +232,7 @@ def super_thin(catalog: Catalog, fld: IntensityField,
         k_rate = integrate(fld) / region.area
     if k_rate <= 0:
         raise ValidationError("k_rate must be positive")
-    pts = _event_points(catalog)
+    pts = catalog.points()
     lam = _rates_at_events(fld, pts)
     rng = stream.substream(0).generator()
     if len(pts):

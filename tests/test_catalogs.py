@@ -1,5 +1,7 @@
-from datetime import datetime, timezone
+import itertools
+from datetime import datetime, timedelta, timezone
 
+import numpy as np
 import pytest
 
 from quakeresid import (Catalog, Event, ParseError, ValidationError,
@@ -98,3 +100,64 @@ def test_filter_respects_forecast_pixels():
     out = filter_catalog(cat, fc, mag_min=3.95)
     assert len(out) == 1
     assert out.dropped["location"] == 1
+
+
+def _filter_by_event(catalog, forecast, mag_min, depth_max):
+    """Scalar reference: one event at a time, first failed check wins."""
+    grid = forecast.grid
+    pixels = set(int(p) for p in forecast.pixel_index)
+    dropped = {"magnitude": 0, "window": 0, "depth": 0, "location": 0}
+    kept = []
+    for e in catalog.events:
+        if e.magnitude < mag_min:
+            dropped["magnitude"] += 1
+        elif not (forecast.window_start <= e.time < forecast.window_end):
+            dropped["window"] += 1
+        elif e.depth > depth_max:
+            dropped["depth"] += 1
+        elif not bool(grid.contains(e.lon, e.lat)) or \
+                int(grid.flat_index(*grid.pixel_of(e.lon, e.lat))) \
+                not in pixels:
+            dropped["location"] += 1
+        else:
+            kept.append(e)
+    return kept, dropped
+
+
+def test_filter_catalog_matches_scalar_reference():
+    # left pixel column masked out; NaN, infinite and boundary fields
+    fc = parse_forecast(FORECAST.replace("0.3 1", "0.3 0")
+                        .replace("0.1 1", "0.1 0"))
+    nan, inf = float("nan"), float("inf")
+    start, end = fc.window_start, fc.window_end
+    times = [start, end, start - timedelta(microseconds=1),
+             end - timedelta(microseconds=1)]
+    mags = [3.95, 3.9499999, 5.0, nan, inf, -inf]
+    depths = [30.0, 30.0000001, -1.0, nan, inf, -inf]
+    coords = [(0.75, 0.25), (1.0, 1.0), (0.5, 0.5), (0.0, 0.0), (1.0, 0.0),
+              (0.4999, 0.7), (1.0000001, 0.5), (nan, 0.5), (0.75, inf),
+              (-inf, 0.2), (0.6, -0.0)]
+    rng = np.random.default_rng(8)
+    combos = list(itertools.product(range(len(times)), mags, depths, coords))
+    picks = rng.choice(len(combos), 600, replace=False)
+    events = sorted((Event(times[combos[k][0]], combos[k][3][0],
+                           combos[k][3][1], combos[k][2], combos[k][1])
+                     for k in picks), key=lambda e: e.time)
+    cat = Catalog(tuple(events))
+    for mag_min, depth_max in ((3.95, 30.0), (nan, 30.0), (4.5, inf)):
+        out = filter_catalog(cat, fc, mag_min, depth_max)
+        kept, dropped = _filter_by_event(cat, fc, mag_min, depth_max)
+        assert len(out.events) == len(kept)
+        assert all(a is b for a, b in zip(out.events, kept))
+        assert out.dropped == dropped
+        assert list(out.dropped) == ["magnitude", "window", "depth",
+                                     "location"]
+        if mag_min == 3.95:     # every outcome occurs
+            assert len(kept) and all(dropped.values())
+
+
+def test_filter_catalog_empty():
+    out = filter_catalog(Catalog(()), parse_forecast(FORECAST), 3.95)
+    assert len(out) == 0
+    assert out.dropped == {"magnitude": 0, "window": 0, "depth": 0,
+                           "location": 0}

@@ -181,6 +181,17 @@ def test_validation_error_exit_code(tmp_path):
     assert rc == 3     # fewer than two events
 
 
+def test_non_finite_forecast_edge_exit_code(tmp_path, capsys):
+    fc = tmp_path / "fc.txt"
+    fc.write_text("# edges\n-120 nan 30 31 0 30 4.95 5.05 1.0 1\n")
+    cat = tmp_path / "empty.csv"
+    cat.write_text("time,lon,lat,depth,mag\n")
+    rc = main(["ntest", "--forecast", str(fc), "--catalog", str(cat),
+               "--analytic"])
+    assert rc == 3
+    assert "line 2: pixel edges must be finite" in capsys.readouterr().err
+
+
 def test_report_directory(workspace):
     tmp, fc, cat = workspace
     outdir = tmp / "report"
@@ -198,11 +209,13 @@ def test_report_directory(workspace):
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():
-    # scipy.stats alone costs about a second of start-up in every command
+    # scipy.stats alone costs about a second of start-up in every command;
+    # scipy.spatial (the pair search) loads only in commands that use it
     src = os.path.dirname(os.path.dirname(os.path.abspath(quakeresid.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run(
         [sys.executable, "-c",
-         "import quakeresid.cli, sys; print('scipy.stats' in sys.modules)"],
+         "import quakeresid.cli, sys; "
+         "print([m in sys.modules for m in ('scipy.stats', 'scipy.spatial')])"],
         env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[False, False]"

@@ -84,6 +84,26 @@ def test_row_errors_name_line_after_comments(bad_row, message, monkeypatch):
     assert bulk == by_line == (ValidationError, message)
 
 
+def test_non_finite_edge_names_its_line(monkeypatch):
+    text = "# header\n" + ROW + "\n\n0.5 nan 0 0.5 0 30 3.95 4.05 0.1 1\n"
+    bulk, by_line = _bulk_and_line_outcomes(text, monkeypatch)
+    assert bulk == by_line == (SchemaError,
+                               "line 4: pixel edges must be finite")
+
+
+@pytest.mark.parametrize("column", [0, 1, 2, 3])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("first", [True, False])
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_non_finite_edge_is_a_schema_error(column, value, first):
+    fields = ROW.split()
+    fields[column] = value
+    bad = " ".join(fields)
+    text = bad + "\n" if first else ROW + "\n" + bad + "\n"
+    with pytest.raises(SchemaError):
+        parse_forecast(text)
+
+
 def test_near_but_distinct_magnitudes_are_not_duplicates():
     # 3.9500000004 and 3.9500000006 round to different 9-decimal keys
     fc = parse_forecast(ROW.replace("3.95", "3.9500000004") + "\n" +

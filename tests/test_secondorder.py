@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from quakeresid import (Grid, GridRegion, IntensityField, SeededStream,
-                        ValidationError, centered_l, default_radii,
+                        ValidationError, default_radii,
                         envelope_bands, pairs_within, radii_grid, ripley_k,
                         weighted_k, weighted_k_constant, wk_confidence_bands)
+from quakeresid import secondorder
 from quakeresid.secondorder import (circle_fraction_mask,
                                     circle_fraction_rect)
 
@@ -30,6 +31,78 @@ def test_pairs_within_matches_brute_force():
         assert got == want
         assert np.allclose(np.sort(dd),
                            np.sort([d for _, _, d in _brute_pairs(pts, r_max)]))
+
+
+def _assert_same_pairs(pts, r_max):
+    got = pairs_within(pts, r_max)
+    brute = _brute_pairs(pts, r_max)
+    want = (np.array([i for i, _, _ in brute], dtype=int),
+            np.array([j for _, j, _ in brute], dtype=int),
+            np.array([d for _, _, d in brute], dtype=float))
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype
+        assert np.array_equal(g, w)
+    return got
+
+
+@pytest.mark.parametrize("spacing", [0.25, 0.1, 0.7])
+def test_pairs_within_keeps_pairs_at_exactly_r_max(spacing):
+    # lattice spacing equal to r_max: every neighbour sits on the boundary
+    ax = np.arange(12) * spacing
+    pts = np.column_stack([np.repeat(ax, 12), np.tile(ax, 12)])
+    ii, _, dd = _assert_same_pairs(pts, spacing)
+    if spacing == 0.25:     # exact in binary: all 2 * 12 * 11 neighbours
+        assert len(ii) == 264 and np.all(dd == 0.25)
+
+
+def test_pairs_within_duplicates_and_rescaled_scale():
+    rng = np.random.default_rng(11)
+    base = rng.random((60, 2)) * [700.0, 3.0]
+    pts = np.concatenate([base, base[:20], base[:5]])   # repeated points
+    ii, jj, dd = _assert_same_pairs(pts, 0.7)
+    assert np.sum(dd == 0.0) >= 25
+    assert np.all(ii < jj)
+    wide = rng.random((400, 2)) * [700.0, 8.0]
+    _assert_same_pairs(wide, 0.7)
+
+
+def test_pairs_within_fewer_than_two_points_and_non_finite():
+    for pts in (np.zeros((0, 2)), np.array([[0.5, 0.5]])):
+        ii, jj, dd = pairs_within(pts, 0.3)
+        assert len(ii) == len(jj) == len(dd) == 0
+        assert ii.dtype == jj.dtype == int and dd.dtype == float
+    pts = np.array([[0.0, 0.0], [np.nan, 0.0], [0.1, 0.0], [np.inf, 0.0],
+                    [np.inf, 0.0], [0.0, -np.inf]])
+    ii, jj, dd = pairs_within(pts, 0.5)
+    assert ii.tolist() == [0] and jj.tolist() == [2]
+    assert dd.tolist() == [0.1]
+
+
+def _circle_fraction_mask_single_shot(cx, cy, t, grid):
+    """Every circle sampled in one array, as before chunking."""
+    ang = np.linspace(0.0, 2.0 * np.pi, 360, endpoint=False)
+    px = cx[:, None] + t[:, None] * np.cos(ang)
+    py = cy[:, None] + t[:, None] * np.sin(ang)
+    inbox = (px >= grid.lon_min) & (px <= grid.lon_max) & \
+            (py >= grid.lat_min) & (py <= grid.lat_max)
+    ix = np.clip(np.floor((px - grid.lon_min) / grid.dx).astype(int),
+                 0, grid.n_x - 1)
+    iy = np.clip(np.floor((py - grid.lat_min) / grid.dy).astype(int),
+                 0, grid.n_y - 1)
+    return (inbox & grid.active_mask[iy, ix]).mean(axis=1)
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_circle_fraction_mask_chunks_match_single_shot(offset):
+    mask = np.random.default_rng(5).random((8, 10)) < 0.6
+    g = Grid.regular(0, 1, 0, 0.8, 0.1, 0.1, active_mask=mask)
+    n = secondorder._MASK_CHUNK + offset
+    rng = np.random.default_rng(6)
+    cx, cy = rng.uniform(0, 1, n), rng.uniform(0, 0.8, n)
+    t = rng.uniform(0.01, 0.7, n)
+    got = circle_fraction_mask(cx, cy, t, g)
+    assert np.array_equal(got, _circle_fraction_mask_single_shot(cx, cy, t, g))
+    assert len(circle_fraction_mask(cx[:0], cy[:0], t[:0], g)) == 0
 
 
 def test_radii_validation():
@@ -77,7 +150,7 @@ def test_centered_l_zero_under_null_mean():
     radii = radii_grid([0.1, 0.2, 0.3])
     from quakeresid.secondorder import KCurve
     curve = KCurve(radii, np.pi * radii ** 2, "plain")
-    assert np.allclose(centered_l(curve), 0.0, atol=1e-12)
+    assert np.allclose(curve.centered_l, 0.0, atol=1e-12)
 
 
 def test_circle_fraction_rect_exact_values():
