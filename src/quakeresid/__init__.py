@@ -6,8 +6,8 @@ residual point processes (rescaled, thinned, superposed, super-thinned)
 with homogeneity assessments.
 """
 
-from .catalogs import (Catalog, Event, filter_catalog, format_time,
-                       parse_catalog, parse_time, serialize_catalog)
+from .catalogs import (Catalog, filter_catalog, format_time, parse_catalog,
+                       parse_time, serialize_catalog)
 from .consistency import (QuantileScore, l_test, log_likelihood, n_test,
                           observed_counts)
 from .errors import (DegenerateInfimumError, OutsideRegionError, ParseError,

@@ -5,7 +5,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass, field
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 
 import numpy as np
 
@@ -13,40 +13,38 @@ from .errors import ParseError, ValidationError
 from .forecasts import Forecast
 
 HEADER = ["time", "lon", "lat", "depth", "mag"]
+_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_MICROSECOND = timedelta(microseconds=1)
 
 
-@dataclass(frozen=True)
-class Event:
-    time: datetime
-    lon: float
-    lat: float
-    depth: float
-    magnitude: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Catalog:
-    events: tuple  # time-ordered Events
-    dropped: dict = field(default_factory=dict, compare=False)
+    """Events as five columns in time order, named as in HEADER: time
+    (datetime64[us], UTC), lon, lat, depth and mag (floats)."""
+    time: np.ndarray = field(repr=False)
+    lon: np.ndarray = field(repr=False)
+    lat: np.ndarray = field(repr=False)
+    depth: np.ndarray = field(repr=False)
+    mag: np.ndarray = field(repr=False)
+    dropped: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        times = [e.time for e in self.events]
-        if any(b < a for a, b in zip(times, times[1:])):
+        for name in HEADER:
+            col = np.array(getattr(self, name),
+                           dtype="datetime64[us]" if name == "time" else float)
+            col.setflags(write=False)
+            object.__setattr__(self, name, col)
+        if any(len(getattr(self, name)) != len(self.time) for name in HEADER):
+            raise ValidationError("catalog columns must have equal lengths")
+        if np.any(self.time[1:] < self.time[:-1]):
             raise ValidationError("catalog events must be time-ordered")
 
     def __len__(self):
-        return len(self.events)
-
-    def lons(self):
-        return np.array([e.lon for e in self.events])
-
-    def lats(self):
-        return np.array([e.lat for e in self.events])
+        return len(self.time)
 
     def points(self):
         """(n, 2) lon/lat array."""
-        return np.column_stack([self.lons(), self.lats()]) \
-            if self.events else np.zeros((0, 2))
+        return np.column_stack([self.lon, self.lat])
 
 
 def parse_time(text: str) -> datetime:
@@ -60,10 +58,22 @@ def format_time(t: datetime) -> str:
     return t.astimezone(timezone.utc).strftime("%Y-%m-%dT%H:%M:%S.%f")[:-3] + "Z"
 
 
+def utc64(times) -> np.ndarray:
+    """Aware datetimes as datetime64[us] UTC instants.
+
+    Each is measured from the epoch as an exact timedelta, which never
+    leaves Python's range the way astimezone does for a year-1 time with
+    a positive offset.
+    """
+    micros = [(t - _EPOCH) // _MICROSECOND for t in times]
+    return np.array(micros, dtype=np.int64).astype("datetime64[us]")
+
+
 def parse_catalog(text: str) -> Catalog:
     """Parse catalog CSV with header time,lon,lat,depth,mag.
 
-    Out-of-order rows are sorted; unparseable rows raise with line number.
+    Out-of-order rows are sorted, rows of one instant kept in file order;
+    unparseable rows raise with line number.
     """
     reader = csv.reader(io.StringIO(text))
     try:
@@ -72,32 +82,36 @@ def parse_catalog(text: str) -> Catalog:
         raise ParseError("empty catalog file", 1) from None
     if [h.strip().lower() for h in header] != HEADER:
         raise ParseError(f"expected header {','.join(HEADER)}", 1)
-    events = []
+    times, values = [], []
     for lineno, row in enumerate(reader, start=2):
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
         if len(row) != 5:
             raise ParseError(f"expected 5 fields, got {len(row)}", lineno)
         try:
-            t = parse_time(row[0].strip())
+            times.append(parse_time(row[0].strip()))
         except ValueError:
             raise ParseError(f"unparseable timestamp {row[0]!r}", lineno) from None
         try:
-            lon, lat, depth, mag = (float(v.replace("−", "-")) for v in row[1:])
+            values.append([float(v.replace("−", "-")) for v in row[1:]])
         except ValueError as exc:
             raise ParseError(str(exc), lineno) from None
-        events.append(Event(t, lon, lat, depth, mag))
-    events.sort(key=lambda e: e.time)
-    return Catalog(tuple(events))
+    time = utc64(times)
+    order = np.argsort(time, kind="stable")
+    return Catalog(time[order],
+                   *np.array(values, dtype=float).reshape(-1, 4)[order].T)
 
 
 def serialize_catalog(catalog: Catalog) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(HEADER)
-    for e in catalog.events:
-        writer.writerow([format_time(e.time), "%.12g" % e.lon, "%.12g" % e.lat,
-                         "%.12g" % e.depth, "%.12g" % e.magnitude])
+    # an instant outside years 1-9999 raises OverflowError here
+    times = [format_time(_EPOCH + timedelta(microseconds=us))
+             for us in catalog.time.astype(np.int64).tolist()]
+    values = (["%.12g" % v for v in getattr(catalog, name).tolist()]
+              for name in HEADER[1:])
+    writer.writerows(zip(times, *values))
     return out.getvalue()
 
 
@@ -108,27 +122,22 @@ def filter_catalog(catalog: Catalog, forecast: Forecast, mag_min: float,
     one forecast bin.  Drop counts are reported in the result's metadata.
     """
     grid = forecast.grid
-    events = catalog.events
-    mag = np.array([e.magnitude for e in events], dtype=float)
-    depth = np.array([e.depth for e in events], dtype=float)
-    lon = np.array([e.lon for e in events], dtype=float)
-    lat = np.array([e.lat for e in events], dtype=float)
-    start, end = forecast.window_start, forecast.window_end
-    in_window = np.array([start <= e.time < end for e in events], dtype=bool)
+    start, end = utc64([forecast.window_start, forecast.window_end])
     # each event counts once, under the first check it fails, in this order
     # (a NaN magnitude or depth fails no check of its own)
-    fails = {"magnitude": mag < mag_min, "window": ~in_window,
-             "depth": depth > depth_max}
-    loc_ok = grid.contains(lon, lat)
+    fails = {"magnitude": catalog.mag < mag_min,
+             "window": ~((start <= catalog.time) & (catalog.time < end)),
+             "depth": catalog.depth > depth_max}
+    loc_ok = grid.contains(catalog.lon, catalog.lat)
     if loc_ok.any():
-        ix, iy = grid.pixel_of(lon[loc_ok], lat[loc_ok])
+        ix, iy = grid.pixel_of(catalog.lon[loc_ok], catalog.lat[loc_ok])
         loc_ok[loc_ok] = np.isin(grid.flat_index(ix, iy), forecast.pixel_index)
     fails["location"] = ~loc_ok
     dropped = {}
-    remaining = np.ones(len(events), dtype=bool)
+    remaining = np.ones(len(catalog), dtype=bool)
     for reason, fail in fails.items():
         hit = remaining & fail
         dropped[reason] = int(hit.sum())
         remaining &= ~hit
-    kept = tuple(e for e, keep in zip(events, remaining.tolist()) if keep)
-    return Catalog(kept, dropped=dropped)
+    return Catalog(*(getattr(catalog, name)[remaining] for name in HEADER),
+                   dropped=dropped)

@@ -35,6 +35,11 @@ DEFAULT_MAG_MIN = 3.95
 DEFAULT_DEPTH_MAX = 30.0
 DEFAULT_SIMS = 1000
 
+# argparse destinations that are not run parameters: file paths and the
+# seed have their own manifest fields, and --k only ever ends in an error
+_NOT_PARAMETERS = {"command", "seed", "forecast", "forecast_a", "forecast_b",
+                   "catalog", "out", "svg", "k_ambiguous"}
+
 
 def _read(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
@@ -49,9 +54,17 @@ def _write(path, text: str):
             fh.write(text)
 
 
-def _sidecar(out_path, manifest):
-    if out_path is not None:
-        _write(str(out_path) + ".manifest.json", manifest.to_json())
+def _manifest(args, inputs, seed):
+    """Run manifest; every parsed flag but paths and the seed is a parameter."""
+    parameters = {k: v for k, v in vars(args).items()
+                  if k not in _NOT_PARAMETERS}
+    return build_manifest(args.command, inputs, seed, parameters)
+
+
+def _sidecar(args, inputs, seed):
+    if args.out is not None:
+        _write(str(args.out) + ".manifest.json",
+               _manifest(args, inputs, seed).to_json())
 
 
 def _derived_path(out_path, suffix: str):
@@ -59,15 +72,20 @@ def _derived_path(out_path, suffix: str):
     return stem + suffix + (ext or ".csv")
 
 
+def _intensity(forecast, args):
+    """Aggregated field above --mag-min, scaled by --window-fraction."""
+    fld = aggregate(forecast, args.mag_min)
+    if args.window_fraction != 1.0:
+        fld = scale_window(fld, args.window_fraction)
+    return fld
+
+
 def _load_pair(args, forecast_path=None):
     """Forecast + filtered catalog + aggregated intensity field."""
     forecast = parse_forecast(_read(forecast_path or args.forecast))
     catalog = parse_catalog(_read(args.catalog))
     catalog = filter_catalog(catalog, forecast, args.mag_min, args.depth_max)
-    fld = aggregate(forecast, args.mag_min)
-    if args.window_fraction != 1.0:
-        fld = scale_window(fld, args.window_fraction)
-    return forecast, catalog, fld
+    return forecast, catalog, _intensity(forecast, args)
 
 
 def _radii(args):
@@ -107,11 +125,7 @@ def cmd_ntest(args) -> int:
         score = n_test(fld, catalog, args.sims, SeededStream(args.seed, 0))
     _write(args.out, _score_json("ntest", score,
                                  {"expected_count": integrate(fld)}))
-    _sidecar(args.out, build_manifest(
-        "ntest", [args.forecast, args.catalog], args.seed,
-        {"mag_min": args.mag_min, "depth_max": args.depth_max,
-         "window_fraction": args.window_fraction, "sims": args.sims,
-         "analytic": args.analytic}))
+    _sidecar(args, [args.forecast, args.catalog], args.seed)
     return 0
 
 
@@ -119,10 +133,7 @@ def cmd_ltest(args) -> int:
     _, catalog, fld = _load_pair(args)
     score = l_test(fld, catalog, args.sims, SeededStream(args.seed, 0))
     _write(args.out, _score_json("ltest", score))
-    _sidecar(args.out, build_manifest(
-        "ltest", [args.forecast, args.catalog], args.seed,
-        {"mag_min": args.mag_min, "depth_max": args.depth_max,
-         "window_fraction": args.window_fraction, "sims": args.sims}))
+    _sidecar(args, [args.forecast, args.catalog], args.seed)
     return 0
 
 
@@ -132,10 +143,7 @@ def cmd_resid(args, parser) -> int:
             parser.error("--kind deviance requires --forecast-a and "
                          "--forecast-b")
         _, catalog, fld_a = _load_pair(args, forecast_path=args.forecast_a)
-        forecast_b = parse_forecast(_read(args.forecast_b))
-        fld_b = aggregate(forecast_b, args.mag_min)
-        if args.window_fraction != 1.0:
-            fld_b = scale_window(fld_b, args.window_fraction)
+        fld_b = _intensity(parse_forecast(_read(args.forecast_b)), args)
         rmap = deviance_residuals(fld_a, fld_b, catalog)
         try:
             footer = {"lr_score": lr_score(rmap), "lr_score_defined": True}
@@ -156,11 +164,7 @@ def cmd_resid(args, parser) -> int:
     if args.svg:
         _write(args.svg, residual_map_svg(
             rmap, f"{args.kind} residuals", events=catalog.points()))
-    _sidecar(args.out, build_manifest(
-        "resid", inputs, None,
-        {"kind": args.kind, "mag_min": args.mag_min,
-         "depth_max": args.depth_max,
-         "window_fraction": args.window_fraction}))
+    _sidecar(args, inputs, None)
     return 0
 
 
@@ -182,12 +186,7 @@ def cmd_k(args) -> int:
     _write(args.out, curve.to_csv())
     if args.svg:
         _write(args.svg, k_curve_svg(curve, title))
-    _sidecar(args.out, build_manifest(
-        "k", [args.forecast, args.catalog], None,
-        {"weighted": args.weighted, "rmax": args.rmax, "dr": args.dr,
-         "edge": args.edge, "mag_min": args.mag_min,
-         "depth_max": args.depth_max,
-         "window_fraction": args.window_fraction}))
+    _sidecar(args, [args.forecast, args.catalog], None)
     return 0
 
 
@@ -241,29 +240,18 @@ def cmd_transform(args, parser) -> int:
             stem, ext = os.path.splitext(args.svg)
             _write(stem + "_assess" + (ext or ".svg"),
                    k_curve_svg(curve, f"{args.kind} homogeneity assessment"))
-    _sidecar(args.out, build_manifest(
-        "transform", [args.forecast, args.catalog], args.seed,
-        {"kind": args.kind, "k_count": args.k_count, "k_rate": args.k_rate,
-         "assess": args.assess, "sims": args.sims, "axis": args.axis,
-         "rmax": args.rmax, "dr": args.dr, "edge": args.edge,
-         "mag_min": args.mag_min, "depth_max": args.depth_max,
-         "window_fraction": args.window_fraction}))
+    _sidecar(args, [args.forecast, args.catalog], args.seed)
     return 0
 
 
 def cmd_simulate(args) -> int:
     forecast = parse_forecast(_read(args.forecast))
-    fld = aggregate(forecast, args.mag_min)
-    if args.window_fraction != 1.0:
-        fld = scale_window(fld, args.window_fraction)
+    fld = _intensity(forecast, args)
     catalog = simulate_catalog(fld, SeededStream(args.seed, 0),
                                forecast.window_start, forecast.window_end,
                                magnitude=args.mag_min)
     _write(args.out, serialize_catalog(catalog))
-    _sidecar(args.out, build_manifest(
-        "simulate", [args.forecast], args.seed,
-        {"mag_min": args.mag_min,
-         "window_fraction": args.window_fraction}))
+    _sidecar(args, [args.forecast], args.seed)
     return 0
 
 
@@ -314,12 +302,7 @@ def cmd_report(args) -> int:
         _write(out("superthin_assess.svg"),
                k_curve_svg(assess, "superthin homogeneity assessment"))
 
-    manifest = build_manifest(
-        "report", [args.forecast, args.catalog], args.seed,
-        {"mag_min": args.mag_min, "depth_max": args.depth_max,
-         "window_fraction": args.window_fraction, "sims": args.sims,
-         "k_rate": args.k_rate, "rmax": args.rmax, "dr": args.dr,
-         "edge": args.edge})
+    manifest = _manifest(args, [args.forecast, args.catalog], args.seed)
     _write(out("manifest.json"), manifest.to_json())
     return 0
 

@@ -64,7 +64,7 @@ def observed_counts(fld: IntensityField, catalog: Catalog) -> np.ndarray:
     grid = fld.grid
     counts = np.zeros((grid.n_y, grid.n_x), dtype=np.int64)
     if len(catalog):
-        ix, iy = grid.pixel_of(catalog.lons(), catalog.lats())
+        ix, iy = grid.pixel_of(catalog.lon, catalog.lat)
         np.add.at(counts, (iy, ix), 1)
     return counts[grid.active_mask]
 

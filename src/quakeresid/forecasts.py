@@ -161,11 +161,14 @@ def parse_forecast(text: str, window_start=DEFAULT_WINDOW_START,
         return _empty_forecast(window_start, window_end)
 
     lon_lo, lon_hi, lat_lo, lat_hi = arr[:, 0], arr[:, 1], arr[:, 2], arr[:, 3]
-    dxs = lon_hi - lon_lo
-    dys = lat_hi - lat_lo
-    dx, dy = dxs[0], dys[0]
-    if np.any(np.abs(dxs - dx) > _EDGE_TOL) or np.any(np.abs(dys - dy) > _EDGE_TOL):
-        raise SchemaError("inconsistent pixel sizes across rows")
+    # non-finite edges and sizes are stopped below, as typed errors
+    with np.errstate(over="ignore", invalid="ignore"):
+        dxs = lon_hi - lon_lo
+        dys = lat_hi - lat_lo
+        dx, dy = dxs[0], dys[0]
+        if (np.any(np.abs(dxs - dx) > _EDGE_TOL)
+                or np.any(np.abs(dys - dy) > _EDGE_TOL)):
+            raise SchemaError("inconsistent pixel sizes across rows")
     if dx <= 0 or dy <= 0:
         raise SchemaError("pixel edges must have positive extent")
 
@@ -186,8 +189,14 @@ def parse_forecast(text: str, window_start=DEFAULT_WINDOW_START,
 
     lon_min, lon_max = lon_lo.min(), lon_hi.max()
     lat_min, lat_max = lat_lo.min(), lat_hi.max()
-    n_x = int(round((lon_max - lon_min) / dx))
-    n_y = int(round((lat_max - lat_min) / dy))
+    # finite edges can still overflow the extent or the pixel count
+    with np.errstate(over="ignore", invalid="ignore"):
+        n_x, n_y = (lon_max - lon_min) / dx, (lat_max - lat_min) / dy
+        if not (np.isfinite(n_x) and np.isfinite(n_y)):
+            span = np.maximum((lon_hi - lon_min) / dx, (lat_hi - lat_min) / dy)
+            lineno = _rows_by_line(text)[0][int(np.argmax(~np.isfinite(span)))]
+            raise SchemaError(f"line {lineno}: grid extent is not finite")
+    n_x, n_y = int(round(n_x)), int(round(n_y))
 
     ix = np.round((lon_lo - lon_min) / dx).astype(int)
     iy = np.round((lat_lo - lat_min) / dy).astype(int)

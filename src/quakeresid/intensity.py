@@ -20,7 +20,6 @@ from .grids import Grid
 class IntensityField:
     grid: Grid
     rate_per_area: np.ndarray = field(repr=False)  # (n_y, n_x); NaN if inactive
-    window_fraction: float = 1.0
 
     def __post_init__(self):
         rates = np.asarray(self.rate_per_area, dtype=float)
@@ -33,8 +32,6 @@ class IntensityField:
         rates[~active] = np.nan
         rates.setflags(write=False)
         object.__setattr__(self, "rate_per_area", rates)
-        if not (0.0 < self.window_fraction <= 1.0):
-            raise ValidationError("window_fraction must be in (0, 1]")
 
     @classmethod
     def constant(cls, grid: Grid, value: float) -> "IntensityField":
@@ -68,8 +65,7 @@ def scale_window(fld: IntensityField, fraction: float) -> IntensityField:
     if not (0.0 < fraction <= 1.0):
         raise ValidationError("fraction must be in (0, 1]")
     rates = np.where(fld.grid.active_mask, fld.rate_per_area * fraction, 0.0)
-    return IntensityField(fld.grid, rates,
-                          window_fraction=fld.window_fraction * fraction)
+    return IntensityField(fld.grid, rates)
 
 
 def evaluate(fld: IntensityField, lon, lat):

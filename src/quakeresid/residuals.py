@@ -104,8 +104,8 @@ def deviance_residuals(field_1: IntensityField, field_2: IntensityField,
 
     counts = np.zeros((grid.n_y, grid.n_x), dtype=np.int64)
     if len(catalog):
-        inside = grid.contains(catalog.lons(), catalog.lats())
-        ix, iy = grid.pixel_of(catalog.lons()[inside], catalog.lats()[inside])
+        inside = grid.contains(catalog.lon, catalog.lat)
+        ix, iy = grid.pixel_of(catalog.lon[inside], catalog.lat[inside])
         np.add.at(counts, (iy, ix), 1)
     counts = counts[grid.active_mask]
 

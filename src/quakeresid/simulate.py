@@ -10,7 +10,7 @@ from datetime import timedelta
 
 import numpy as np
 
-from .catalogs import Catalog, Event
+from .catalogs import Catalog, utc64
 from .errors import ValidationError
 from .forecasts import DEFAULT_WINDOW_END, DEFAULT_WINDOW_START
 from .intensity import IntensityField, extremes
@@ -50,11 +50,10 @@ def simulate_catalog(fld: IntensityField, stream: SeededStream,
     xs, ys = _place_in_pixels(rng, fld.grid, counts)
     span = (window_end - window_start).total_seconds()
     offsets = np.sort(rng.random(len(xs))) * span
-    events = tuple(
-        Event(window_start + timedelta(seconds=float(dt)),
-              float(x), float(y), 0.0, magnitude)
-        for dt, x, y in zip(offsets, xs, ys))
-    return Catalog(events)
+    times = utc64([window_start + timedelta(seconds=dt)
+                   for dt in offsets.tolist()])
+    return Catalog(times, xs, ys, np.zeros(len(xs)),
+                   np.full(len(xs), magnitude, dtype=float))
 
 
 def simulated_counts(fld: IntensityField, stream: SeededStream) -> np.ndarray:

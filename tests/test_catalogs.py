@@ -4,9 +4,10 @@ from datetime import datetime, timedelta, timezone
 import numpy as np
 import pytest
 
-from quakeresid import (Catalog, Event, ParseError, ValidationError,
-                        filter_catalog, format_time, parse_catalog,
-                        parse_forecast, parse_time, serialize_catalog)
+from quakeresid import (Catalog, ParseError, ValidationError, filter_catalog,
+                        format_time, parse_catalog, parse_forecast, parse_time,
+                        serialize_catalog)
+from quakeresid.catalogs import HEADER
 
 CSV_TEXT = """\
 time,lon,lat,depth,mag
@@ -25,8 +26,9 @@ FORECAST = """\
 def test_parse_basic():
     cat = parse_catalog(CSV_TEXT)
     assert len(cat) == 2
-    assert cat.events[0].magnitude == 4.1
-    assert cat.events[0].time.tzinfo is not None
+    assert cat.mag[0] == 4.1
+    assert cat.time.dtype == np.dtype("datetime64[us]")
+    assert cat.time[0] == np.datetime64("2006-03-01T12:00:00")
 
 
 def test_parse_time_accepts_z_suffix_and_naive():
@@ -47,7 +49,34 @@ def test_out_of_order_rows_sorted():
             "2008-01-01T00:00:00Z,0.1,0.1,1,4.0\n"
             "2006-01-01T00:00:00Z,0.2,0.2,1,4.0\n")
     cat = parse_catalog(text)
-    assert cat.events[0].time.year == 2006
+    assert cat.time[0] == np.datetime64("2006-01-01T00:00:00")
+    assert cat.lon.tolist() == [0.2, 0.1]
+
+
+def test_offsets_become_utc_and_ties_keep_file_order():
+    text = ("time,lon,lat,depth,mag\n"
+            "2008-07-01T12:00:00.5+02:00,1,0,0,4\n"
+            "2008-07-01T09:59:59-00:30,2,0,0,4\n"
+            "2008-07-01T10:00:00.500Z,3,0,0,4\n"
+            "2008-07-01T05:00:00.5-05:00,4,0,0,4\n"
+            "2008-07-01T10:00:00.5,5,0,0,4\n"
+            "2008-07-01T10:00:00.499999+00:00,6,0,0,4\n")
+    cat = parse_catalog(text)
+    assert cat.lon.tolist() == [6, 1, 3, 4, 5, 2]
+    assert cat.time.tolist()[1] == datetime(2008, 7, 1, 10, 0, 0, 500000)
+    assert cat.time[-1] == np.datetime64("2008-07-01T10:29:59")
+
+
+def test_year_one_with_offset_parses_and_is_dropped_for_window():
+    text = ("time,lon,lat,depth,mag\n"
+            "0001-01-01T00:00:00+01:00,0.2,0.3,5,4.1\n"
+            "2006-03-01T12:00:00Z,0.2,0.3,5,4.1\n")
+    cat = parse_catalog(text)
+    # an hour before 0001-01-01 UTC, outside Python's datetime range
+    assert cat.time[0] == np.datetime64("0000-12-31T23:00:00")
+    out = filter_catalog(cat, parse_forecast(FORECAST), 3.95)
+    assert len(out) == 1
+    assert out.dropped["window"] == 1
 
 
 def test_bad_header_rejected():
@@ -63,16 +92,23 @@ def test_bad_row_has_line_number():
 
 
 def test_catalog_rejects_unordered_events():
-    e1 = Event(datetime(2007, 1, 1, tzinfo=timezone.utc), 0, 0, 0, 4.0)
-    e2 = Event(datetime(2006, 1, 1, tzinfo=timezone.utc), 0, 0, 0, 4.0)
+    times = np.array(["2007-01-01", "2006-01-01"], dtype="datetime64[us]")
     with pytest.raises(ValidationError):
-        Catalog((e1, e2))
+        Catalog(times, [0, 0], [0, 0], [0, 0], [4.0, 4.0])
+
+
+def test_catalog_rejects_ragged_columns():
+    with pytest.raises(ValidationError):
+        Catalog(np.array(["2007-01-01"], dtype="datetime64[us]"),
+                [0, 1], [0], [0], [4.0])
 
 
 def test_serialize_round_trip():
     cat = parse_catalog(CSV_TEXT)
     again = parse_catalog(serialize_catalog(cat))
-    assert again == cat
+    for name in HEADER:
+        assert np.array_equal(getattr(again, name), getattr(cat, name))
+        assert getattr(again, name).dtype == getattr(cat, name).dtype
 
 
 def test_filter_catalog_drop_accounting():
@@ -108,19 +144,23 @@ def _filter_by_event(catalog, forecast, mag_min, depth_max):
     pixels = set(int(p) for p in forecast.pixel_index)
     dropped = {"magnitude": 0, "window": 0, "depth": 0, "location": 0}
     kept = []
-    for e in catalog.events:
-        if e.magnitude < mag_min:
+    rows = zip(catalog.time.tolist(), catalog.lon.tolist(),
+               catalog.lat.tolist(), catalog.depth.tolist(),
+               catalog.mag.tolist())
+    for i, (time, lon, lat, depth, mag) in enumerate(rows):
+        time = time.replace(tzinfo=timezone.utc)
+        if mag < mag_min:
             dropped["magnitude"] += 1
-        elif not (forecast.window_start <= e.time < forecast.window_end):
+        elif not (forecast.window_start <= time < forecast.window_end):
             dropped["window"] += 1
-        elif e.depth > depth_max:
+        elif depth > depth_max:
             dropped["depth"] += 1
-        elif not bool(grid.contains(e.lon, e.lat)) or \
-                int(grid.flat_index(*grid.pixel_of(e.lon, e.lat))) \
+        elif not bool(grid.contains(lon, lat)) or \
+                int(grid.flat_index(*grid.pixel_of(lon, lat))) \
                 not in pixels:
             dropped["location"] += 1
         else:
-            kept.append(e)
+            kept.append(i)
     return kept, dropped
 
 
@@ -140,15 +180,19 @@ def test_filter_catalog_matches_scalar_reference():
     rng = np.random.default_rng(8)
     combos = list(itertools.product(range(len(times)), mags, depths, coords))
     picks = rng.choice(len(combos), 600, replace=False)
-    events = sorted((Event(times[combos[k][0]], combos[k][3][0],
-                           combos[k][3][1], combos[k][2], combos[k][1])
-                     for k in picks), key=lambda e: e.time)
-    cat = Catalog(tuple(events))
+    rows = sorted(((times[combos[k][0]], combos[k][3][0], combos[k][3][1],
+                    combos[k][2], combos[k][1]) for k in picks),
+                  key=lambda row: row[0])
+    time, lon, lat, depth, mag = zip(*rows)
+    time = np.array([t.replace(tzinfo=None) for t in time],
+                    dtype="datetime64[us]")
+    cat = Catalog(time, lon, lat, depth, mag)
     for mag_min, depth_max in ((3.95, 30.0), (nan, 30.0), (4.5, inf)):
         out = filter_catalog(cat, fc, mag_min, depth_max)
         kept, dropped = _filter_by_event(cat, fc, mag_min, depth_max)
-        assert len(out.events) == len(kept)
-        assert all(a is b for a, b in zip(out.events, kept))
+        for name in HEADER:
+            assert np.array_equal(getattr(out, name),
+                                  getattr(cat, name)[kept], equal_nan=True)
         assert out.dropped == dropped
         assert list(out.dropped) == ["magnitude", "window", "depth",
                                      "location"]
@@ -157,7 +201,8 @@ def test_filter_catalog_matches_scalar_reference():
 
 
 def test_filter_catalog_empty():
-    out = filter_catalog(Catalog(()), parse_forecast(FORECAST), 3.95)
+    empty = parse_catalog("time,lon,lat,depth,mag\n")
+    out = filter_catalog(empty, parse_forecast(FORECAST), 3.95)
     assert len(out) == 0
     assert out.dropped == {"magnitude": 0, "window": 0, "depth": 0,
                            "location": 0}

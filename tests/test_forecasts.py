@@ -91,13 +91,21 @@ def test_non_finite_edge_names_its_line(monkeypatch):
                                "line 4: pixel edges must be finite")
 
 
+def test_infinite_extent_names_its_line(monkeypatch):
+    text = "# header\n\n-1e308 1e308 0 0.5 0 30 3.95 4.05 0.1 1\n"
+    bulk, by_line = _bulk_and_line_outcomes(text, monkeypatch)
+    assert bulk == by_line == (SchemaError,
+                               "line 3: grid extent is not finite")
+
+
 @pytest.mark.parametrize("column", [0, 1, 2, 3])
-@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e308"])
 @pytest.mark.parametrize("first", [True, False])
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_non_finite_edge_is_a_schema_error(column, value, first):
     fields = ROW.split()
     fields[column] = value
+    if value == "1e308":    # finite edges, but an extent of -inf or +inf
+        fields[column ^ 1] = "-1e308"
     bad = " ".join(fields)
     text = bad + "\n" if first else ROW + "\n" + bad + "\n"
     with pytest.raises(SchemaError):

@@ -1,0 +1,249 @@
+"""Golden digests of every CLI command on a small fixture built here.
+
+Each case runs one command in-process and hashes every file it writes and
+its stdout.  Manifests are compared by key() (the timestamp excluded) with
+input paths reduced to base names.  Seeded outputs are part of the
+contract: a change that moves any digest changes what a command writes,
+and must bump TOOLKIT_VERSION and say why.
+"""
+
+import hashlib
+import json
+import os
+
+import numpy as np
+import pytest
+
+from quakeresid.cli import main
+
+# 4x4 half-degree pixels over [0, 2]^2, two magnitude bins per pixel; pixel
+# (ix 3, iy 0) is masked out of A, and B masks (ix 0, iy 3) instead
+_RATES_A = np.linspace(0.6, 3.0, 16).reshape(4, 4)
+_RATES_B = _RATES_A[::-1, ::-1] * 1.1
+_MASKED_A = (3, 0)
+_MASKED_B = (0, 3)
+
+
+def _forecast_text(rates, masked):
+    rows = ["# golden fixture"]
+    for iy in range(4):
+        for ix in range(4):
+            flag = 0 if (ix, iy) == masked else 1
+            for lo, share in ((3.95, 0.7), (4.05, 0.3)):
+                rows.append("%g %g %g %g 0 30 %g %g %.6f %d" % (
+                    0.5 * ix, 0.5 * ix + 0.5, 0.5 * iy, 0.5 * iy + 0.5,
+                    lo, lo + 0.1, rates[iy, ix] * share, flag))
+    return "\n".join(rows) + "\n"
+
+
+_OFFSETS = ["Z", "+01:00", "-05:30", "", "+00:00", "-08:00"]
+
+
+def _catalog_text():
+    rng = np.random.default_rng(20121)
+    rows = []
+    n = 0
+    while n < 36:
+        x, y = rng.uniform(0.0, 2.0, 2)
+        # keep kept events out of both masked pixels
+        if (int(x / 0.5), int(y / 0.5)) in (_MASKED_A, _MASKED_B):
+            continue
+        month, day = rng.integers(1, 13), rng.integers(1, 29)
+        sec = rng.uniform(0, 60)
+        stamp = "%d-%02d-%02dT%02d:%02d:%09.6f%s" % (
+            2006 + n % 5, month, day, rng.integers(0, 24),
+            rng.integers(0, 60), sec, _OFFSETS[n % len(_OFFSETS)])
+        rows.append("%s,%.6f,%.6f,%.2f,%.2f" % (
+            stamp, x, y, rng.uniform(0, 25), 4.0 + 0.1 * rng.integers(0, 20)))
+        n += 1
+    rows += [
+        # one instant written three ways: ties keep their file order
+        "2008-07-01T12:00:00+02:00,0.30,0.40,5,4.2",
+        "2008-07-01T10:00:00Z,0.35,0.45,6,4.3",
+        "2008-07-01T05:00:00-05:00,0.40,0.50,7,4.4",
+        # one row per drop reason, and the year-1 row with an offset
+        "2007-01-01T00:00:00Z,0.7,0.7,5,3.5",
+        "2011-01-01T00:00:00Z,0.7,0.7,5,4.5",
+        "0001-01-01T00:00:00+01:00,0.7,0.7,5,4.5",
+        "2007-02-01T00:00:00Z,0.7,0.7,45,4.5",
+        "2007-03-01T00:00:00Z,2.7,0.7,5,4.5",
+        "2007-04-01T00:00:00Z,1.7,0.2,−1.0,4.5",
+    ]
+    return "time,lon,lat,depth,mag\n" + "\n".join(rows) + "\n"
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    d = tmp_path_factory.mktemp("golden_inputs")
+    paths = {"fa": d / "fa.txt", "fb": d / "fb.txt", "cat": d / "cat.csv"}
+    paths["fa"].write_text(_forecast_text(_RATES_A, _MASKED_A))
+    paths["fb"].write_text(_forecast_text(_RATES_B, _MASKED_B))
+    paths["cat"].write_text(_catalog_text())
+    return {k: str(v) for k, v in paths.items()}
+
+
+K = ["--rmax", "0.5", "--dr", "0.05"]
+CASES = {
+    "ntest-analytic": ["ntest", "--forecast", "{fa}", "--catalog", "{cat}",
+                       "--analytic", "--out", "{out}/score.json"],
+    "ntest-sims": ["ntest", "--forecast", "{fa}", "--catalog", "{cat}",
+                   "--sims", "60", "--seed", "3", "--window-fraction", "0.5"],
+    "ltest": ["ltest", "--forecast", "{fa}", "--catalog", "{cat}",
+              "--sims", "60", "--seed", "4", "--out", "{out}/score.json"],
+    "resid-raw": ["resid", "--forecast", "{fa}", "--catalog", "{cat}",
+                  "--kind", "raw", "--out", "{out}/r.csv",
+                  "--svg", "{out}/r.svg"],
+    "resid-pearson": ["resid", "--forecast", "{fa}", "--catalog", "{cat}",
+                      "--kind", "pearson", "--out", "{out}/r.csv",
+                      "--svg", "{out}/r.svg"],
+    "resid-deviance": ["resid", "--forecast-a", "{fa}", "--forecast-b", "{fb}",
+                       "--catalog", "{cat}", "--kind", "deviance",
+                       "--window-fraction", "0.8", "--out", "{out}/r.csv",
+                       "--svg", "{out}/r.svg"],
+    "k-plain": ["k", "--forecast", "{fa}", "--catalog", "{cat}", *K,
+                "--out", "{out}/k.csv", "--svg", "{out}/k.svg"],
+    "k-weighted-isotropic": ["k", "--forecast", "{fa}", "--catalog", "{cat}",
+                             "--weighted", "--edge", "isotropic", *K,
+                             "--out", "{out}/k.csv", "--svg", "{out}/k.svg"],
+    "transform-rescale-horizontal": [
+        "transform", "--forecast", "{fa}", "--catalog", "{cat}",
+        "--kind", "rescale", "--assess", "--sims", "19", "--seed", "6", *K,
+        "--out", "{out}/t.csv", "--svg", "{out}/t.svg"],
+    "transform-rescale-vertical": [
+        "transform", "--forecast", "{fa}", "--catalog", "{cat}",
+        "--kind", "rescale", "--axis", "vertical", "--assess", "--sims", "19",
+        "--seed", "6", *K, "--out", "{out}/t.csv", "--svg", "{out}/t.svg"],
+    "transform-rescale-stdout": [
+        "transform", "--forecast", "{fa}", "--catalog", "{cat}",
+        "--kind", "rescale"],
+    "transform-thin": ["transform", "--forecast", "{fa}", "--catalog", "{cat}",
+                       "--kind", "thin", "--seed", "7", "--assess", *K,
+                       "--out", "{out}/t.csv", "--svg", "{out}/t.svg"],
+    "transform-thin-approx": [
+        "transform", "--forecast", "{fa}", "--catalog", "{cat}",
+        "--kind", "thin-approx", "--k-count", "8", "--seed", "8",
+        "--out", "{out}/t.csv"],
+    "transform-superpose": [
+        "transform", "--forecast", "{fa}", "--catalog", "{cat}",
+        "--kind", "superpose", "--seed", "9", "--assess", *K,
+        "--edge", "isotropic", "--out", "{out}/t.csv"],
+    "transform-superthin": [
+        "transform", "--forecast", "{fa}", "--catalog", "{cat}",
+        "--kind", "superthin", "--k-rate", "6", "--seed", "10", "--assess",
+        *K, "--out", "{out}/t.csv", "--svg", "{out}/t.svg"],
+    "simulate": ["simulate", "--forecast", "{fa}", "--seed", "11",
+                 "--out", "{out}/sim.csv"],
+    "simulate-stdout": ["simulate", "--forecast", "{fb}", "--seed", "12",
+                        "--mag-min", "4.05", "--window-fraction", "0.25"],
+    "report": ["report", "--forecast", "{fa}", "--catalog", "{cat}",
+               "--sims", "40", "--seed", "13", *K, "--out", "{out}/rep"],
+}
+
+GOLDEN = {'k-plain': {'<stdout>': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+                     'k.csv': 'e1ba5946c58b3f0381eb88384f16fb4eaf5058ab5024b07df9226a69227d4793',
+                     'k.csv.manifest.json': '36c870050d35a4ef996c4dc6ee3b1227832c8cf37c122dab3f95edf501ea3d5b',
+                     'k.svg': '1b794b3bdbd45aea5edd304aaf262bb33b75c3b019a759fd862f9e86c753c2fd'},
+         'k-weighted-isotropic': {'<stdout>': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+                                  'k.csv': 'd6b98a2fc65bc6c34cc45f04895703c424709e855f78b09be8003ba6a552700f',
+                                  'k.csv.manifest.json': 'a2f32b634d3497688f73727870a9e5242f5c8e82d7a20b2de4922848a0146aca',
+                                  'k.svg': '93bb6b2e3a71c72a858813c3fe14fad6bc4f0dacbe70fdddbe081608d41b6019'},
+         'ltest': {'<stdout>': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+                   'score.json': '19cad154a1de1270c2c030be4a8e9783da971dd78a97e4c4638a1fba81d0151d',
+                   'score.json.manifest.json': '0989cb212c96053276fd50529bc846f9841c250d9a78f48433fcc60ece71b0fc'},
+         'ntest-analytic': {'<stdout>': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+                            'score.json': 'ca75c87c3c84559c7082fc9fe94fe315b387f7a93eba83018c5b6a4f212ce601',
+                            'score.json.manifest.json': '0e2be42f6663970e527d7b7763ad44ccf588fb2435a0069e03d21911b66317ab'},
+         'ntest-sims': {'<stdout>': 'b6c3e2f23efbd8ccb0cd5d151ed67fb08c2111254d50299348ca4974bbe42509'},
+         'report': {'<stdout>': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+                    'rep/manifest.json': '4119b3150a95867d12edfbf82e764e0fed5dfba75473a0842c8ede55b52c6e3b',
+                    'rep/residuals_pearson.csv': 'ebd42d714de6dd702cdb8895b581ee459f2e3e96632f47978881e8755faf8e41',
+                    'rep/residuals_pearson.svg': '2f2de37ecae206094baaa5a6ca55da8286b2250525a05284b6c1e9a5163b6153',
+                    'rep/residuals_raw.csv': 'ad2420f7163bfcd5f76871ba6605dafcd665be89e52e71d3c4fe8eacd1b4b696',
+                    'rep/residuals_raw.svg': 'dc06e703ad365e4dd492381c8ad73c42b3c57f883636e4bdfce4f31800a612a3',
+                    'rep/scores.json': '7aae6fe73e409e08344e7e4fb4918bbb515aed095149bcb12bae5bd7303262c6',
+                    'rep/superthin.csv': '5ed60e7e8bf1c211340964c6d2eccaa84489486b4ba91463a7cfd1e320f0e80f',
+                    'rep/superthin.svg': '896fa9af734b36bbea101c2e8b877e7abe283ae4226e08d33558d91e1e1d9a5a',
+                    'rep/superthin_assess.csv': '8b75ffef4afcfea287f81ba3be25c5bf53cc0f35b6ad6474e8b059aa2e4a60d6',
+                    'rep/superthin_assess.svg': '07020c312a97d1cf38749e5dbb87be951902c791ac6c06144afd45b071a53dad',
+                    'rep/weighted_k.csv': '14afcd6c56404bd49f44ead699298cc3c991bc78b562d45e1747204924289630',
+                    'rep/weighted_k.svg': 'aeeee366dc23e8416f20f741626f5a3754e43f86147af50293db603abe71505e'},
+         'resid-deviance': {'<stdout>': 'fb37aa1ea584cf0f2456ef33cb27011da79a84e191bdfe8bafd0b31abdbdefae',
+                            'r.csv': 'a43b57fec1e4a24ec1753d0bae053582ad853fdaf544d7933554e35d7b9eb758',
+                            'r.csv.manifest.json': '737062e0a51da19fe6c5808e9fb1701b77ea124be6ff34c09376e63019cc0f5e',
+                            'r.svg': 'b56d9ae00f0ce969499ebb324e65129535a3097705a4acd10396558c890e8768'},
+         'resid-pearson': {'<stdout>': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+                           'r.csv': 'ebd42d714de6dd702cdb8895b581ee459f2e3e96632f47978881e8755faf8e41',
+                           'r.csv.manifest.json': 'dff1aebbd1ca0c7a9978ca627a765a76792996e489e4314d7ad65f87d00374a0',
+                           'r.svg': '2f2de37ecae206094baaa5a6ca55da8286b2250525a05284b6c1e9a5163b6153'},
+         'resid-raw': {'<stdout>': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+                       'r.csv': 'ad2420f7163bfcd5f76871ba6605dafcd665be89e52e71d3c4fe8eacd1b4b696',
+                       'r.csv.manifest.json': '02abf479ac34f9167060eb336139a1e418135e996ae0be61aa76c9affb6736e3',
+                       'r.svg': 'dc06e703ad365e4dd492381c8ad73c42b3c57f883636e4bdfce4f31800a612a3'},
+         'simulate': {'<stdout>': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+                      'sim.csv': '87000c2210085ae2f1f89ffc051d628702906c45d9a635de5ded506d53cdfd47',
+                      'sim.csv.manifest.json': 'd11869391cce64f3a0b2d8388afda8609599dca8ca403a718738d31cd4a7ed74'},
+         'simulate-stdout': {'<stdout>': 'b9b18f8b18fd3382ef6d0cebafe8a3ae374c5578c6050588a7dad4cb63489114'},
+         'transform-rescale-horizontal': {'<stdout>': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+                                          't.csv': '9925b64642c23c8496cc0c15dd90b230950fc32c3bc0df18619f4e2553b65da8',
+                                          't.csv.manifest.json': '65174fec54ba6b085a580455b3179a4f1efe178c8df72d9b86b9b94737ca17f6',
+                                          't.svg': '29ecf8bb532141b135774428178d5a7f5409e4ae0bd2ae37e7736361d93b8bb8',
+                                          't_assess.csv': '84193acc444bebf9c9991ed5408eba309136bb888f498d0684f0c4bd2137415d',
+                                          't_assess.svg': '38d57eb90e41a7180f114e5004a48ca02186846f45bc126a42f2e4f78e6487dd',
+                                          't_region.csv': '019510a01a857982d8d14ee9a5cf5fd70784716885c5de43009e4669a2de85a1'},
+         'transform-rescale-stdout': {'<stdout>': 'c42fd82fa4bd023848a5d341057cab9f4ec75be28a04ce74e08f798034767a4f'},
+         'transform-rescale-vertical': {'<stdout>': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+                                        't.csv': '788ab34c392e5197bb44706c267aeb1aa76dccbc76dd98223c6edd854149f8c8',
+                                        't.csv.manifest.json': '9c6e191dc1c3e2f189d0cc2839b2f314824daebed1d10800573aa5044dc233c7',
+                                        't.svg': '1daeb698ef209b495b7b87738b8ac73a2b44ef8dbc34a503b8122113fad78197',
+                                        't_assess.csv': '09c0eb3833323ba66fa47a66eedbeb1326484abb8bc9840a42b5f06858df5765',
+                                        't_assess.svg': '84a26ed0bf0cc2886c02829376657b6fb8f3315af4a1fb2382e0e5c0d606a530',
+                                        't_region.csv': '73a3c5a1c77f435337c2750660f8b9104ad562d48f938da6e39bcf955c807ba8'},
+         'transform-superpose': {'<stdout>': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+                                 't.csv': 'ba6914e145041707f908aa6bc685efac70530edfbc976f018b632d022e61f516',
+                                 't.csv.manifest.json': 'ec273c712cba8be8378bab3a6bc509612ffdc629d1262b164de7b4c194f587c3',
+                                 't_assess.csv': 'c5ff673f3ecaabdd5c1442bebcdddf26a9e77163a26ca78410bf7fb05ff99b64'},
+         'transform-superthin': {'<stdout>': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+                                 't.csv': 'e3e0930471ff978cec4e8f4d17ee0ada1cdb30c5323913aabc841ec71bdd7d10',
+                                 't.csv.manifest.json': '23c4ea26c5261fe327f23d1b0ac4f2dd72345d9a6484e6373424c67b360aa438',
+                                 't.svg': '5fe157ed3df08ea61103f8b36f7c200c1715f66e77d0c6c551c94de222fea3ad',
+                                 't_assess.csv': '03f56c33beba1296ed0efa736a7d86fecee3b9d1f48c0a6527111632b1608512',
+                                 't_assess.svg': 'cda582f49ee57273bd09759cdb4038eb1fb730a42f7d0b306fc526f15d502fb6'},
+         'transform-thin': {'<stdout>': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+                            't.csv': '599dfed03640f2b6bf4f78ff6465af197ba4a76dd7dc5a0ddbd229aa94a9684b',
+                            't.csv.manifest.json': 'db4ce69495d0b99f972ceb5f4355c7fa71cf9af8dba41e6a95a41dae6ede26e3',
+                            't.svg': 'ef7b81eaf0c432f75a8650e6ef29672df0c847d16c3e26d94b0cffa13b8a6fa6',
+                            't_assess.csv': 'e86d4652e033021ef43b7368922e8b20ef9ce15a3639fde4d82e7caa825f400a',
+                            't_assess.svg': 'e2829118c53602d1ea324d186583988f93c90885b8bf4a6c0316ac973a6e2fb5'},
+         'transform-thin-approx': {'<stdout>': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+                                   't.csv': '83bf82be2b110318d02b4ed4a716c75e3e56790801e41aadf011463f90a1628d',
+                                   't.csv.manifest.json': '8aa293e62fdb14e2a55a3ade79d411878032493aad1f71fda6bcb02d5f1e38d3'}}
+
+
+def _manifest_key(data: bytes) -> bytes:
+    record = json.loads(data)
+    record.pop("timestamp")
+    record["inputs"] = {os.path.basename(p): h
+                        for p, h in record["inputs"].items()}
+    return json.dumps(record, sort_keys=True).encode()
+
+
+def _digests(out_dir, stdout: str) -> dict:
+    found = {"<stdout>": hashlib.sha256(stdout.encode()).hexdigest()}
+    for root, _, files in os.walk(out_dir):
+        for name in files:
+            path = os.path.join(root, name)
+            with open(path, "rb") as fh:
+                data = fh.read()
+            if name.endswith("manifest.json"):
+                data = _manifest_key(data)
+            found[os.path.relpath(path, out_dir)] = \
+                hashlib.sha256(data).hexdigest()
+    return found
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_output_digests(name, inputs, tmp_path, capsys):
+    argv = [a.format(out=tmp_path, **inputs) for a in CASES[name]]
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert _digests(tmp_path, capsys.readouterr().out) == GOLDEN[name]

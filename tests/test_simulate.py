@@ -18,9 +18,8 @@ def _field():
 def test_catalog_points_inside_active_pixels():
     fld = _field()
     cat = simulate_catalog(fld, SeededStream(1, 0))
-    assert np.all(fld.grid.contains(cat.lons(), cat.lats()))
-    times = [e.time for e in cat.events]
-    assert times == sorted(times)
+    assert np.all(fld.grid.contains(cat.lon, cat.lat))
+    assert np.all(cat.time[1:] >= cat.time[:-1])
 
 
 def test_counts_stage_shared_with_catalog():
@@ -54,7 +53,7 @@ def test_masked_pixels_get_no_points():
     fld = IntensityField(g, np.full((4, 4), 50.0))
     cat = simulate_catalog(fld, SeededStream(4, 0))
     assert len(cat) > 0
-    assert np.all(cat.lats() >= 0.5)
+    assert np.all(cat.lat >= 0.5)
 
 
 def test_cox_complement_superpose_level_check():

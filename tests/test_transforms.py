@@ -25,8 +25,8 @@ def test_rescale_uniform_is_linear_stretch():
     fld = IntensityField.constant(_grid(), 3.0)
     cat = _catalog([(0.2, 0.3), (0.8, 0.3), (0.5, 0.9)])
     rset = rescale(cat, fld)
-    assert np.allclose(rset.points[:, 0], 3.0 * cat.lons(), rtol=1e-12)
-    assert np.array_equal(rset.points[:, 1], cat.lats())
+    assert np.allclose(rset.points[:, 0], 3.0 * cat.lon, rtol=1e-12)
+    assert np.array_equal(rset.points[:, 1], cat.lat)
     # distance ratios along x preserved
     assert rset.points[1, 0] / rset.points[0, 0] == pytest.approx(0.8 / 0.2)
 
