@@ -1,11 +1,12 @@
+import hashlib
 from math import lgamma, log
 
 import numpy as np
 import pytest
 
-from quakeresid import (Grid, IntensityField, SeededStream, ValidationError,
-                        l_test, log_likelihood, n_test, parse_catalog,
-                        simulate_catalog)
+from quakeresid import (Catalog, Grid, IntensityField, SeededStream,
+                        ValidationError, l_test, log_likelihood, n_test,
+                        parse_catalog, simulate_catalog, simulated_counts)
 from quakeresid.consistency import QuantileScore, observed_counts
 
 
@@ -115,3 +116,42 @@ def test_l_test_deterministic():
     a = l_test(fld, cat, 100, SeededStream(9, 2)).value
     b = l_test(fld, cat, 100, SeededStream(9, 2)).value
     assert a == b
+
+
+def _mixed_field():
+    # pixel means on both sides of the inversion/PTRS cutoff, a zero, a tiny
+    # and two very large means, and one inactive pixel
+    mask = np.ones((3, 3), dtype=bool)
+    mask[1, 1] = False
+    means = np.array([[0.0, 1e-6, 9.999], [10.0, 0.0, 37.5],
+                      [5000.0, 1e6, 2.5]])
+    return IntensityField(Grid.regular(0, 3, 0, 3, 1.0, 1.0, mask), means)
+
+
+def _catalog_with_counts(fld, counts):
+    """Catalog with counts[i] events at the centre of the i-th active pixel."""
+    iy, ix = np.nonzero(fld.grid.active_mask)
+    lon = np.repeat(fld.grid.lon_min + (ix + 0.5) * fld.grid.dx, counts)
+    lat = np.repeat(fld.grid.lat_min + (iy + 0.5) * fld.grid.dy, counts)
+    time = np.full(len(lon), np.datetime64("2007-01-01T00:00:00", "us"))
+    return Catalog(time, lon, lat, np.zeros(len(lon)), np.full(len(lon), 4.0))
+
+
+def test_replicate_counts_are_pinned():
+    # replicate j's counts are a pure function of (seed, j); this digest was
+    # taken with one simulated_counts call per replicate
+    fld = _mixed_field()
+    stream = SeededStream(61, 3)
+    counts = np.stack([simulated_counts(fld, stream.substream(j))
+                       for j in range(300)])
+    assert hashlib.sha256(counts.astype("<i8").tobytes()).hexdigest() == \
+        "c44a36e2f370d9485fe2442124c810f77758cc764e5c46fce2bc15d2e28d6a8d"
+
+
+def test_simulated_scores_are_pinned():
+    fld = _mixed_field()
+    cat = _catalog_with_counts(fld, [0, 0, 8, 13, 35, 5071, 999650, 4])
+    delta = n_test(fld, cat, 1000, SeededStream(62, 0))
+    assert (delta.value, delta.observed_stat) == (0.408, 1004781.0)
+    gamma = l_test(fld, cat, 1000, SeededStream(63, 0))
+    assert (gamma.value, gamma.observed_stat) == (0.677, -23.173523055389524)
