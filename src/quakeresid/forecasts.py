@@ -26,6 +26,10 @@ DEFAULT_WINDOW_START = datetime(2006, 1, 1, tzinfo=timezone.utc)
 DEFAULT_WINDOW_END = datetime(2011, 1, 1, tzinfo=timezone.utc)
 
 _EDGE_TOL = 1e-9
+# Largest grid bounding box, in pixels, that parse_forecast builds: a global
+# 0.05-degree grid has 25.9M.  The grid keeps a dense (n_y, n_x) mask and
+# rate array, so a larger box is rejected before anything is allocated.
+MAX_GRID_PIXELS = 50_000_000
 
 
 @dataclass(frozen=True)
@@ -197,6 +201,18 @@ def parse_forecast(text: str, window_start=DEFAULT_WINDOW_START,
             lineno = _rows_by_line(text)[0][int(np.argmax(~np.isfinite(span)))]
             raise SchemaError(f"line {lineno}: grid extent is not finite")
     n_x, n_y = int(round(n_x)), int(round(n_y))
+    if n_x * n_y > MAX_GRID_PIXELS:
+        linenos = _rows_by_line(text)[0]
+        west, east, south, north = (
+            linenos[int(f(col))] for f, col in ((np.argmin, lon_lo),
+                                                 (np.argmax, lon_hi),
+                                                 (np.argmin, lat_lo),
+                                                 (np.argmax, lat_hi)))
+        raise SchemaError(
+            f"grid bounding box of {n_x} x {n_y} pixels is above the largest "
+            f"supported {MAX_GRID_PIXELS} pixels; its extreme rows are line "
+            f"{west} (west), {east} (east), {south} (south) and {north} "
+            f"(north)")
 
     ix = np.round((lon_lo - lon_min) / dx).astype(int)
     iy = np.round((lat_lo - lat_min) / dy).astype(int)

@@ -14,14 +14,21 @@ from .catalogs import Catalog, utc64
 from .errors import ValidationError
 from .forecasts import DEFAULT_WINDOW_END, DEFAULT_WINDOW_START
 from .intensity import IntensityField, extremes
-from .rng import SeededStream, poisson
+from .rng import MAX_POISSON_MEAN, SeededStream, poisson, poisson_rows
+
+# Replicates are drawn in blocks of at most this many (replicate, pixel)
+# counts, which bounds the engine's memory whatever n_sims and the grid.
+_BLOCK_COUNTS = 1 << 19
+
+
+def _pixel_means(fld: IntensityField) -> np.ndarray:
+    """Expected count per active pixel (row-major active order)."""
+    return fld.active_rates() * fld.grid.pixel_area
 
 
 def _pixel_counts(rng, fld: IntensityField):
     """Poisson count per active pixel (row-major active order)."""
-    grid = fld.grid
-    lam = fld.active_rates() * grid.pixel_area
-    return poisson(rng, lam)
+    return poisson(rng, _pixel_means(fld))
 
 
 def _place_in_pixels(rng, grid, counts):
@@ -63,6 +70,25 @@ def simulated_counts(fld: IntensityField, stream: SeededStream) -> np.ndarray:
     gridded statistics of a simulation can skip point placement.
     """
     return _pixel_counts(stream.generator(), fld)
+
+
+def replicate_counts(fld: IntensityField, stream: SeededStream, n_sims: int):
+    """Per-active-pixel counts of replicates 0..n_sims-1, yielded in order
+    as (rows, n_active) int64 blocks.
+
+    Row j equals simulated_counts(fld, stream.substream(j)) bit for bit;
+    a block holds at most _BLOCK_COUNTS counts (at least one row).
+    """
+    lam = _pixel_means(fld)
+    # a replicate's total is Poisson with the summed mean: keep it in range
+    if lam.sum() > MAX_POISSON_MEAN:
+        raise ValidationError(
+            f"expected total count {float(lam.sum())!r} is above the largest "
+            f"supported mean {MAX_POISSON_MEAN:g}")
+    rows = max(1, _BLOCK_COUNTS // max(lam.size, 1))
+    for first in range(0, n_sims, rows):
+        yield poisson_rows([stream.substream(j).generator() for j in
+                            range(first, min(first + rows, n_sims))], lam)
 
 
 def simulate_cox_complement(fld: IntensityField, level: float, mode: str,

@@ -192,6 +192,28 @@ def test_non_finite_forecast_edge_exit_code(tmp_path, capsys):
     assert "line 2: pixel edges must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [
+    ["ntest", "--sims", "10"], ["ltest", "--sims", "10"], ["simulate"]])
+def test_huge_finite_rate_exit_code(tmp_path, command):
+    # a mean past the Poisson sampler's cap is a validation error, not an
+    # integer overflow
+    fc = tmp_path / "fc.txt"
+    fc.write_text("0 0.5 0 0.5 0 30 3.95 4.05 1e30 1\n")
+    cat = tmp_path / "empty.csv"
+    cat.write_text("time,lon,lat,depth,mag\n")
+    args = command + ["--forecast", str(fc)]
+    if command[0] != "simulate":
+        args += ["--catalog", str(cat)]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(quakeresid.__file__)))
+    out = subprocess.run(
+        [sys.executable, "-m", "quakeresid.cli", *args, "--out",
+         str(tmp_path / "out")], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=120)
+    assert out.returncode == 3, out.stderr
+    assert "Traceback" not in out.stderr
+    assert "largest supported mean 1e+12" in out.stderr
+
+
 def test_report_directory(workspace):
     tmp, fc, cat = workspace
     outdir = tmp / "report"

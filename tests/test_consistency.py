@@ -1,5 +1,8 @@
 import hashlib
+import math
+from functools import reduce
 from math import lgamma, log
+from operator import add
 
 import numpy as np
 import pytest
@@ -7,7 +10,9 @@ import pytest
 from quakeresid import (Catalog, Grid, IntensityField, SeededStream,
                         ValidationError, l_test, log_likelihood, n_test,
                         parse_catalog, simulate_catalog, simulated_counts)
-from quakeresid.consistency import QuantileScore, observed_counts
+from quakeresid.consistency import (QuantileScore, _loglik_rows,
+                                    observed_counts)
+from quakeresid.simulate import replicate_counts
 
 
 def _uniform_field(value=2.0):
@@ -146,6 +151,8 @@ def test_replicate_counts_are_pinned():
                        for j in range(300)])
     assert hashlib.sha256(counts.astype("<i8").tobytes()).hexdigest() == \
         "c44a36e2f370d9485fe2442124c810f77758cc764e5c46fce2bc15d2e28d6a8d"
+    assert np.array_equal(
+        np.concatenate(list(replicate_counts(fld, stream, 300))), counts)
 
 
 def test_simulated_scores_are_pinned():
@@ -155,3 +162,41 @@ def test_simulated_scores_are_pinned():
     assert (delta.value, delta.observed_stat) == (0.408, 1004781.0)
     gamma = l_test(fld, cat, 1000, SeededStream(63, 0))
     assert (gamma.value, gamma.observed_stat) == (0.677, -23.173523055389524)
+
+
+def _loglik_one_row(lam, counts):
+    """Reference: one count vector scored on its own, the lgamma terms
+    added one by one from the left."""
+    if np.any((counts > 0) & (lam == 0)):
+        return float("-inf")
+    pos = counts > 0
+    term = -lam.sum()
+    term += float(np.sum(counts[pos] * np.log(lam[pos])))
+    term -= reduce(add, map(lgamma, (counts[pos] + 1.0).tolist()), 0.0)
+    return float(term)
+
+
+def test_loglik_lgamma_terms_added_left_to_right():
+    # these counts are where a left-to-right sum of the lgamma terms and a
+    # compensated one (sum() from Python 3.12 on) differ in the last bit
+    counts = [33, 45, 26, 31, 48]
+    terms = [lgamma(k + 1.0) for k in counts]
+    assert reduce(add, terms, 0.0) != math.fsum(terms)
+    fld = IntensityField(Grid.regular(0, 5, 0, 1, 1.0, 1.0),
+                         np.array([[30.0, 40.0, 25.0, 30.0, 50.0]]))
+    lam = fld.active_rates()
+    ell = log_likelihood(fld, _catalog_with_counts(fld, counts))
+    assert ell == _loglik_one_row(lam, np.array(counts))
+
+
+def test_loglik_rows_equal_one_row_scoring():
+    rng = np.random.default_rng(17)
+    lam = rng.uniform(0.0, 40.0, 60)
+    lam[[3, 17]] = 0.0
+    counts = rng.poisson(np.where(lam > 0, lam, 0.0), (40, 60))
+    counts[5] = 0
+    counts[6, 17] = 1          # an event where lam is zero
+    counts[7, :30] = 0
+    got = _loglik_rows(lam, counts)
+    assert got.tolist() == [_loglik_one_row(lam, row) for row in counts]
+    assert got[6] == float("-inf")

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -96,6 +100,46 @@ def test_infinite_extent_names_its_line(monkeypatch):
     bulk, by_line = _bulk_and_line_outcomes(text, monkeypatch)
     assert bulk == by_line == (SchemaError,
                                "line 3: grid extent is not finite")
+
+
+def test_bounding_box_pixel_cap_names_the_extreme_rows(monkeypatch):
+    monkeypatch.setattr(forecasts, "MAX_GRID_PIXELS", 4)
+    assert parse_forecast(SIMPLE).grid.n_active == 4
+    text = SIMPLE + "1.5 2 0 0.5 0 30 3.95 4.05 0.1 1\n"
+    with pytest.raises(SchemaError, match=r"4 x 2 pixels .* largest supported "
+                       r"4 pixels; its extreme rows are line 2 \(west\), "
+                       r"6 \(east\), 2 \(south\) and 4 \(north\)"):
+        parse_forecast(text)
+
+
+FAR_APART = """\
+0 0.5 0 0.5 0 30 4.95 5.05 1.0 1
+# 50,000 degrees away: a dense mask of the bounding box would take 9.3 GiB
+50000 50000.5 50000 50000.5 0 30 4.95 5.05 1.0 1
+"""
+
+
+def test_far_apart_rows_rejected_before_allocating(tmp_path):
+    # run in a child whose address space is capped at 1 GiB, so the mask of
+    # the bounding box cannot be allocated if the cap does not stop it first
+    fc = tmp_path / "fc.txt"
+    fc.write_text(FAR_APART)
+    cat = tmp_path / "cat.csv"
+    cat.write_text("time,lon,lat,depth,mag\n")
+    code = ("import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from quakeresid.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(forecasts.__file__)))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    out = subprocess.run(
+        [sys.executable, "-c", code, "ntest", "--forecast", str(fc),
+         "--catalog", str(cat), "--analytic"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 3, out.stderr
+    assert "Traceback" not in out.stderr
+    assert "100001 x 100001 pixels" in out.stderr
+    assert "line 1 (west), 3 (east), 1 (south) and 3 (north)" in out.stderr
 
 
 @pytest.mark.parametrize("column", [0, 1, 2, 3])

@@ -1,9 +1,12 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
 
-from quakeresid import SeededStream, poisson
+from quakeresid import SeededStream, ValidationError, poisson
+from quakeresid import rng as rng_module
+from quakeresid.rng import MAX_POISSON_MEAN, poisson_rows
 
 
 def test_same_stream_same_draws():
@@ -103,3 +106,67 @@ def test_poisson_array_draws_equal_scalar_calls():
     assert got[mus < 10].tolist() == small.tolist()
     assert got[mus >= 10].tolist() == large
     assert a.random() == b.random()
+
+
+class _CountingGenerator:
+    """A generator that counts its random() calls."""
+
+    def __init__(self, gen):
+        self.gen, self.calls = gen, 0
+
+    def random(self, *args, **kwargs):
+        self.calls += 1
+        return self.gen.random(*args, **kwargs)
+
+
+def test_poisson_rows_equal_scalar_calls():
+    mus = np.array([3.0, 15.0, 0.0, 10.0, 9.999999, 1e-9, 800.0, 11.5, 6.0,
+                    1e5, MAX_POISSON_MEAN, 10.0])
+    gens = [SeededStream(12, j).generator() for j in range(64)]
+    got = poisson_rows(gens, mus)
+    want = [poisson(SeededStream(12, j).generator(), mus) for j in range(64)]
+    assert got.dtype == np.int64 and np.array_equal(got, np.stack(want))
+
+
+def test_poisson_rows_refill_from_own_generator(monkeypatch):
+    # with no spare pairs every rejected PTRS pair forces its row to draw
+    # more uniforms from its own generator
+    monkeypatch.setattr(rng_module, "_SPARE_PAIRS", 0)
+    mus = np.array([10.0, 0.5, 10.0, 12.0])
+    gens = [_CountingGenerator(SeededStream(13, j).generator())
+            for j in range(200)]
+    got = poisson_rows(gens, mus)
+    want = [poisson(SeededStream(13, j).generator(), mus) for j in range(200)]
+    assert np.array_equal(got, np.stack(want))
+    assert max(g.calls for g in gens) > 2
+
+
+def test_poisson_mean_cap():
+    rng = SeededStream(3, 0).generator()
+    assert poisson(rng, MAX_POISSON_MEAN) > 0
+    for mu in (np.nextafter(MAX_POISSON_MEAN, np.inf), 1e30):
+        with pytest.raises(ValidationError, match="largest supported mean"):
+            poisson(rng, np.array([1.0, mu]))
+        with pytest.raises(ValidationError, match="largest supported mean"):
+            poisson_rows([rng], np.array([1.0, mu]))
+
+
+@pytest.mark.parametrize("mu", [10.0, 37.5, 5000.0, 1e6, MAX_POISSON_MEAN])
+def test_ptrs_array_acceptance_equals_scalar_test(mu):
+    # half the v are set where the two sides of the test nearly tie, so
+    # the array test must hand those to the scalar one
+    rng = np.random.default_rng(int(mu) % 1000)
+    a, b, inv_alpha, v_r, log_mu = rng_module._ptrs_constants(mu)
+    us = rng.uniform(0.013, 0.5, 4000)
+    k = np.floor(mu + rng.normal(0.0, 2.0 * mu ** 0.5, 4000)).clip(0)
+    tie = np.exp(k * log_mu - mu - np.array([math.lgamma(x + 1.0) for x in k])
+                 - math.log(inv_alpha) + np.log(a / (us * us) + b))
+    v = np.where(np.arange(4000) % 2, rng.uniform(0.0, 1.0, 4000),
+                 tie * (1.0 + rng.normal(0.0, 1e-15, 4000)))
+    keep = (v > 0) & (v < 1)
+    v, us, k = v[keep], us[keep], k[keep]
+    got = rng_module._ptrs_accepts_all(
+        v, us, k, *np.broadcast_arrays(mu, a, b, inv_alpha, log_mu, v)[:5])
+    want = [rng_module._ptrs_accepts(x, y, z, mu, a, b, inv_alpha, log_mu)
+            for x, y, z in zip(v.tolist(), us.tolist(), k.tolist())]
+    assert got.tolist() == want

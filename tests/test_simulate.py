@@ -7,6 +7,7 @@ from quakeresid import (Grid, GridRegion, IntensityField, RowIntervalRegion,
                         simulate_cox_complement, simulate_homogeneous,
                         simulated_counts)
 from quakeresid.consistency import observed_counts
+from quakeresid.simulate import _BLOCK_COUNTS, replicate_counts
 
 
 def _field():
@@ -108,3 +109,35 @@ def test_homogeneous_count_distribution():
               for j in range(300)]
     se = np.sqrt(mu / 300)
     assert abs(np.mean(totals) - mu) < 3 * se
+
+
+def _wide_field():
+    # 2**17 active pixels, so a block holds 4 replicates; 1% of the means
+    # take PTRS and the rest inversion, a few of them zero
+    rng = np.random.default_rng(5)
+    means = rng.uniform(0.0, 3.0, 1 << 17)
+    means[rng.integers(0, means.size, 1300)] = rng.uniform(10.0, 900.0, 1300)
+    means[:7] = 0.0
+    g = Grid.regular(0, 512, 0, 256, 1.0, 1.0)
+    return IntensityField(g, means.reshape(256, 512))
+
+
+@pytest.mark.parametrize("extra, sizes", [(-1, [3]), (0, [4]), (1, [4, 1])])
+def test_replicate_counts_equal_per_replicate_draws(extra, sizes):
+    fld = _wide_field()
+    rows = _BLOCK_COUNTS // fld.grid.n_active
+    assert rows == 4
+    stream = SeededStream(31, 2)
+    blocks = list(replicate_counts(fld, stream, rows + extra))
+    assert [len(b) for b in blocks] == sizes
+    got = np.concatenate(blocks)
+    want = np.stack([simulated_counts(fld, stream.substream(j))
+                     for j in range(rows + extra)])
+    assert got.dtype == np.int64 and np.array_equal(got, want)
+
+
+def test_replicate_counts_single_replicate():
+    fld = _field()
+    stream = SeededStream(8, 1)
+    [block] = replicate_counts(fld, stream, 1)
+    assert np.array_equal(block, simulated_counts(fld, stream.substream(0))[None])
