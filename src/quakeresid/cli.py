@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -168,17 +169,19 @@ def cmd_resid(args, parser) -> int:
     return 0
 
 
-def cmd_k(args) -> int:
-    from dataclasses import replace
+def _weighted_k_with_bands(events, fld, radii, edge):
+    """Weighted K of the events against the forecast, with analytic bands."""
+    curve = weighted_k(events, fld, radii, edge)
+    return replace(curve, bands=wk_confidence_bands(
+        radii, fld.grid.area, integrate(fld)))
 
+
+def cmd_k(args) -> int:
     _, catalog, fld = _load_pair(args)
     pts = catalog.points()
     radii = _radii(args)
     if args.weighted:
-        curve = weighted_k(pts, fld, radii, args.edge)
-        total = integrate(fld)
-        curve = replace(curve, bands=wk_confidence_bands(
-            radii, fld.grid.area, total))
+        curve = _weighted_k_with_bands(pts, fld, radii, args.edge)
         title = "weighted K (centered L)"
     else:
         curve = ripley_k(pts, fld.grid, radii, args.edge)
@@ -284,10 +287,7 @@ def cmd_report(args) -> int:
 
     radii = _radii(args)
     if len(catalog) >= 2:
-        from dataclasses import replace
-        curve = weighted_k(events, fld, radii, args.edge)
-        curve = replace(curve, bands=wk_confidence_bands(
-            radii, fld.grid.area, integrate(fld)))
+        curve = _weighted_k_with_bands(events, fld, radii, args.edge)
         _write(out("weighted_k.csv"), curve.to_csv())
         _write(out("weighted_k.svg"),
                k_curve_svg(curve, "weighted K (centered L)"))

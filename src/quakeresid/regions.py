@@ -14,6 +14,27 @@ from .errors import ValidationError
 from .grids import Grid
 
 
+def _sample_by_rejection(region, rng, n: int):
+    """n uniform points of the region via rejection against its bounding
+    box, drawn in batches sized to the expected acceptance."""
+    if region.area <= 0:
+        raise ValidationError("region has zero area")
+    x_min, x_max, y_min, y_max = region.bbox
+    box_area = (x_max - x_min) * (y_max - y_min)
+    xs, ys = [np.zeros(0)], [np.zeros(0)]
+    remaining = n
+    while remaining > 0:
+        m = max(32, int(remaining * box_area / region.area) + 16)
+        cx = x_min + (x_max - x_min) * rng.random(m)
+        cy = y_min + (y_max - y_min) * rng.random(m)
+        ok = region.contains(cx, cy)
+        cx, cy = cx[ok][:remaining], cy[ok][:remaining]
+        xs.append(cx)
+        ys.append(cy)
+        remaining -= len(cx)
+    return np.concatenate(xs), np.concatenate(ys)
+
+
 @dataclass(frozen=True)
 class GridRegion:
     grid: Grid
@@ -34,23 +55,7 @@ class GridRegion:
     def contains(self, x, y):
         return self.grid.contains(x, y)
 
-    def sample(self, rng, n: int):
-        """n uniform points via rejection against the bounding box."""
-        if self.area <= 0:
-            raise ValidationError("region has zero area")
-        x_min, x_max, y_min, y_max = self.bbox
-        xs, ys = [], []
-        remaining = n
-        while remaining > 0:
-            m = max(32, int(remaining / max(self.area / ((x_max - x_min) * (y_max - y_min)), 1e-9)) + 16)
-            cx = x_min + (x_max - x_min) * rng.random(m)
-            cy = y_min + (y_max - y_min) * rng.random(m)
-            ok = self.contains(cx, cy)
-            cx, cy = cx[ok][:remaining], cy[ok][:remaining]
-            xs.append(cx)
-            ys.append(cy)
-            remaining -= len(cx)
-        return np.concatenate(xs), np.concatenate(ys)
+    sample = _sample_by_rejection
 
 
 @dataclass(frozen=True)
@@ -126,21 +131,4 @@ class RowIntervalRegion:
         row = self.row_of(np.clip(y, self.y_edges[0], self.y_edges[-1]))
         return in_band & (x >= 0) & (x <= self.t_of_row[row])
 
-    def sample(self, rng, n: int):
-        """n uniform points via rejection against the bounding box."""
-        if self.area <= 0:
-            raise ValidationError("region has zero area")
-        x_min, x_max, y_min, y_max = self.bbox
-        box_area = (x_max - x_min) * (y_max - y_min)
-        xs, ys = [], []
-        remaining = n
-        while remaining > 0:
-            m = max(32, int(remaining * box_area / self.area) + 16)
-            cx = x_min + (x_max - x_min) * rng.random(m)
-            cy = y_min + (y_max - y_min) * rng.random(m)
-            ok = self.contains(cx, cy)
-            cx, cy = cx[ok][:remaining], cy[ok][:remaining]
-            xs.append(cx)
-            ys.append(cy)
-            remaining -= len(cx)
-        return np.concatenate(xs), np.concatenate(ys)
+    sample = _sample_by_rejection

@@ -1,11 +1,13 @@
-"""Second-order statistics: Ripley's K, centered L, the weighted K-function,
+"""Second-order statistics: K-functions, their centered L display,
 analytic confidence bands, and simulation envelopes.
 
-Estimator conventions (recorded in each curve's metadata): the plain K sums
-unordered pairs i<j with a strict distance inequality; the weighted K sums
-ordered pairs j != i with a non-strict inequality and a deterministic
-prefactor b / integral(null intensity), b = min(null intensity).  The two
-displays are intentionally not harmonized.
+One estimator computes every K curve: a prefactor c times the sum, over
+ordered pairs j != i at distance <= r, of w_i * w_j * s_ij, with point
+weights w and edge weights s (1 without correction).  The weighted K takes
+w = 1 / null intensity and c = min(null) / integral(null).  Plain K is the
+constant-weight case w = A / n, c = 1 / A.  A simulation envelope applies
+the estimator it brackets to homogeneous Poisson patterns, with the same
+weights, prefactor, region and edge correction.
 
 Isotropic edge correction weights a pair by the reciprocal fraction of the
 circle centered at the first point and passing through the second that lies
@@ -192,43 +194,19 @@ def _as_region(region) -> GridRegion:
     return region
 
 
-def _cumulative(dists, weights, radii, strict: bool):
-    """Sum of weights over pairs with distance < r (strict) or <= r."""
-    order = np.argsort(dists, kind="stable")
-    d_sorted = dists[order]
-    csum = np.concatenate([[0.0], np.cumsum(weights[order])])
-    side = "left" if strict else "right"
-    idx = np.searchsorted(d_sorted, radii, side=side)
-    return csum[idx]
-
-
 # ---------------------------------------------------------------------------
 # estimators
 
-def ripley_k(points, region, radii, edge_correction: str = "none") -> KCurve:
-    """Plain K estimator: (A / N^2) * sum over pairs i<j with distance < r
-    of the pair's correction weight."""
-    pts = np.asarray(points, dtype=float)
-    radii = radii_grid(radii)
-    region = _as_region(region)
-    n = len(pts)
-    if n < 2:
-        raise ValidationError("Ripley's K needs at least two points")
-    if edge_correction not in ("none", "isotropic"):
-        raise ValidationError(f"unknown edge correction {edge_correction!r}")
-    ii, jj, dd = pairs_within(pts, float(radii[-1]))
-    if edge_correction == "isotropic":
-        w = _correction_weights(region, pts[ii], dd)
-    else:
-        w = np.ones(len(dd))
-    k = region.area / (n * n) * _cumulative(dd, w, radii, strict=True)
-    return KCurve(radii, k, "plain",
-                  meta={"pair_convention": "unordered i<j, strict <",
-                        "edge_correction": edge_correction})
+_PAIR_CONVENTION = "ordered j!=i, non-strict <="
 
 
 def _weighted_k_from_weights(pts, point_weights, prefactor, region, radii,
                              edge_correction) -> np.ndarray:
+    """The one K estimator: prefactor times the sum over ordered pairs
+    j != i at distance <= r of w_i w_j s_ij.  Fewer than two points give
+    zeros."""
+    if edge_correction not in ("none", "isotropic"):
+        raise ValidationError(f"unknown edge correction {edge_correction!r}")
     ii, jj, dd = pairs_within(pts, float(radii[-1]))
     pw = point_weights[ii] * point_weights[jj]
     if edge_correction == "isotropic":
@@ -237,7 +215,35 @@ def _weighted_k_from_weights(pts, point_weights, prefactor, region, radii,
         pair_terms = pw * (s_ij + s_ji)  # both orientations of each pair
     else:
         pair_terms = 2.0 * pw
-    return prefactor * _cumulative(dd, pair_terms, radii, strict=False)
+    order = np.argsort(dd, kind="stable")
+    csum = np.concatenate([[0.0], np.cumsum(pair_terms[order])])
+    return prefactor * csum[np.searchsorted(dd[order], radii, side="right")]
+
+
+def _constant_rate_k(pts, rate, region, radii, edge_correction) -> np.ndarray:
+    """K against a homogeneous null of the given rate: weights 1/rate and
+    prefactor rate / (rate * A)."""
+    if rate <= 0:
+        raise ValidationError("null rate must be positive")
+    return _weighted_k_from_weights(pts, np.full(len(pts), 1.0 / rate),
+                                    rate / (rate * region.area), region,
+                                    radii, edge_correction)
+
+
+def ripley_k(points, region, radii, edge_correction: str = "none") -> KCurve:
+    """Plain K: the constant-rate K with the estimated rate n / A, that is
+    (A / n^2) times the sum over ordered pairs at distance <= r of the
+    pair's correction weight."""
+    pts = np.asarray(points, dtype=float)
+    radii = radii_grid(radii)
+    region = _as_region(region)
+    n = len(pts)
+    if n < 2:
+        raise ValidationError("Ripley's K needs at least two points")
+    k = _constant_rate_k(pts, n / region.area, region, radii, edge_correction)
+    return KCurve(radii, k, "plain",
+                  meta={"pair_convention": _PAIR_CONVENTION,
+                        "edge_correction": edge_correction})
 
 
 def weighted_k(points, null_field: IntensityField, radii,
@@ -247,8 +253,6 @@ def weighted_k(points, null_field: IntensityField, radii,
     reciprocal null intensity at both points."""
     pts = np.asarray(points, dtype=float)
     radii = radii_grid(radii)
-    if edge_correction not in ("none", "isotropic"):
-        raise ValidationError(f"unknown edge correction {edge_correction!r}")
     if len(pts) < 2:
         raise ValidationError("weighted K needs at least two points")
     grid = null_field.grid
@@ -269,7 +273,7 @@ def weighted_k(points, null_field: IntensityField, radii,
     k = _weighted_k_from_weights(pts, 1.0 / lam, b / total,
                                  GridRegion(grid), radii, edge_correction)
     return KCurve(radii, k, "weighted",
-                  meta={"pair_convention": "ordered j!=i, non-strict <=",
+                  meta={"pair_convention": _PAIR_CONVENTION,
                         "edge_correction": edge_correction,
                         "prefactor": "min(null)/integral(null)"})
 
@@ -282,15 +286,10 @@ def weighted_k_constant(points, null_rate: float, region, radii,
     radii = radii_grid(radii)
     if len(pts) < 2:
         raise ValidationError("weighted K needs at least two points")
-    if null_rate <= 0:
-        raise ValidationError("null rate must be positive")
-    region = _as_region(region)
-    weights = np.full(len(pts), 1.0 / null_rate)
-    prefactor = null_rate / (null_rate * region.area)
-    k = _weighted_k_from_weights(pts, weights, prefactor, region, radii,
-                                 edge_correction)
+    k = _constant_rate_k(pts, null_rate, _as_region(region), radii,
+                         edge_correction)
     return KCurve(radii, k, "weighted",
-                  meta={"pair_convention": "ordered j!=i, non-strict <=",
+                  meta={"pair_convention": _PAIR_CONVENTION,
                         "edge_correction": edge_correction,
                         "null_rate": null_rate})
 
@@ -313,31 +312,23 @@ def wk_confidence_bands(radii, area: float, total_intensity: float,
     return mean - half, mean + half
 
 
-def _centered_l_of_points(xs, ys, region, radii):
-    """Centered L of the plain uncorrected K; zero points give K = 0."""
-    n = len(xs)
-    if n < 2:
-        return -radii.copy()
-    curve = ripley_k(np.column_stack([xs, ys]), region, radii, "none")
-    return curve.centered_l
-
-
 def envelope_bands(region, rate: float, radii, n_sims: int,
-                   stream: SeededStream, level: float = 0.95):
-    """Middle-(level) empirical range of centered L over homogeneous
-    Poisson simulations on the region.  Returns (lower, upper) in K units."""
+                   stream: SeededStream, level: float = 0.95,
+                   edge_correction: str = "none"):
+    """Middle-(level) empirical range of the K that weighted_k_constant
+    computes at this rate, over homogeneous Poisson simulations on the
+    region: same weights, prefactor, region and edge correction.  Returns
+    (lower, upper) order statistics in K units."""
     radii = radii_grid(radii)
     if n_sims < 2:
         raise ValidationError("envelope needs at least two simulations")
     sims = np.empty((n_sims, len(radii)))
     for j in range(n_sims):
         xs, ys = simulate_homogeneous(region, rate, stream.substream(j))
-        sims[j] = _centered_l_of_points(xs, ys, region, radii)
+        sims[j] = _constant_rate_k(np.column_stack([xs, ys]), rate, region,
+                                   radii, edge_correction)
     alpha = 1.0 - level
     sims.sort(axis=0)
     lo_idx = int(np.floor(alpha / 2.0 * n_sims))
     hi_idx = int(np.ceil((1.0 - alpha / 2.0) * n_sims)) - 1
-    l_lo = sims[lo_idx]
-    l_hi = sims[hi_idx]
-    return (np.pi * np.maximum(l_lo + radii, 0.0) ** 2,
-            np.pi * np.maximum(l_hi + radii, 0.0) ** 2)
+    return sims[lo_idx], sims[hi_idx]

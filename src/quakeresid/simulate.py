@@ -14,21 +14,32 @@ from .catalogs import Catalog, utc64
 from .errors import ValidationError
 from .forecasts import DEFAULT_WINDOW_END, DEFAULT_WINDOW_START
 from .intensity import IntensityField, extremes
-from .rng import MAX_POISSON_MEAN, SeededStream, poisson, poisson_rows
+from .rng import (MAX_POISSON_MEAN, SeededStream, _check_means, poisson,
+                  poisson_rows)
 
 # Replicates are drawn in blocks of at most this many (replicate, pixel)
 # counts, which bounds the engine's memory whatever n_sims and the grid.
 _BLOCK_COUNTS = 1 << 19
+# Largest expected number of points one simulation may place, far above
+# the 1e4 events of a dense forecast and far below an allocation failure.
+MAX_SIMULATED_POINTS = 1e7
+
+
+def _check_point_means(means):
+    """Reject, before anything is drawn, Poisson means that the sampler does
+    not take or whose points would not fit in memory."""
+    means = np.atleast_1d(np.asarray(means, dtype=float))
+    _check_means(means)
+    total = float(means.sum())
+    if total > MAX_SIMULATED_POINTS:
+        raise ValidationError(
+            f"expected {total:.6g} simulated points, above the supported "
+            f"{MAX_SIMULATED_POINTS:g}")
 
 
 def _pixel_means(fld: IntensityField) -> np.ndarray:
     """Expected count per active pixel (row-major active order)."""
     return fld.active_rates() * fld.grid.pixel_area
-
-
-def _pixel_counts(rng, fld: IntensityField):
-    """Poisson count per active pixel (row-major active order)."""
-    return poisson(rng, _pixel_means(fld))
 
 
 def _place_in_pixels(rng, grid, counts):
@@ -52,8 +63,10 @@ def simulate_catalog(fld: IntensityField, stream: SeededStream,
     magnitudes and depths are not modeled, every event gets the constant
     magnitude argument and depth zero.
     """
+    lam = _pixel_means(fld)
+    _check_point_means(lam)
     rng = stream.generator()
-    counts = _pixel_counts(rng, fld)
+    counts = poisson(rng, lam)
     xs, ys = _place_in_pixels(rng, fld.grid, counts)
     span = (window_end - window_start).total_seconds()
     offsets = np.sort(rng.random(len(xs))) * span
@@ -69,7 +82,7 @@ def simulated_counts(fld: IntensityField, stream: SeededStream) -> np.ndarray:
     Shares the count-drawing stage with simulate_catalog bit-for-bit, so
     gridded statistics of a simulation can skip point placement.
     """
-    return _pixel_counts(stream.generator(), fld)
+    return poisson(stream.generator(), _pixel_means(fld))
 
 
 def replicate_counts(fld: IntensityField, stream: SeededStream, n_sims: int):
@@ -104,13 +117,14 @@ def simulate_cox_complement(fld: IntensityField, level: float, mode: str,
     if mode == "superpose" and level < sup:
         raise ValidationError(
             f"superpose level {level} is below the field supremum {sup}")
-    rng = stream.generator()
     grid = fld.grid
     comp = level - fld.active_rates()
     if mode == "superthin":
         comp = np.maximum(0.0, comp)
-    counts = poisson(rng, comp * grid.pixel_area)
-    return _place_in_pixels(rng, grid, counts)
+    means = comp * grid.pixel_area
+    _check_point_means(means)
+    rng = stream.generator()
+    return _place_in_pixels(rng, grid, poisson(rng, means))
 
 
 def simulate_homogeneous(region, rate: float, stream: SeededStream):
@@ -122,6 +136,7 @@ def simulate_homogeneous(region, rate: float, stream: SeededStream):
         raise ValidationError("rate must be non-negative")
     if region.area <= 0:
         raise ValidationError("region has zero area")
+    _check_point_means(rate * region.area)
     rng = stream.generator()
     n = int(poisson(rng, rate * region.area))
     return region.sample(rng, n)

@@ -262,7 +262,7 @@ def assess_homogeneity(rset: ResidualSet, radii=None,
                        level: float = 0.95) -> KCurve:
     """Weighted K of a residual set against its homogeneous null, with
     confidence bands: "analytic" normal-approximation bands, or "envelope"
-    from homogeneous simulations on the same region."""
+    from the same estimator on homogeneous simulations on the same region."""
     radii = default_radii() if radii is None else radii_grid(radii)
     if rset.n_points < 2:
         raise ValidationError(
@@ -280,7 +280,8 @@ def assess_homogeneity(rset: ResidualSet, radii=None,
         if stream is None:
             raise ValidationError("envelope bands need a seeded stream")
         lo, hi = envelope_bands(rset.region, rset.null_rate, radii, n_sims,
-                                stream, level)
+                                stream, level,
+                                edge_correction=edge_correction)
     else:
         raise ValidationError(f"unknown band method {bands!r}")
     meta = dict(curve.meta)

@@ -147,23 +147,12 @@ def test_criterion_5_power_against_misspecification():
             f"detections {hits}/100")
 
 
-def _brute_plain_k(pts, region, radii, edge):
+def _brute_k(pts, lam, region, radii, edge):
+    """Ordered pairs j != i at distance <= r: the plain pair sum (weight
+    w) and the weighted one (w / (lam_i lam_j))."""
     n = len(pts)
-    total = np.zeros(len(radii))
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = float(np.hypot(pts[i, 0] - pts[j, 0], pts[i, 1] - pts[j, 1]))
-            w = 1.0
-            if edge == "isotropic":
-                w = 1.0 / max(float(circle_fraction_rect(
-                    pts[i, 0], pts[i, 1], d, *region.bbox)), 0.5 / 360)
-            total[np.asarray(radii) > d] += w
-    return region.area / n ** 2 * total
-
-
-def _brute_weighted_k(pts, lam, prefactor, region, radii, edge):
-    n = len(pts)
-    total = np.zeros(len(radii))
+    plain = np.zeros(len(radii))
+    weighted = np.zeros(len(radii))
     for i in range(n):
         for j in range(n):
             if i == j:
@@ -173,8 +162,10 @@ def _brute_weighted_k(pts, lam, prefactor, region, radii, edge):
             if edge == "isotropic":
                 w = 1.0 / max(float(circle_fraction_rect(
                     pts[i, 0], pts[i, 1], d, *region.bbox)), 0.5 / 360)
-            total[np.asarray(radii) >= d] += w / (lam[i] * lam[j])
-    return prefactor * total
+            within = np.asarray(radii) >= d
+            plain[within] += w
+            weighted[within] += w / (lam[i] * lam[j])
+    return plain, weighted
 
 
 def test_criterion_6_brute_force_oracle_equivalence():
@@ -192,13 +183,14 @@ def test_criterion_6_brute_force_oracle_equivalence():
         region = GridRegion(g)
 
         fast_p = ripley_k(pts, g, radii, edge).k_values
-        brute_p = _brute_plain_k(pts, region, radii, edge)
         fast_w = weighted_k(pts, fld, radii, edge).k_values
         lam = np.asarray(fld.rate_per_area[
             g.pixel_of(pts[:, 0], pts[:, 1])[1],
             g.pixel_of(pts[:, 0], pts[:, 1])[0]])
         pref = fld.active_rates().min() / integrate(fld)
-        brute_w = _brute_weighted_k(pts, lam, pref, region, radii, edge)
+        plain, weighted = _brute_k(pts, lam, region, radii, edge)
+        brute_p = region.area / n ** 2 * plain
+        brute_w = pref * weighted
         for fast, brute in ((fast_p, brute_p), (fast_w, brute_w)):
             denom = np.maximum(np.abs(brute), 1e-30)
             worst = max(worst, float(np.max(np.abs(fast - brute) / denom)))

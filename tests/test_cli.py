@@ -214,6 +214,32 @@ def test_huge_finite_rate_exit_code(tmp_path, command):
     assert "largest supported mean 1e+12" in out.stderr
 
 
+@pytest.mark.parametrize("command", [
+    ["simulate"], ["transform", "--kind", "superpose"]])
+def test_points_beyond_memory_exit_code(tmp_path, command):
+    # means under the Poisson cap whose points would not fit: run in a child
+    # whose address space is capped at 1 GiB, so placing them would fail
+    fc = tmp_path / "fc.txt"
+    fc.write_text("0 0.5 0 0.5 0 30 3.95 4.05 1e11 1\n"
+                  "0.5 1 0 0.5 0 30 3.95 4.05 1.0 1\n")
+    cat = tmp_path / "empty.csv"
+    cat.write_text("time,lon,lat,depth,mag\n")
+    args = command + ["--forecast", str(fc), "--out", str(tmp_path / "out")]
+    if command[0] != "simulate":
+        args += ["--catalog", str(cat)]
+    code = ("import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from quakeresid.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(quakeresid.__file__)))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    out = subprocess.run([sys.executable, "-c", code, *args], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 3, out.stderr
+    assert "Traceback" not in out.stderr
+    assert "simulated points, above the supported 1e+07" in out.stderr
+
+
 def test_report_directory(workspace):
     tmp, fc, cat = workspace
     outdir = tmp / "report"
@@ -241,3 +267,13 @@ def test_cli_import_leaves_scipy_stats_unloaded():
          "print([m in sys.modules for m in ('scipy.stats', 'scipy.spatial')])"],
         env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[False, False]"
+
+
+@pytest.mark.filterwarnings("ignore:Support for `\\[tool.setuptools\\]`")
+def test_package_version_is_the_toolkit_version():
+    # pyproject.toml takes its version from TOOLKIT_VERSION, the string
+    # every manifest records
+    pyproject = pytest.importorskip("setuptools.config.pyprojecttoml")
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    config = pyproject.read_configuration(os.path.join(root, "pyproject.toml"))
+    assert config["project"]["version"] == quakeresid.TOOLKIT_VERSION

@@ -140,22 +140,22 @@ CASES = {
 }
 
 GOLDEN = {'k-plain': {'<stdout>': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
-                     'k.csv': 'e1ba5946c58b3f0381eb88384f16fb4eaf5058ab5024b07df9226a69227d4793',
-                     'k.csv.manifest.json': '36c870050d35a4ef996c4dc6ee3b1227832c8cf37c122dab3f95edf501ea3d5b',
-                     'k.svg': '1b794b3bdbd45aea5edd304aaf262bb33b75c3b019a759fd862f9e86c753c2fd'},
+                     'k.csv': '59843562bf3691e972dfd00c9134712b43f8ad6f423982d15b6f85cbde1acf71',
+                     'k.csv.manifest.json': 'b28d240169fa71a1e308a02400e2357e5d1cd9e03b1a08304fdb18dbe8ec8bcf',
+                     'k.svg': 'dd550ba72f8f0a31177d66566742ffc0d8979eabafc969f93d3e9e922daf383b'},
          'k-weighted-isotropic': {'<stdout>': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
                                   'k.csv': 'd6b98a2fc65bc6c34cc45f04895703c424709e855f78b09be8003ba6a552700f',
-                                  'k.csv.manifest.json': 'a2f32b634d3497688f73727870a9e5242f5c8e82d7a20b2de4922848a0146aca',
+                                  'k.csv.manifest.json': 'ccacb2fa39d6a63122355992e8988669e770a4f76ac2ccf7d6861a96f8209d47',
                                   'k.svg': '93bb6b2e3a71c72a858813c3fe14fad6bc4f0dacbe70fdddbe081608d41b6019'},
          'ltest': {'<stdout>': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
                    'score.json': '19cad154a1de1270c2c030be4a8e9783da971dd78a97e4c4638a1fba81d0151d',
-                   'score.json.manifest.json': '0989cb212c96053276fd50529bc846f9841c250d9a78f48433fcc60ece71b0fc'},
+                   'score.json.manifest.json': '865ffce2f7e253b7b7a5aeaa48d133c89cc84d7f76631c15e0d44138c7a1e944'},
          'ntest-analytic': {'<stdout>': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
                             'score.json': 'ca75c87c3c84559c7082fc9fe94fe315b387f7a93eba83018c5b6a4f212ce601',
-                            'score.json.manifest.json': '0e2be42f6663970e527d7b7763ad44ccf588fb2435a0069e03d21911b66317ab'},
+                            'score.json.manifest.json': 'f5e30e72d632eb16fae5c69c2c8654ffcbc90ae640fb7d586e4d90f3878a8b9e'},
          'ntest-sims': {'<stdout>': 'b6c3e2f23efbd8ccb0cd5d151ed67fb08c2111254d50299348ca4974bbe42509'},
          'report': {'<stdout>': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
-                    'rep/manifest.json': '4119b3150a95867d12edfbf82e764e0fed5dfba75473a0842c8ede55b52c6e3b',
+                    'rep/manifest.json': '276f9db036ac37ab8bf8f0a48d31c84388282a79fecfddfd8aca7766a74d60b2',
                     'rep/residuals_pearson.csv': 'ebd42d714de6dd702cdb8895b581ee459f2e3e96632f47978881e8755faf8e41',
                     'rep/residuals_pearson.svg': '2f2de37ecae206094baaa5a6ca55da8286b2250525a05284b6c1e9a5163b6153',
                     'rep/residuals_raw.csv': 'ad2420f7163bfcd5f76871ba6605dafcd665be89e52e71d3c4fe8eacd1b4b696',
@@ -169,54 +169,54 @@ GOLDEN = {'k-plain': {'<stdout>': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b9
                     'rep/weighted_k.svg': 'aeeee366dc23e8416f20f741626f5a3754e43f86147af50293db603abe71505e'},
          'resid-deviance': {'<stdout>': 'fb37aa1ea584cf0f2456ef33cb27011da79a84e191bdfe8bafd0b31abdbdefae',
                             'r.csv': 'a43b57fec1e4a24ec1753d0bae053582ad853fdaf544d7933554e35d7b9eb758',
-                            'r.csv.manifest.json': '737062e0a51da19fe6c5808e9fb1701b77ea124be6ff34c09376e63019cc0f5e',
+                            'r.csv.manifest.json': 'cf1020139b16f8b7f837a6cce2419e3b7de9e4ee7f60822e80e431838cf1de47',
                             'r.svg': 'b56d9ae00f0ce969499ebb324e65129535a3097705a4acd10396558c890e8768'},
          'resid-pearson': {'<stdout>': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
                            'r.csv': 'ebd42d714de6dd702cdb8895b581ee459f2e3e96632f47978881e8755faf8e41',
-                           'r.csv.manifest.json': 'dff1aebbd1ca0c7a9978ca627a765a76792996e489e4314d7ad65f87d00374a0',
+                           'r.csv.manifest.json': '84e485af208d4970dbad24abd541569ed0e90f5fbe6e991fc018ef182265c2bc',
                            'r.svg': '2f2de37ecae206094baaa5a6ca55da8286b2250525a05284b6c1e9a5163b6153'},
          'resid-raw': {'<stdout>': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
                        'r.csv': 'ad2420f7163bfcd5f76871ba6605dafcd665be89e52e71d3c4fe8eacd1b4b696',
-                       'r.csv.manifest.json': '02abf479ac34f9167060eb336139a1e418135e996ae0be61aa76c9affb6736e3',
+                       'r.csv.manifest.json': '9c8101de57b26fa94fc5ccfe3f4e8ec2a86268df1b4310d9699220be9a905479',
                        'r.svg': 'dc06e703ad365e4dd492381c8ad73c42b3c57f883636e4bdfce4f31800a612a3'},
          'simulate': {'<stdout>': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
                       'sim.csv': '87000c2210085ae2f1f89ffc051d628702906c45d9a635de5ded506d53cdfd47',
-                      'sim.csv.manifest.json': 'd11869391cce64f3a0b2d8388afda8609599dca8ca403a718738d31cd4a7ed74'},
+                      'sim.csv.manifest.json': '7b554584e9719925b5f0543c0e78016365a868204d93fb733007658db0b2f003'},
          'simulate-stdout': {'<stdout>': 'b9b18f8b18fd3382ef6d0cebafe8a3ae374c5578c6050588a7dad4cb63489114'},
          'transform-rescale-horizontal': {'<stdout>': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
                                           't.csv': '9925b64642c23c8496cc0c15dd90b230950fc32c3bc0df18619f4e2553b65da8',
-                                          't.csv.manifest.json': '65174fec54ba6b085a580455b3179a4f1efe178c8df72d9b86b9b94737ca17f6',
+                                          't.csv.manifest.json': '3645ae2dbf8753ae38f5b84f408b93d697ba54f4983191fe3e912ff931b45def',
                                           't.svg': '29ecf8bb532141b135774428178d5a7f5409e4ae0bd2ae37e7736361d93b8bb8',
-                                          't_assess.csv': '84193acc444bebf9c9991ed5408eba309136bb888f498d0684f0c4bd2137415d',
-                                          't_assess.svg': '38d57eb90e41a7180f114e5004a48ca02186846f45bc126a42f2e4f78e6487dd',
+                                          't_assess.csv': 'f49b6d408d4942de2d25ee39f87b85e2c06d9aebaa79dc05b6e22b0510654b35',
+                                          't_assess.svg': 'c208c46165307ed7d9ee68adf8e8d3a0b749e6e58660930453b4599164e0d4c7',
                                           't_region.csv': '019510a01a857982d8d14ee9a5cf5fd70784716885c5de43009e4669a2de85a1'},
          'transform-rescale-stdout': {'<stdout>': 'c42fd82fa4bd023848a5d341057cab9f4ec75be28a04ce74e08f798034767a4f'},
          'transform-rescale-vertical': {'<stdout>': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
                                         't.csv': '788ab34c392e5197bb44706c267aeb1aa76dccbc76dd98223c6edd854149f8c8',
-                                        't.csv.manifest.json': '9c6e191dc1c3e2f189d0cc2839b2f314824daebed1d10800573aa5044dc233c7',
+                                        't.csv.manifest.json': 'c558ae9132da9e4d99fb817ad1a78e5c3f415b555c266e5cc863c764c2da5452',
                                         't.svg': '1daeb698ef209b495b7b87738b8ac73a2b44ef8dbc34a503b8122113fad78197',
-                                        't_assess.csv': '09c0eb3833323ba66fa47a66eedbeb1326484abb8bc9840a42b5f06858df5765',
-                                        't_assess.svg': '84a26ed0bf0cc2886c02829376657b6fb8f3315af4a1fb2382e0e5c0d606a530',
+                                        't_assess.csv': 'b877d6aa1803359799fb8a4c23b810d3d4bb445c9c80882c37d345307048820d',
+                                        't_assess.svg': '0f768c66279b1f5ef0958bfd9d779d4456bf900ed23835d2373724ac06822da0',
                                         't_region.csv': '73a3c5a1c77f435337c2750660f8b9104ad562d48f938da6e39bcf955c807ba8'},
          'transform-superpose': {'<stdout>': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
                                  't.csv': 'ba6914e145041707f908aa6bc685efac70530edfbc976f018b632d022e61f516',
-                                 't.csv.manifest.json': 'ec273c712cba8be8378bab3a6bc509612ffdc629d1262b164de7b4c194f587c3',
+                                 't.csv.manifest.json': 'b24056038c4e8f57236994355f152f1c6f3c57af92b576a947aa10e0b336486e',
                                  't_assess.csv': 'c5ff673f3ecaabdd5c1442bebcdddf26a9e77163a26ca78410bf7fb05ff99b64'},
          'transform-superthin': {'<stdout>': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
                                  't.csv': 'e3e0930471ff978cec4e8f4d17ee0ada1cdb30c5323913aabc841ec71bdd7d10',
-                                 't.csv.manifest.json': '23c4ea26c5261fe327f23d1b0ac4f2dd72345d9a6484e6373424c67b360aa438',
+                                 't.csv.manifest.json': '24515b68036a9422d5c70de6bc1f418f20c107250610f7d46f253cca87c75e6b',
                                  't.svg': '5fe157ed3df08ea61103f8b36f7c200c1715f66e77d0c6c551c94de222fea3ad',
                                  't_assess.csv': '03f56c33beba1296ed0efa736a7d86fecee3b9d1f48c0a6527111632b1608512',
                                  't_assess.svg': 'cda582f49ee57273bd09759cdb4038eb1fb730a42f7d0b306fc526f15d502fb6'},
          'transform-thin': {'<stdout>': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
                             't.csv': '599dfed03640f2b6bf4f78ff6465af197ba4a76dd7dc5a0ddbd229aa94a9684b',
-                            't.csv.manifest.json': 'db4ce69495d0b99f972ceb5f4355c7fa71cf9af8dba41e6a95a41dae6ede26e3',
+                            't.csv.manifest.json': 'a639480866ac26182955ac7fef389c0ac4c237cd320b114c7b5279ababff75cf',
                             't.svg': 'ef7b81eaf0c432f75a8650e6ef29672df0c847d16c3e26d94b0cffa13b8a6fa6',
                             't_assess.csv': 'e86d4652e033021ef43b7368922e8b20ef9ce15a3639fde4d82e7caa825f400a',
                             't_assess.svg': 'e2829118c53602d1ea324d186583988f93c90885b8bf4a6c0316ac973a6e2fb5'},
          'transform-thin-approx': {'<stdout>': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
                                    't.csv': '83bf82be2b110318d02b4ed4a716c75e3e56790801e41aadf011463f90a1628d',
-                                   't.csv.manifest.json': '8aa293e62fdb14e2a55a3ade79d411878032493aad1f71fda6bcb02d5f1e38d3'}}
+                                   't.csv.manifest.json': '1f265468f93726d74c3036ad9be34466d6185b3897bf5da92bd10486fdec8b54'}}
 
 
 def _manifest_key(data: bytes) -> bytes:

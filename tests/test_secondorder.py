@@ -113,13 +113,14 @@ def test_radii_validation():
     assert len(default_radii()) == 70
 
 
-def test_plain_k_strict_inequality():
-    # two points at distance exactly 0.5: the pair does not count at r=0.5
+def test_plain_k_non_strict_inequality():
+    # two points at distance exactly 0.5: the pair counts at r=0.5, in
+    # both orders
     g = Grid.regular(0, 1, 0, 1, 0.5, 0.5)
     pts = np.array([[0.25, 0.5], [0.75, 0.5]])
-    curve = ripley_k(pts, g, [0.5, 0.51], "none")
+    curve = ripley_k(pts, g, [0.49, 0.5], "none")
     assert curve.k_values[0] == 0.0
-    assert curve.k_values[1] == pytest.approx(1.0 / 4.0)  # A/N^2 * 1
+    assert curve.k_values[1] == pytest.approx(2.0 / 4.0)  # A/N^2 * 2
 
 
 def test_weighted_k_non_strict_inequality():
@@ -190,6 +191,8 @@ def test_isotropic_correction_reduces_edge_bias():
         err_iso += ripley_k(pts, g, radii, "isotropic").k_values / reps
     target = np.pi * radii ** 2
     assert np.all(np.abs(err_iso - target) < np.abs(err_none - target))
+    # ordered pairs over n^2: the mean is (n - 1) / n of pi r^2 here
+    assert np.allclose(err_iso, target, rtol=0.04)
 
 
 def test_wk_confidence_bands_scaling():
@@ -207,6 +210,9 @@ def test_envelope_bands_min_max_for_two_sims():
     radii = radii_grid([0.2, 0.4])
     lo, hi = envelope_bands(region, 30.0, radii, 2, SeededStream(5, 0))
     assert np.all(lo <= hi)
+    # simulations with fewer than two points have no pairs: K = 0
+    lo, hi = envelope_bands(region, 1e-9, radii, 2, SeededStream(5, 0))
+    assert not lo.any() and not hi.any()
     with pytest.raises(ValidationError):
         envelope_bands(region, 30.0, radii, 1, SeededStream(5, 0))
 

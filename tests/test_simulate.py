@@ -101,6 +101,20 @@ def test_homogeneous_zero_area_rejected():
         simulate_homogeneous(GridRegion(g), 1.0, SeededStream(0, 0))
 
 
+def test_expected_points_above_cap_rejected_before_drawing():
+    # pixel means of 1e11, under the Poisson cap: their points cannot be
+    # allocated, so only a check before the draw gives a typed error
+    g = Grid.regular(0, 1, 0, 1, 0.5, 0.5)
+    fld = IntensityField(g, np.array([[4e11, 1.0], [1.0, 1.0]]))
+    for draw in (lambda: simulate_catalog(fld, SeededStream(0, 0)),
+                 lambda: simulate_cox_complement(fld, 4e11, "superthin",
+                                                 SeededStream(0, 0)),
+                 lambda: simulate_homogeneous(GridRegion(g), 4e11,
+                                              SeededStream(0, 0))):
+        with pytest.raises(ValidationError, match="simulated points"):
+            draw()
+
+
 def test_homogeneous_count_distribution():
     g = Grid.regular(0, 3, 0, 3, 1.0, 1.0)
     region = GridRegion(g)

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from quakeresid import (DegenerateInfimumError, Grid, GridRegion,
-                        IntensityField, SeededStream, ValidationError,
-                        assess_homogeneity, integrate, parse_catalog,
-                        rescale, simulate_catalog, super_thin, superpose,
+                        IntensityField, ResidualSet, RowIntervalRegion,
+                        SeededStream, ValidationError, assess_homogeneity,
+                        integrate, parse_catalog, rescale, simulate_catalog,
+                        simulate_homogeneous, super_thin, superpose,
                         thin_approx, thin_exact)
 
 
@@ -223,6 +224,31 @@ def test_assess_envelope_for_rescaled():
     curve = assess_homogeneity(rset, [0.5, 1.0], bands="envelope",
                                n_sims=20, stream=SeededStream(18, 0))
     assert curve.bands is not None
+
+
+@pytest.mark.parametrize("region", [
+    GridRegion(Grid.regular(0, 1, 0, 1, 0.25, 0.25)),
+    RowIntervalRegion(np.linspace(0.0, 1.0, 5),
+                      np.array([1.6, 0.4, 1.2, 0.8])),
+], ids=["unit-square", "row-intervals"])
+def test_envelope_calibrated_under_the_null(region):
+    # 39 simulations at level 0.95 give the min-max band, which a 40th
+    # pattern from the same null leaves with probability 2/40 at each radius
+    rate, n_patterns = 200.0, 40
+    radii = np.arange(1, 26) / 100.0
+    shares = []
+    for j in range(n_patterns):
+        xs, ys = simulate_homogeneous(region, rate, SeededStream(71, j))
+        rset = ResidualSet(np.column_stack([xs, ys]), np.zeros(len(xs), bool),
+                           rate, region, "null")
+        curve = assess_homogeneity(rset, radii, bands="envelope", n_sims=39,
+                                   stream=SeededStream(72, j))
+        lo, hi = curve.bands
+        shares.append(np.mean((curve.k_values < lo) | (curve.k_values > hi)))
+    # the radii of one pattern leave the band together, so the margin is
+    # three standard errors over independent patterns, not over cells
+    margin = 3 * np.std(shares, ddof=1) / np.sqrt(n_patterns)
+    assert np.mean(shares) <= 0.05 + margin
 
 
 def test_assess_needs_points():
