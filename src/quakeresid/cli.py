@@ -14,8 +14,6 @@ import os
 import sys
 from dataclasses import replace
 
-import numpy as np
-
 from .catalogs import filter_catalog, parse_catalog, serialize_catalog
 from .consistency import l_test, log_likelihood, n_test
 from .errors import QuakeResidError
@@ -25,7 +23,7 @@ from .manifest import build_manifest
 from .residuals import (deviance_residuals, lr_score, pearson_residuals,
                         raw_residuals)
 from .rng import SeededStream
-from .secondorder import (DEFAULT_R_MAX, DEFAULT_R_STEP, radii_grid,
+from .secondorder import (DEFAULT_R_MAX, DEFAULT_R_STEP, default_radii,
                           ripley_k, weighted_k, wk_confidence_bands)
 from .simulate import simulate_catalog
 from .svg import k_curve_svg, point_map_svg, residual_map_svg
@@ -87,13 +85,6 @@ def _load_pair(args, forecast_path=None):
     catalog = parse_catalog(_read(args.catalog))
     catalog = filter_catalog(catalog, forecast, args.mag_min, args.depth_max)
     return forecast, catalog, _intensity(forecast, args)
-
-
-def _radii(args):
-    n = int(round(args.rmax / args.dr))
-    if n < 1:
-        raise QuakeResidError("rmax must be at least dr")
-    return radii_grid(np.linspace(args.dr, args.rmax, n))
 
 
 def _score_json(name: str, score, extra=None) -> str:
@@ -177,9 +168,9 @@ def _weighted_k_with_bands(events, fld, radii, edge):
 
 
 def cmd_k(args) -> int:
+    radii = default_radii(args.rmax, args.dr)
     _, catalog, fld = _load_pair(args)
     pts = catalog.points()
-    radii = _radii(args)
     if args.weighted:
         curve = _weighted_k_with_bands(pts, fld, radii, args.edge)
         title = "weighted K (centered L)"
@@ -207,6 +198,7 @@ def cmd_transform(args, parser) -> int:
     if args.k_ambiguous is not None:
         parser.error("--k is ambiguous: use --k-count (expected retained "
                      "count) or --k-rate (points per square degree)")
+    radii = default_radii(args.rmax, args.dr) if args.assess else None
     _, catalog, fld = _load_pair(args)
     stream = SeededStream(args.seed, 0)
     if args.kind == "rescale":
@@ -233,7 +225,7 @@ def cmd_transform(args, parser) -> int:
     if args.assess:
         bands = "envelope" if args.kind == "rescale" else "analytic"
         curve = assess_homogeneity(
-            rset, _radii(args), bands=bands, n_sims=args.sims,
+            rset, radii, bands=bands, n_sims=args.sims,
             stream=SeededStream(args.seed, 1), edge_correction=args.edge)
         if args.out is None:
             sys.stdout.write(curve.to_csv())
@@ -259,6 +251,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_report(args) -> int:
+    radii = default_radii(args.rmax, args.dr)
     os.makedirs(args.out, exist_ok=True)
     _, catalog, fld = _load_pair(args)
     out = lambda name: os.path.join(args.out, name)
@@ -285,7 +278,6 @@ def cmd_report(args) -> int:
     _write(out("residuals_pearson.svg"),
            residual_map_svg(pear, "pearson residuals", events=events))
 
-    radii = _radii(args)
     if len(catalog) >= 2:
         curve = _weighted_k_with_bands(events, fld, radii, args.edge)
         _write(out("weighted_k.csv"), curve.to_csv())

@@ -7,6 +7,7 @@ there is no quadrature anywhere.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,20 +35,21 @@ class PixelResidualMap:
 
     def to_csv(self) -> str:
         """CSV: pixel_index, lon_center, lat_center, value, flag."""
-        skipped = {p: reason for p, reason in self.skipped_pixels}
+        skipped = {p for p, _ in self.skipped_pixels}
+        cx, cy = self.grid.pixel_center(self.pixel_index)
         out = io.StringIO()
         out.write("pixel_index,lon_center,lat_center,value,flag\n")
-        for pix, val in zip(self.pixel_index, self.values):
-            cx, cy = self.grid.pixel_center(int(pix))
-            if int(pix) in skipped:
+        for pix, x, y, val in zip(self.pixel_index.tolist(), cx.tolist(),
+                                  cy.tolist(), self.values.tolist()):
+            if pix in skipped:
                 flag, text = "skipped", ""
-            elif np.isposinf(val):
+            elif val == math.inf:
                 flag, text = "+inf", ""
-            elif np.isneginf(val):
+            elif val == -math.inf:
                 flag, text = "-inf", ""
             else:
                 flag, text = "ok", "%.12g" % val
-            out.write(f"{int(pix)},{'%.12g' % cx},{'%.12g' % cy},{text},{flag}\n")
+            out.write(f"{pix},{'%.12g' % x},{'%.12g' % y},{text},{flag}\n")
         return out.getvalue()
 
 

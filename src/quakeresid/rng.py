@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from math import floor, lgamma, log
 
 import numpy as np
-from scipy import special
 
 from .errors import ValidationError
 
@@ -155,9 +154,11 @@ def _ptrs_accepts(v, us, k, mu, a, b, inv_alpha, log_mu) -> bool:
             <= k * log_mu - mu - lgamma(k + 1.0))
 
 
-def _ptrs_accepts_all(v, us, k, mu, a, b, inv_alpha, log_mu) -> np.ndarray:
+def _ptrs_accepts_all(v, us, k, mu, a, b, inv_alpha, log_mu,
+                      gammaln) -> np.ndarray:
     """_ptrs_accepts over arrays (one mean and its constants per element),
-    with the same outcome for every element.
+    with the same outcome for every element; gammaln is
+    scipy.special.gammaln, which the caller imports once.
 
     np.log and gammaln can differ from math.log and math.lgamma in the last
     bits, so numpy decides only where the two sides of the test are further
@@ -166,7 +167,7 @@ def _ptrs_accepts_all(v, us, k, mu, a, b, inv_alpha, log_mu) -> np.ndarray:
     """
     log_v, log_h = np.log(v), np.log(a / (us * us) + b)
     log_ia = np.log(inv_alpha)
-    km, lgam = k * log_mu, special.gammaln(k + 1.0)
+    km, lgam = k * log_mu, gammaln(k + 1.0)
     lhs = log_v + log_ia - log_h
     rhs = km - mu - lgam
     slack = 1e-11 * (np.abs(log_v) + np.abs(log_ia) + np.abs(log_h)
@@ -219,6 +220,7 @@ def _ptrs_rows(gens, buf, mus):
     use only + - * /, abs and floor, which numpy rounds exactly as Python
     does.  buf holds each row's first uniforms; the rows still unfinished
     when it runs out are refilled from their own generators."""
+    from scipy.special import gammaln  # loaded only by PTRS blocks
     n_rows, width = buf.shape
     consts = np.array([(mu, *_ptrs_constants(mu)) for mu in mus])
     out = np.empty((n_rows, len(mus)), dtype=np.int64)
@@ -242,7 +244,7 @@ def _ptrs_rows(gens, buf, mus):
         if len(full):
             done[full] = _ptrs_accepts_all(
                 v[full], us[full], k[full], mu[full], a[full], b[full],
-                inv_alpha[full], log_mu[full])
+                inv_alpha[full], log_mu[full], gammaln)
         out[rows[done], m[done]] = k[done]
         serving[rows[done]] += 1
         rows = rows[serving[rows] < len(mus)]

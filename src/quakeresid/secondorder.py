@@ -18,10 +18,10 @@ arc sampling for irregular masks.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
 
 from .errors import OutsideRegionError, ValidationError
 from .grids import Grid
@@ -32,6 +32,9 @@ from .simulate import simulate_homogeneous
 
 DEFAULT_R_MAX = 0.7
 DEFAULT_R_STEP = 0.01
+# Most radii default_radii builds: every K curve and every envelope
+# replicate holds one value per radius.
+MAX_RADII = 10_000
 
 _ARC_SAMPLES = 360
 _MIN_ARC_FRACTION = 0.5 / _ARC_SAMPLES
@@ -40,7 +43,20 @@ _MASK_CHUNK = 4096  # circles sampled at once by circle_fraction_mask
 
 def default_radii(r_max: float = DEFAULT_R_MAX,
                   r_step: float = DEFAULT_R_STEP) -> np.ndarray:
-    n = int(round(r_max / r_step))
+    """round(r_max / r_step) evenly spaced radii from r_step to r_max."""
+    if not (math.isfinite(r_max) and math.isfinite(r_step)
+            and r_max > 0 and r_step > 0):
+        raise ValidationError(
+            f"rmax and dr must be finite and positive, got rmax={r_max!r}, "
+            f"dr={r_step!r}")
+    count = r_max / r_step   # inf for some finite pairs, e.g. 1e300 / 1e-300
+    if count > MAX_RADII:
+        raise ValidationError(
+            f"rmax / dr asks for {count:.3g} radii, above the supported "
+            f"{MAX_RADII}")
+    n = int(round(count))
+    if n < 1:
+        raise ValidationError("rmax must be at least dr")
     return radii_grid(np.linspace(r_step, r_max, n))
 
 
@@ -306,7 +322,8 @@ def wk_confidence_bands(radii, area: float, total_intensity: float,
         raise ValidationError("total intensity must be positive")
     if not (0.0 <= level < 1.0):
         raise ValidationError("level must lie in [0, 1)")
-    z = special.ndtri(0.5 + level / 2.0)
+    from scipy.special import ndtri  # loaded only by the analytic bands
+    z = ndtri(0.5 + level / 2.0)
     mean = np.pi * radii ** 2
     half = z * np.sqrt(2.0 * np.pi * radii ** 2 * area) / total_intensity
     return mean - half, mean + half

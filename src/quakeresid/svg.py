@@ -6,6 +6,8 @@ primitives, so output is deterministic byte-for-byte for fixed inputs.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 WIDTH = 800
@@ -171,16 +173,19 @@ def residual_map_svg(residual_map, title: str, events=None) -> str:
                  '<rect width="6" height="6" fill="#dddddd"/>'
                  '<line x1="0" y1="6" x2="6" y2="0" stroke="#888888"/>'
                  '</pattern></defs>')
-    for pix, val in zip(residual_map.pixel_index, residual_map.values):
-        ix, iy = grid.unflatten(int(pix))
-        x_lo = grid.lon_min + ix * grid.dx
-        y_hi_v = grid.lat_min + (iy + 1) * grid.dy
-        px = frame.x(x_lo)
-        py = frame.y(y_hi_v)
-        w = frame.x(x_lo + grid.dx) - px
-        h = frame.y(y_hi_v - grid.dy) - py
-        if np.isfinite(val):
-            fill = f'"{_diverging_color(float(val), scale)}"'
+    # every pixel's rectangle at once: the frame map is affine arithmetic,
+    # elementwise the same operations as one pixel at a time
+    ix, iy = grid.unflatten(residual_map.pixel_index)
+    x_lo = grid.lon_min + ix * grid.dx
+    y_hi_v = grid.lat_min + (iy + 1) * grid.dy
+    xs = frame.x(x_lo)
+    ys = frame.y(y_hi_v)
+    ws = frame.x(x_lo + grid.dx) - xs
+    hs = frame.y(y_hi_v - grid.dy) - ys
+    for px, py, w, h, val in zip(xs.tolist(), ys.tolist(), ws.tolist(),
+                                 hs.tolist(), residual_map.values.tolist()):
+        if math.isfinite(val):
+            fill = f'"{_diverging_color(val, scale)}"'
         else:
             fill = '"url(#hatch)"'
         parts.append(f'<rect x="{_fmt(px)}" y="{_fmt(py)}" '

@@ -230,8 +230,8 @@ def super_thin(catalog: Catalog, fld: IntensityField,
     region = GridRegion(fld.grid)
     if k_rate is None:
         k_rate = integrate(fld) / region.area
-    if k_rate <= 0:
-        raise ValidationError("k_rate must be positive")
+    if not (np.isfinite(k_rate) and k_rate > 0):
+        raise ValidationError("k_rate must be finite and positive")
     pts = catalog.points()
     lam = _rates_at_events(fld, pts)
     rng = stream.substream(0).generator()

@@ -149,22 +149,22 @@ def test_criterion_5_power_against_misspecification():
 
 def _brute_k(pts, lam, region, radii, edge):
     """Ordered pairs j != i at distance <= r: the plain pair sum (weight
-    w) and the weighted one (w / (lam_i lam_j))."""
+    w) and the weighted one (w / (lam_i lam_j)).  Every i scores its
+    n - 1 partners j as one row of distances: still all n (n - 1) pairs."""
     n = len(pts)
+    radii = np.asarray(radii)
     plain = np.zeros(len(radii))
     weighted = np.zeros(len(radii))
     for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            d = float(np.hypot(pts[i, 0] - pts[j, 0], pts[i, 1] - pts[j, 1]))
-            w = 1.0
-            if edge == "isotropic":
-                w = 1.0 / max(float(circle_fraction_rect(
-                    pts[i, 0], pts[i, 1], d, *region.bbox)), 0.5 / 360)
-            within = np.asarray(radii) >= d
-            plain[within] += w
-            weighted[within] += w / (lam[i] * lam[j])
+        j = np.arange(n) != i
+        d = np.hypot(pts[i, 0] - pts[j, 0], pts[i, 1] - pts[j, 1])
+        w = np.ones(n - 1)
+        if edge == "isotropic":
+            w = 1.0 / np.maximum(circle_fraction_rect(
+                pts[i, 0], pts[i, 1], d, *region.bbox), 0.5 / 360)
+        within = radii[None, :] >= d[:, None]     # (partner, radius)
+        plain += w @ within
+        weighted += (w / (lam[i] * lam[j])) @ within
     return plain, weighted
 
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import quakeresid
+from quakeresid import secondorder
 from quakeresid.cli import main
 
 FORECAST = """\
@@ -256,17 +257,42 @@ def test_report_directory(workspace):
     assert manifest["version"]
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
-    # scipy.stats alone costs about a second of start-up in every command;
-    # scipy.spatial (the pair search) loads only in commands that use it
+def test_cli_import_leaves_scipy_stats_unloaded(workspace):
+    # scipy.special alone costs about a third of a second of start-up, so
+    # scipy loads only where it is called: the analytic N-test, PTRS blocks
+    # and analytic K bands (scipy.special), the pair search (scipy.spatial).
+    # Every mean of the workspace forecast is below 10: no PTRS.
+    tmp, fc, cat = workspace
+    files = ["--forecast", str(fc), "--catalog", str(cat)]
+    commands = {
+        "resid": ["resid", *files, "--kind", "pearson",
+                  "--svg", str(tmp / "r.svg"), "--out", str(tmp / "r.csv")],
+        "ltest": ["ltest", *files, "--sims", "50",
+                  "--out", str(tmp / "l.json")],
+        "ntest": ["ntest", *files, "--analytic",
+                  "--out", str(tmp / "n.json")],
+    }
+    code = ("import json, sys\n"
+            "import quakeresid, quakeresid.cli\n"
+            "def scipy_modules():\n"
+            "    return sorted(m for m in sys.modules\n"
+            "                  if m == 'scipy' or m.startswith('scipy.'))\n"
+            "seen = {'import': scipy_modules()}\n"
+            "for name, argv in json.loads(sys.argv[1]).items():\n"
+            "    assert quakeresid.cli.main(argv) == 0, name\n"
+            "    seen[name] = scipy_modules()\n"
+            "print(json.dumps(seen))\n")
     src = os.path.dirname(os.path.dirname(os.path.abspath(quakeresid.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run(
-        [sys.executable, "-c",
-         "import quakeresid.cli, sys; "
-         "print([m in sys.modules for m in ('scipy.stats', 'scipy.spatial')])"],
-        env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[False, False]"
+        [sys.executable, "-c", code, json.dumps(commands)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        timeout=120)
+    assert out.returncode == 0, out.stderr
+    seen = json.loads(out.stdout)
+    assert seen["import"] == []
+    assert seen["resid"] == []
+    assert seen["ltest"] == []
+    assert "scipy.special" in seen["ntest"]
 
 
 @pytest.mark.filterwarnings("ignore:Support for `\\[tool.setuptools\\]`")
@@ -277,3 +303,46 @@ def test_package_version_is_the_toolkit_version():
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     config = pyproject.read_configuration(os.path.join(root, "pyproject.toml"))
     assert config["project"]["version"] == quakeresid.TOOLKIT_VERSION
+
+
+@pytest.mark.parametrize("command", [
+    ["k"], ["transform", "--kind", "superthin", "--assess"], ["report"]])
+@pytest.mark.parametrize("flags", [
+    ["--rmax", "nan"], ["--rmax", "inf"], ["--dr", "nan"], ["--dr", "0"],
+    ["--dr", "-0.1"], ["--rmax", "1e300", "--dr", "1e-300"]])
+def test_non_finite_radius_flags_exit_code(workspace, capsys, command, flags):
+    tmp, fc, cat = workspace
+    rc = main([*command, "--forecast", str(fc), "--catalog", str(cat),
+               *flags, "--out", str(tmp / "out")])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert "Traceback" not in err
+    assert "rmax" in err
+
+
+@pytest.mark.parametrize("command", [
+    ["k"], ["transform", "--kind", "superthin", "--assess"], ["report"]])
+def test_radius_count_cap_exit_code(workspace, capsys, monkeypatch, command):
+    # the cap is checked before the radii are allocated; a cap of 5 makes
+    # six radii a request above it, so the test allocates nothing large
+    monkeypatch.setattr(secondorder, "MAX_RADII", 5)
+    tmp, fc, cat = workspace
+    rc = main([*command, "--forecast", str(fc), "--catalog", str(cat),
+               "--rmax", "0.6", "--dr", "0.1", "--out", str(tmp / "out")])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert "Traceback" not in err
+    assert "asks for 6 radii, above the supported 5" in err
+
+
+@pytest.mark.parametrize("command", [
+    ["transform", "--kind", "superthin"], ["report", "--sims", "10"]])
+@pytest.mark.parametrize("k_rate", ["nan", "inf"])
+def test_non_finite_k_rate_exit_code(workspace, capsys, command, k_rate):
+    tmp, fc, cat = workspace
+    rc = main([*command, "--forecast", str(fc), "--catalog", str(cat),
+               "--k-rate", k_rate, "--out", str(tmp / "out")])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert "Traceback" not in err
+    assert "k_rate must be finite and positive" in err

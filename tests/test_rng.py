@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
 from quakeresid import SeededStream, ValidationError, poisson
 from quakeresid import rng as rng_module
@@ -166,7 +167,8 @@ def test_ptrs_array_acceptance_equals_scalar_test(mu):
     keep = (v > 0) & (v < 1)
     v, us, k = v[keep], us[keep], k[keep]
     got = rng_module._ptrs_accepts_all(
-        v, us, k, *np.broadcast_arrays(mu, a, b, inv_alpha, log_mu, v)[:5])
+        v, us, k, *np.broadcast_arrays(mu, a, b, inv_alpha, log_mu, v)[:5],
+        gammaln)
     want = [rng_module._ptrs_accepts(x, y, z, mu, a, b, inv_alpha, log_mu)
             for x, y, z in zip(v.tolist(), us.tolist(), k.tolist())]
     assert got.tolist() == want
