@@ -27,8 +27,8 @@ from .secondorder import (DEFAULT_R_MAX, DEFAULT_R_STEP, default_radii,
                           ripley_k, weighted_k, wk_confidence_bands)
 from .simulate import simulate_catalog
 from .svg import k_curve_svg, point_map_svg, residual_map_svg
-from .transforms import (assess_homogeneity, rescale, super_thin, superpose,
-                         thin_approx, thin_exact)
+from .transforms import (assess_homogeneity, check_k_rate, rescale,
+                         super_thin, superpose, thin_approx, thin_exact)
 
 DEFAULT_MAG_MIN = 3.95
 DEFAULT_DEPTH_MAX = 30.0
@@ -199,6 +199,8 @@ def cmd_transform(args, parser) -> int:
         parser.error("--k is ambiguous: use --k-count (expected retained "
                      "count) or --k-rate (points per square degree)")
     radii = default_radii(args.rmax, args.dr) if args.assess else None
+    if args.k_rate is not None:
+        check_k_rate(args.k_rate)
     _, catalog, fld = _load_pair(args)
     stream = SeededStream(args.seed, 0)
     if args.kind == "rescale":
@@ -252,6 +254,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_report(args) -> int:
     radii = default_radii(args.rmax, args.dr)
+    if args.k_rate is not None:
+        check_k_rate(args.k_rate)
     os.makedirs(args.out, exist_ok=True)
     _, catalog, fld = _load_pair(args)
     out = lambda name: os.path.join(args.out, name)

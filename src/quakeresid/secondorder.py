@@ -111,30 +111,72 @@ class KCurve:
 
 
 # ---------------------------------------------------------------------------
-# pair search: k-d tree with a slightly widened radius, then exact filtering
+# pair search: cell buckets of side slightly above r_max, then exact filtering
+
+_PAIR_BLOCK = 4096   # centres whose candidate pairs are expanded at once
+_MAX_CELLS = 2 ** 20  # cells per axis at most, so int64 cell keys never overflow
+
+
+def _no_pairs():
+    return np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros(0)
+
 
 def pairs_within(points: np.ndarray, r_max: float):
     """All unordered pairs (i < j) at distance <= r_max.
 
-    Returns (i, j, distance) arrays sorted by (i, j).  A k-d tree finds the
-    candidates within a radius widened by 1e-9 relative; the distances are
-    then recomputed with np.hypot and filtered exactly, so pairs at exactly
-    r_max are kept.  Points with a non-finite coordinate pair with nothing.
+    Returns (i, j, distance) arrays sorted by (i, j).  Points are bucketed
+    into cells of side r_max widened by 1e-9 relative (wider where the span
+    would need more than 2^20 cells on an axis), so every pair within r_max
+    lies in the same or a neighbouring cell.  Candidate distances are
+    computed with np.hypot and filtered exactly, so pairs at exactly r_max
+    are kept.  Candidates are expanded for _PAIR_BLOCK centres at a time.
+    Points with a non-finite coordinate pair with nothing.
     """
     pts = np.asarray(points, dtype=float)
     finite = np.flatnonzero(np.isfinite(pts).all(axis=-1))
-    if len(finite) < 2:
-        return (np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros(0))
-    from scipy.spatial import cKDTree  # loaded only by commands that need it
-
-    pairs = cKDTree(pts[finite]).query_pairs(r_max * (1 + 1e-9),
-                                             output_type="ndarray")
-    ii, jj = finite[pairs[:, 0]], finite[pairs[:, 1]]
-    d = np.hypot(pts[ii, 0] - pts[jj, 0], pts[ii, 1] - pts[jj, 1])
-    keep = d <= r_max
-    ii, jj, d = ii[keep], jj[keep], d[keep]
-    order = np.lexsort((jj, ii))
-    return ii[order], jj[order], d[order]
+    if len(finite) < 2 or not r_max >= 0:
+        return _no_pairs()
+    # cells from halved coordinates: the span of any finite set is finite
+    half = 0.5 * pts[finite]
+    lo = half.min(axis=0)
+    side = np.maximum(0.5 * r_max * (1 + 1e-9),
+                      (half.max(axis=0) - lo) / _MAX_CELLS)
+    side[side == 0] = 1.0   # every point in one cell
+    cell = np.floor((half - lo) / side).astype(np.int64)
+    width = int(cell[:, 0].max()) + 2   # a row's keys never reach the next's
+    key = cell[:, 1] * width + cell[:, 0]
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    xs, ys = pts[finite[order], 0], pts[finite[order], 1]
+    m = len(key)
+    # each centre's candidates, as two ranges of sorted positions: later
+    # points in cells (cx, cy) and (cx + 1, cy), then every point in cells
+    # cx - 1 .. cx + 1 of row cy + 1
+    starts = np.concatenate([np.arange(1, m + 1),
+                             np.searchsorted(key, key + width - 1)])
+    stops = np.concatenate([
+        np.searchsorted(key, key + 1, side="right"),
+        np.searchsorted(key, key + width + 1, side="right")])
+    found_i, found_j, found_d = [], [], []
+    for b in range(0, m, _PAIR_BLOCK):
+        block = np.arange(b, min(b + _PAIR_BLOCK, m))
+        ranges = np.concatenate([block, block + m])
+        counts = stops[ranges] - starts[ranges]
+        total = int(counts.sum())
+        src = np.repeat(np.concatenate([block, block]), counts)
+        dst = np.repeat(starts[ranges] - (np.cumsum(counts) - counts),
+                        counts) + np.arange(total)
+        with np.errstate(over="ignore"):   # an overflowed distance is inf
+            d = np.hypot(xs[src] - xs[dst], ys[src] - ys[dst])
+        keep = d <= r_max
+        found_i.append(src[keep])
+        found_j.append(dst[keep])
+        found_d.append(d[keep])
+    a = finite[order[np.concatenate(found_i)]]
+    c = finite[order[np.concatenate(found_j)]]
+    ii, jj = np.minimum(a, c), np.maximum(a, c)
+    by_pair = np.argsort(ii * len(pts) + jj)
+    return ii[by_pair], jj[by_pair], np.concatenate(found_d)[by_pair]
 
 
 # ---------------------------------------------------------------------------

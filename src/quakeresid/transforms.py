@@ -217,6 +217,13 @@ def superpose(catalog: Catalog, fld: IntensityField, stream: SeededStream,
                              "n_simulated": len(sim_pts)})
 
 
+def check_k_rate(k_rate: float) -> None:
+    """Raise ValidationError unless the super-thinning rate is finite and
+    positive."""
+    if not (np.isfinite(k_rate) and k_rate > 0):
+        raise ValidationError("k_rate must be finite and positive")
+
+
 def super_thin(catalog: Catalog, fld: IntensityField,
                stream: SeededStream,
                k_rate: float | None = None) -> ResidualSet:
@@ -230,8 +237,7 @@ def super_thin(catalog: Catalog, fld: IntensityField,
     region = GridRegion(fld.grid)
     if k_rate is None:
         k_rate = integrate(fld) / region.area
-    if not (np.isfinite(k_rate) and k_rate > 0):
-        raise ValidationError("k_rate must be finite and positive")
+    check_k_rate(k_rate)
     pts = catalog.points()
     lam = _rates_at_events(fld, pts)
     rng = stream.substream(0).generator()

@@ -260,7 +260,8 @@ def test_report_directory(workspace):
 def test_cli_import_leaves_scipy_stats_unloaded(workspace):
     # scipy.special alone costs about a third of a second of start-up, so
     # scipy loads only where it is called: the analytic N-test, PTRS blocks
-    # and analytic K bands (scipy.special), the pair search (scipy.spatial).
+    # and analytic K bands (scipy.special).  The pair search is numpy; the
+    # K commands never load scipy.spatial, which costs about 0.45 s more.
     # Every mean of the workspace forecast is below 10: no PTRS.
     tmp, fc, cat = workspace
     files = ["--forecast", str(fc), "--catalog", str(cat)]
@@ -271,6 +272,10 @@ def test_cli_import_leaves_scipy_stats_unloaded(workspace):
                   "--out", str(tmp / "l.json")],
         "ntest": ["ntest", *files, "--analytic",
                   "--out", str(tmp / "n.json")],
+        "k": ["k", *files, "--weighted", "--edge", "isotropic",
+              "--out", str(tmp / "k.csv")],
+        "transform": ["transform", *files, "--kind", "superthin", "--assess",
+                      "--edge", "isotropic", "--out", str(tmp / "t.csv")],
     }
     code = ("import json, sys\n"
             "import quakeresid, quakeresid.cli\n"
@@ -293,6 +298,9 @@ def test_cli_import_leaves_scipy_stats_unloaded(workspace):
     assert seen["resid"] == []
     assert seen["ltest"] == []
     assert "scipy.special" in seen["ntest"]
+    for name in ("k", "transform"):
+        assert not [m for m in seen[name]
+                    if m == "scipy.spatial" or m.startswith("scipy.spatial.")]
 
 
 @pytest.mark.filterwarnings("ignore:Support for `\\[tool.setuptools\\]`")
@@ -337,12 +345,15 @@ def test_radius_count_cap_exit_code(workspace, capsys, monkeypatch, command):
 
 @pytest.mark.parametrize("command", [
     ["transform", "--kind", "superthin"], ["report", "--sims", "10"]])
-@pytest.mark.parametrize("k_rate", ["nan", "inf"])
+@pytest.mark.parametrize("k_rate", ["nan", "inf", "-inf", "0", "-1"])
 def test_non_finite_k_rate_exit_code(workspace, capsys, command, k_rate):
+    # the rate is checked before any output file or directory is made
     tmp, fc, cat = workspace
+    before = sorted(os.listdir(tmp))
     rc = main([*command, "--forecast", str(fc), "--catalog", str(cat),
-               "--k-rate", k_rate, "--out", str(tmp / "out")])
+               f"--k-rate={k_rate}", "--out", str(tmp / "out")])
     err = capsys.readouterr().err
     assert rc == 3
     assert "Traceback" not in err
     assert "k_rate must be finite and positive" in err
+    assert sorted(os.listdir(tmp)) == before

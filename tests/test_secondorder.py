@@ -78,6 +78,75 @@ def test_pairs_within_fewer_than_two_points_and_non_finite():
     assert dd.tolist() == [0.1]
 
 
+def _kdtree_pairs(pts, r_max):
+    """Oracle: a k-d tree over the finite points with the radius widened by
+    1e-9 relative, then the same exact np.hypot filter and (i, j) order."""
+    from scipy.spatial import cKDTree
+    finite = np.flatnonzero(np.isfinite(pts).all(axis=-1))
+    pairs = cKDTree(pts[finite]).query_pairs(r_max * (1 + 1e-9),
+                                             output_type="ndarray")
+    ii, jj = finite[pairs[:, 0]], finite[pairs[:, 1]]
+    d = np.hypot(pts[ii, 0] - pts[jj, 0], pts[ii, 1] - pts[jj, 1])
+    keep = d <= r_max
+    ii, jj, d = ii[keep], jj[keep], d[keep]
+    order = np.lexsort((jj, ii))
+    return ii[order], jj[order], d[order]
+
+
+def _pair_sets():
+    rng = np.random.default_rng(21)
+    centres = rng.random((6, 2)) * 4.0
+    clustered = centres[rng.integers(0, 6, 900)] + rng.normal(0, 0.05,
+                                                               (900, 2))
+    rounded = np.round(rng.random((800, 2)), 2)    # ties, pairs at r_max
+    repeated = rng.random((200, 2))
+    repeated = np.concatenate([repeated, repeated[:40], repeated[:7]])
+    repeated[[3, 50, 99]] = [[np.nan, 0.5], [np.inf, 0.2], [0.4, -np.inf]]
+    uniform = rng.random((1500, 2)) * [12.0, 10.0]
+    return {
+        "uniform": (uniform, 0.7),
+        "clustered": (clustered, 0.1),
+        "rounded-0.03": (rounded, 0.03),
+        "rounded-0.05": (rounded, 0.05),
+        "duplicates-non-finite": (repeated, 0.08),
+        "r-far-below-span": (uniform, 1e-9),
+        "r-far-above-span": (uniform[:300], 1e6),
+        "coincident-r-zero": (np.full((6, 2), 0.3), 0.0),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_pair_sets()))
+def test_pairs_within_matches_kdtree_oracle(name):
+    pts, r_max = _pair_sets()[name]
+    got = pairs_within(pts, r_max)
+    for g, w in zip(got, _kdtree_pairs(pts, r_max)):
+        assert g.dtype == w.dtype
+        assert np.array_equal(g, w)
+    if name.startswith("rounded"):
+        assert np.sum(got[2] == r_max) > 0 and np.sum(got[2] == 0.0) > 0
+
+
+def test_pairs_within_extreme_spans():
+    # the k-d tree overflows on squared distances here; the brute force
+    # does not
+    rng = np.random.default_rng(22)
+    pts = rng.uniform(-1e300, 1e300, (80, 2))
+    pts[:10] = pts[10:20] + rng.uniform(0, 1e298, (10, 2))
+    _assert_same_pairs(pts, 1e299)
+    _assert_same_pairs(pts, 1e-300)
+    assert len(_assert_same_pairs(pts, 1e301)[0]) == 80 * 79 // 2
+
+
+@pytest.mark.parametrize("block", [1, 7])
+def test_pairs_within_blocks_give_identical_output(monkeypatch, block):
+    sets = _pair_sets()
+    want = {name: pairs_within(*sets[name]) for name in sets}
+    monkeypatch.setattr(secondorder, "_PAIR_BLOCK", block)
+    for name in sets:
+        for g, w in zip(pairs_within(*sets[name]), want[name]):
+            assert np.array_equal(g, w)
+
+
 def _circle_fraction_mask_single_shot(cx, cy, t, grid):
     """Every circle sampled in one array, as before chunking."""
     ang = np.linspace(0.0, 2.0 * np.pi, 360, endpoint=False)
