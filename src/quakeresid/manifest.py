@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
-TOOLKIT_VERSION = "0.2.0"
+TOOLKIT_VERSION = "0.3.0"
 
 
 def file_digest(path: str) -> str:

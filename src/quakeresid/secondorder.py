@@ -11,8 +11,9 @@ weights, prefactor, region and edge correction.
 
 Isotropic edge correction weights a pair by the reciprocal fraction of the
 circle centered at the first point and passing through the second that lies
-inside the region: exact interval arithmetic for full rectangles, 360-point
-arc sampling for irregular masks.
+inside the region.  Both paths are exact: interval arithmetic for full
+rectangles, and for irregular masks the arcs between the circle's crossings
+with the grid lines, each inside one pixel.
 """
 
 from __future__ import annotations
@@ -36,9 +37,10 @@ DEFAULT_R_STEP = 0.01
 # replicate holds one value per radius.
 MAX_RADII = 10_000
 
-_ARC_SAMPLES = 360
-_MIN_ARC_FRACTION = 0.5 / _ARC_SAMPLES
-_MASK_CHUNK = 4096  # circles sampled at once by circle_fraction_mask
+# Floor on a circle's inside fraction, so one pair's edge weight is at most
+# 720: half of one sample of the 360-point arc sampling this replaced.
+_MIN_ARC_FRACTION = 0.5 / 360
+_MASK_CHUNK = 4096  # circles cut at once by circle_fraction_mask
 
 
 def default_radii(r_max: float = DEFAULT_R_MAX,
@@ -204,30 +206,68 @@ def circle_fraction_rect(cx, cy, t, x0, x1, y0, y1):
     return np.clip(1.0 - outside / (2.0 * np.pi), 0.0, 1.0)
 
 
-def circle_fraction_mask(cx, cy, t, grid: Grid):
-    """Arc-sampled fraction of the circle inside the active-pixel union.
+def _line_offsets(centre, r, origin, step, n_lines):
+    """Offsets (line - centre) / r of n_lines consecutive grid lines
+    origin + k * step, k >= 0, from just below centre - r on, and whether
+    each line cuts the circle.  Lines past the grid only split arcs that
+    lie outside it."""
+    first = np.maximum(np.ceil((centre - r - origin) / step) - 1.0, 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):  # r = 0: no cut
+        u = (origin + (first + np.arange(n_lines)) * step - centre) / r
+    return u, np.abs(u) <= 1.0
 
-    Circles are sampled in chunks of _MASK_CHUNK, so peak memory is bounded
-    by the chunk, not by the number of circles.
+
+def circle_fraction_mask(cx, cy, t, grid: Grid):
+    """Exact fraction of the circle inside the active-pixel union.
+
+    The grid lines x = lon_min + k dx and y = lat_min + k dy cut each circle
+    into arcs that each lie inside one pixel or outside the grid; the arcs
+    whose midpoints fall in active pixels are summed (Ripley 1988; Ohser
+    1983).  Every circle of a call gets the same number of cut angles, set
+    by the call's largest radius and padded with angle 0 (zero-length
+    arcs), so a result does not depend on how the call is chunked.  Circles
+    are cut in chunks of _MASK_CHUNK, so peak memory is bounded by the
+    chunk, not by the number of circles.  A circle of radius 0 takes its
+    centre pixel's flag.
     """
     cx = np.asarray(cx, dtype=float)
     cy = np.asarray(cy, dtype=float)
     t = np.asarray(t, dtype=float)
-    ang = np.linspace(0.0, 2.0 * np.pi, _ARC_SAMPLES, endpoint=False)
-    cos, sin = np.cos(ang), np.sin(ang)
     out = np.empty(len(t))
+    if len(t) == 0:
+        return out
+    # lines one circle can cut on each axis, with a margin for rounding
+    t_max = float(t.max())
+    nx = min(grid.n_x + 1, int(2.0 * t_max / grid.dx) + 3)
+    ny = min(grid.n_y + 1, int(2.0 * t_max / grid.dy) + 3)
+    active = grid.active_mask.ravel()
     for lo in range(0, len(t), _MASK_CHUNK):
         part = slice(lo, lo + _MASK_CHUNK)
-        px = cx[part, None] + t[part, None] * cos
-        py = cy[part, None] + t[part, None] * sin
-        inbox = (px >= grid.lon_min) & (px <= grid.lon_max) & \
-                (py >= grid.lat_min) & (py <= grid.lat_max)
-        ix = np.clip(np.floor((px - grid.lon_min) / grid.dx).astype(int),
+        x, y, r = cx[part, None], cy[part, None], t[part, None]
+        u, cut_x = _line_offsets(x, r, grid.lon_min, grid.dx, nx)
+        v, cut_y = _line_offsets(y, r, grid.lat_min, grid.dy, ny)
+        a = np.arccos(np.where(cut_x, u, 1.0))   # 0 and 2 pi where uncut
+        b = np.arcsin(np.where(cut_y, v, 0.0))
+        ang = np.concatenate([
+            np.zeros_like(r), a, 2.0 * np.pi - a,
+            np.where(cut_y, np.where(b < 0.0, b + 2.0 * np.pi, b), 0.0),
+            np.where(cut_y, np.pi - b, 0.0),
+            np.full_like(r, 2.0 * np.pi)], axis=1)
+        ang.sort(axis=1)
+        arc = ang[:, 1:] - ang[:, :-1]
+        mid = ang[:, :-1] + 0.5 * arc
+        px = x + r * np.cos(mid)
+        py = y + r * np.sin(mid)
+        inside = (px >= grid.lon_min) & (px <= grid.lon_max) & \
+                 (py >= grid.lat_min) & (py <= grid.lat_max)
+        # truncation is floor wherever inside holds
+        ix = np.clip(((px - grid.lon_min) / grid.dx).astype(np.intp),
                      0, grid.n_x - 1)
-        iy = np.clip(np.floor((py - grid.lat_min) / grid.dy).astype(int),
+        iy = np.clip(((py - grid.lat_min) / grid.dy).astype(np.intp),
                      0, grid.n_y - 1)
-        inside = inbox & grid.active_mask[iy, ix]
-        out[part] = inside.mean(axis=1)
+        inside &= active[iy * grid.n_x + ix]
+        arc *= inside
+        out[part] = arc.sum(axis=1) / (2.0 * np.pi)
     return out
 
 

@@ -141,21 +141,21 @@ CASES = {
 
 GOLDEN = {'k-plain': {'<stdout>': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
                      'k.csv': '59843562bf3691e972dfd00c9134712b43f8ad6f423982d15b6f85cbde1acf71',
-                     'k.csv.manifest.json': 'b28d240169fa71a1e308a02400e2357e5d1cd9e03b1a08304fdb18dbe8ec8bcf',
+                     'k.csv.manifest.json': 'a91ce958f7b67c8c0a94a4b4b94fc0eaaa0b34134e06e4b6a7546d0ddde60de1',
                      'k.svg': 'dd550ba72f8f0a31177d66566742ffc0d8979eabafc969f93d3e9e922daf383b'},
          'k-weighted-isotropic': {'<stdout>': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
-                                  'k.csv': 'd6b98a2fc65bc6c34cc45f04895703c424709e855f78b09be8003ba6a552700f',
-                                  'k.csv.manifest.json': 'ccacb2fa39d6a63122355992e8988669e770a4f76ac2ccf7d6861a96f8209d47',
-                                  'k.svg': '93bb6b2e3a71c72a858813c3fe14fad6bc4f0dacbe70fdddbe081608d41b6019'},
+                                  'k.csv': '0ca127c73d215c1e288cdcf5991653ff6a2f6867e09eec2a17e9775d7619b81d',
+                                  'k.csv.manifest.json': '695caa85820cd0c95114f22d1f7d1b9e33b76af73d83575fa71ff44d56cfe1fc',
+                                  'k.svg': 'be96db2266ee0d8c2eda7d927b5f04ab24012f821ba1702b444c11cbd39d3218'},
          'ltest': {'<stdout>': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
                    'score.json': '19cad154a1de1270c2c030be4a8e9783da971dd78a97e4c4638a1fba81d0151d',
-                   'score.json.manifest.json': '865ffce2f7e253b7b7a5aeaa48d133c89cc84d7f76631c15e0d44138c7a1e944'},
+                   'score.json.manifest.json': 'b8cc7b83bd69363387be123758f7eda36103a67ad0717b235db8a90e87441141'},
          'ntest-analytic': {'<stdout>': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
                             'score.json': 'ca75c87c3c84559c7082fc9fe94fe315b387f7a93eba83018c5b6a4f212ce601',
-                            'score.json.manifest.json': 'f5e30e72d632eb16fae5c69c2c8654ffcbc90ae640fb7d586e4d90f3878a8b9e'},
+                            'score.json.manifest.json': '96d9c9ee51746d6ffda5a8811cd5a9508be3954ee24e2e63bda97adb11fccd2b'},
          'ntest-sims': {'<stdout>': 'b6c3e2f23efbd8ccb0cd5d151ed67fb08c2111254d50299348ca4974bbe42509'},
          'report': {'<stdout>': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
-                    'rep/manifest.json': '276f9db036ac37ab8bf8f0a48d31c84388282a79fecfddfd8aca7766a74d60b2',
+                    'rep/manifest.json': 'd772ab1938de205ee9f9870f0d1af6bd1c9dec6983f71acc84dd83910413128e',
                     'rep/residuals_pearson.csv': 'ebd42d714de6dd702cdb8895b581ee459f2e3e96632f47978881e8755faf8e41',
                     'rep/residuals_pearson.svg': '2f2de37ecae206094baaa5a6ca55da8286b2250525a05284b6c1e9a5163b6153',
                     'rep/residuals_raw.csv': 'ad2420f7163bfcd5f76871ba6605dafcd665be89e52e71d3c4fe8eacd1b4b696',
@@ -169,23 +169,23 @@ GOLDEN = {'k-plain': {'<stdout>': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b9
                     'rep/weighted_k.svg': 'aeeee366dc23e8416f20f741626f5a3754e43f86147af50293db603abe71505e'},
          'resid-deviance': {'<stdout>': 'fb37aa1ea584cf0f2456ef33cb27011da79a84e191bdfe8bafd0b31abdbdefae',
                             'r.csv': 'a43b57fec1e4a24ec1753d0bae053582ad853fdaf544d7933554e35d7b9eb758',
-                            'r.csv.manifest.json': 'cf1020139b16f8b7f837a6cce2419e3b7de9e4ee7f60822e80e431838cf1de47',
+                            'r.csv.manifest.json': 'e563682087588c7cbe6e42908d89e9cf074f8068b93754f6b942c97ff95a6ca9',
                             'r.svg': 'b56d9ae00f0ce969499ebb324e65129535a3097705a4acd10396558c890e8768'},
          'resid-pearson': {'<stdout>': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
                            'r.csv': 'ebd42d714de6dd702cdb8895b581ee459f2e3e96632f47978881e8755faf8e41',
-                           'r.csv.manifest.json': '84e485af208d4970dbad24abd541569ed0e90f5fbe6e991fc018ef182265c2bc',
+                           'r.csv.manifest.json': '15488e06e8a015ff897785b7000aa23a64a6e0f37db965ebd303aa34ede5f899',
                            'r.svg': '2f2de37ecae206094baaa5a6ca55da8286b2250525a05284b6c1e9a5163b6153'},
          'resid-raw': {'<stdout>': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
                        'r.csv': 'ad2420f7163bfcd5f76871ba6605dafcd665be89e52e71d3c4fe8eacd1b4b696',
-                       'r.csv.manifest.json': '9c8101de57b26fa94fc5ccfe3f4e8ec2a86268df1b4310d9699220be9a905479',
+                       'r.csv.manifest.json': '89f8ab35fea3939fabe70392b47290dbb976d61c8cc2ff78fd442cd2baad8dba',
                        'r.svg': 'dc06e703ad365e4dd492381c8ad73c42b3c57f883636e4bdfce4f31800a612a3'},
          'simulate': {'<stdout>': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
                       'sim.csv': '87000c2210085ae2f1f89ffc051d628702906c45d9a635de5ded506d53cdfd47',
-                      'sim.csv.manifest.json': '7b554584e9719925b5f0543c0e78016365a868204d93fb733007658db0b2f003'},
+                      'sim.csv.manifest.json': 'c274e9d407d3f631319a84d3780866f3769011f80235bac7f665a38649a9fbac'},
          'simulate-stdout': {'<stdout>': 'b9b18f8b18fd3382ef6d0cebafe8a3ae374c5578c6050588a7dad4cb63489114'},
          'transform-rescale-horizontal': {'<stdout>': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
                                           't.csv': '9925b64642c23c8496cc0c15dd90b230950fc32c3bc0df18619f4e2553b65da8',
-                                          't.csv.manifest.json': '3645ae2dbf8753ae38f5b84f408b93d697ba54f4983191fe3e912ff931b45def',
+                                          't.csv.manifest.json': '88a38069d98224773d586d84c91bbeef269b2518152aa255744bf1d989106cb9',
                                           't.svg': '29ecf8bb532141b135774428178d5a7f5409e4ae0bd2ae37e7736361d93b8bb8',
                                           't_assess.csv': 'f49b6d408d4942de2d25ee39f87b85e2c06d9aebaa79dc05b6e22b0510654b35',
                                           't_assess.svg': 'c208c46165307ed7d9ee68adf8e8d3a0b749e6e58660930453b4599164e0d4c7',
@@ -193,30 +193,30 @@ GOLDEN = {'k-plain': {'<stdout>': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b9
          'transform-rescale-stdout': {'<stdout>': 'c42fd82fa4bd023848a5d341057cab9f4ec75be28a04ce74e08f798034767a4f'},
          'transform-rescale-vertical': {'<stdout>': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
                                         't.csv': '788ab34c392e5197bb44706c267aeb1aa76dccbc76dd98223c6edd854149f8c8',
-                                        't.csv.manifest.json': 'c558ae9132da9e4d99fb817ad1a78e5c3f415b555c266e5cc863c764c2da5452',
+                                        't.csv.manifest.json': 'e60c42f9d4896b29f97e2fcd0adbc2da27e8e106ca98fbebb7fe5d403cc9cd8b',
                                         't.svg': '1daeb698ef209b495b7b87738b8ac73a2b44ef8dbc34a503b8122113fad78197',
                                         't_assess.csv': 'b877d6aa1803359799fb8a4c23b810d3d4bb445c9c80882c37d345307048820d',
                                         't_assess.svg': '0f768c66279b1f5ef0958bfd9d779d4456bf900ed23835d2373724ac06822da0',
                                         't_region.csv': '73a3c5a1c77f435337c2750660f8b9104ad562d48f938da6e39bcf955c807ba8'},
          'transform-superpose': {'<stdout>': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
                                  't.csv': 'ba6914e145041707f908aa6bc685efac70530edfbc976f018b632d022e61f516',
-                                 't.csv.manifest.json': 'b24056038c4e8f57236994355f152f1c6f3c57af92b576a947aa10e0b336486e',
-                                 't_assess.csv': 'c5ff673f3ecaabdd5c1442bebcdddf26a9e77163a26ca78410bf7fb05ff99b64'},
+                                 't.csv.manifest.json': '103577df557a9ed98ef9e05b3314cffbba6fc26fef83892925392777ef7019fb',
+                                 't_assess.csv': 'e1bd34cb386e68cbb0aa57ac1fee066144c94ae4087f643627c0e8b38048e72a'},
          'transform-superthin': {'<stdout>': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
                                  't.csv': 'e3e0930471ff978cec4e8f4d17ee0ada1cdb30c5323913aabc841ec71bdd7d10',
-                                 't.csv.manifest.json': '24515b68036a9422d5c70de6bc1f418f20c107250610f7d46f253cca87c75e6b',
+                                 't.csv.manifest.json': '8faeabada79e5b9df35117c26a84ff65dd6cde0d651acad071e5ccabf13c30ff',
                                  't.svg': '5fe157ed3df08ea61103f8b36f7c200c1715f66e77d0c6c551c94de222fea3ad',
                                  't_assess.csv': '03f56c33beba1296ed0efa736a7d86fecee3b9d1f48c0a6527111632b1608512',
                                  't_assess.svg': 'cda582f49ee57273bd09759cdb4038eb1fb730a42f7d0b306fc526f15d502fb6'},
          'transform-thin': {'<stdout>': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
                             't.csv': '599dfed03640f2b6bf4f78ff6465af197ba4a76dd7dc5a0ddbd229aa94a9684b',
-                            't.csv.manifest.json': 'a639480866ac26182955ac7fef389c0ac4c237cd320b114c7b5279ababff75cf',
+                            't.csv.manifest.json': '42343d8ff6db91e97376f7248a5d89eb3b631462545946a5884a408cd38e63c7',
                             't.svg': 'ef7b81eaf0c432f75a8650e6ef29672df0c847d16c3e26d94b0cffa13b8a6fa6',
                             't_assess.csv': 'e86d4652e033021ef43b7368922e8b20ef9ce15a3639fde4d82e7caa825f400a',
                             't_assess.svg': 'e2829118c53602d1ea324d186583988f93c90885b8bf4a6c0316ac973a6e2fb5'},
          'transform-thin-approx': {'<stdout>': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
                                    't.csv': '83bf82be2b110318d02b4ed4a716c75e3e56790801e41aadf011463f90a1628d',
-                                   't.csv.manifest.json': '1f265468f93726d74c3036ad9be34466d6185b3897bf5da92bd10486fdec8b54'}}
+                                   't.csv.manifest.json': 'e1ff2a6fd3259f3a2de0fdd1c1c16396683808f294de8df90226b031dc27c1ad'}}
 
 
 def _manifest_key(data: bytes) -> bytes:

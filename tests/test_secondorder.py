@@ -147,31 +147,96 @@ def test_pairs_within_blocks_give_identical_output(monkeypatch, block):
             assert np.array_equal(g, w)
 
 
-def _circle_fraction_mask_single_shot(cx, cy, t, grid):
-    """Every circle sampled in one array, as before chunking."""
-    ang = np.linspace(0.0, 2.0 * np.pi, 360, endpoint=False)
-    px = cx[:, None] + t[:, None] * np.cos(ang)
-    py = cy[:, None] + t[:, None] * np.sin(ang)
-    inbox = (px >= grid.lon_min) & (px <= grid.lon_max) & \
-            (py >= grid.lat_min) & (py <= grid.lat_max)
-    ix = np.clip(np.floor((px - grid.lon_min) / grid.dx).astype(int),
-                 0, grid.n_x - 1)
-    iy = np.clip(np.floor((py - grid.lat_min) / grid.dy).astype(int),
-                 0, grid.n_y - 1)
-    return (inbox & grid.active_mask[iy, ix]).mean(axis=1)
-
-
-@pytest.mark.parametrize("offset", [-1, 0, 1])
-def test_circle_fraction_mask_chunks_match_single_shot(offset):
+def _masked_grid():
     mask = np.random.default_rng(5).random((8, 10)) < 0.6
-    g = Grid.regular(0, 1, 0, 0.8, 0.1, 0.1, active_mask=mask)
-    n = secondorder._MASK_CHUNK + offset
+    return Grid.regular(0, 1, 0, 0.8, 0.1, 0.1, active_mask=mask)
+
+
+def _dense_fraction(cx, cy, t, grid, samples=200_000):
+    """Share of `samples` evenly spaced arc midpoints in active pixels."""
+    ang = (np.arange(samples) + 0.5) * (2.0 * np.pi / samples)
+    cos, sin = np.cos(ang), np.sin(ang)
+    out = []
+    for x, y, r in zip(cx, cy, t):
+        px, py = x + r * cos, y + r * sin
+        inbox = (px >= grid.lon_min) & (px <= grid.lon_max) & \
+                (py >= grid.lat_min) & (py <= grid.lat_max)
+        ix = np.clip(np.floor((px - grid.lon_min) / grid.dx).astype(int),
+                     0, grid.n_x - 1)
+        iy = np.clip(np.floor((py - grid.lat_min) / grid.dy).astype(int),
+                     0, grid.n_y - 1)
+        out.append(np.mean(inbox & grid.active_mask[iy, ix]))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+def test_circle_fraction_mask_independent_of_chunking(monkeypatch, chunk):
+    g = _masked_grid()
     rng = np.random.default_rng(6)
-    cx, cy = rng.uniform(0, 1, n), rng.uniform(0, 0.8, n)
-    t = rng.uniform(0.01, 0.7, n)
-    got = circle_fraction_mask(cx, cy, t, g)
-    assert np.array_equal(got, _circle_fraction_mask_single_shot(cx, cy, t, g))
+    n = 300
+    cx, cy = rng.uniform(-0.1, 1.1, n), rng.uniform(-0.1, 0.9, n)
+    t = rng.uniform(0.0, 0.7, n)
+    t[:5] = 0.0
+    want = circle_fraction_mask(cx, cy, t, g)
+    monkeypatch.setattr(secondorder, "_MASK_CHUNK", chunk)
+    assert np.array_equal(circle_fraction_mask(cx, cy, t, g), want)
     assert len(circle_fraction_mask(cx[:0], cy[:0], t[:0], g)) == 0
+
+
+def test_circle_fraction_mask_matches_dense_sampling():
+    # radii up to 9 pixels on a 30 x 24 grid, centres inside and outside
+    mask = np.random.default_rng(8).random((24, 30)) < 0.6
+    g = Grid.regular(0, 3, 0, 2.4, 0.1, 0.1, active_mask=mask)
+    rng = np.random.default_rng(7)
+    cx = np.concatenate([rng.uniform(-0.2, 3.2, 30), [0.3, 1.5, 0.0, 3.0]])
+    cy = np.concatenate([rng.uniform(-0.2, 2.6, 30), [0.4, 2.4, 0.0, 1.3]])
+    t = np.concatenate([rng.uniform(0.01, 0.9, 30), [0.1, 0.25, 0.3, 0.2]])
+    got = circle_fraction_mask(cx, cy, t, g)
+    assert np.max(np.abs(got - _dense_fraction(cx, cy, t, g))) < 1e-4
+
+
+def test_circle_fraction_mask_nodes_and_tangents_exact():
+    # a checkerboard of quarter-degree pixels, so nodes and radii are exact
+    # in binary: every circle about an interior node, inside the four pixels
+    # around it, has two active quadrants
+    board = (np.add.outer(np.arange(8), np.arange(10)) % 2) == 0
+    g = Grid.regular(0, 2.5, 0, 2, 0.25, 0.25, active_mask=board)
+    nodes_x, nodes_y = np.meshgrid(np.arange(1, 10) * 0.25,
+                                   np.arange(1, 8) * 0.25)
+    cx, cy = nodes_x.ravel(), nodes_y.ravel()
+    for r in (0.01, 0.125, 0.2499):
+        got = circle_fraction_mask(cx, cy, np.full(len(cx), r), g)
+        assert np.max(np.abs(got - 0.5)) < 1e-12
+    # circles about pixel centres, tangent to the pixel's four sides, lie
+    # wholly in that pixel
+    ix, iy = np.meshgrid(np.arange(10), np.arange(8))
+    got = circle_fraction_mask((ix.ravel() + 0.5) * 0.25,
+                               (iy.ravel() + 0.5) * 0.25,
+                               np.full(80, 0.125), g)
+    assert np.max(np.abs(got - board[iy.ravel(), ix.ravel()])) < 1e-12
+
+
+def test_circle_fraction_mask_radius_zero_takes_centre_flag():
+    g = _masked_grid()
+    cx = np.array([0.05, 0.15, 0.95, 1.0, 0.55, 1.2, -0.1])
+    cy = np.array([0.05, 0.35, 0.75, 0.8, 0.0, 0.4, 0.4])
+    got = circle_fraction_mask(cx, cy, np.zeros(len(cx)), g)
+    ix = np.clip(np.floor(cx / 0.1).astype(int), 0, 9)
+    iy = np.clip(np.floor(cy / 0.1).astype(int), 0, 7)
+    inbox = (cx >= 0) & (cx <= 1) & (cy >= 0) & (cy <= 0.8)
+    assert np.array_equal(got, (inbox & g.active_mask[iy, ix]).astype(float))
+
+
+def test_enclosing_circle_takes_the_weight_floor():
+    g = _masked_grid()
+    centres = np.array([[0.5, 0.4], [0.02, 0.03], [0.99, 0.79]])
+    dists = np.array([0.65, 1.3, 2.0])
+    assert np.array_equal(
+        circle_fraction_mask(centres[:, 0], centres[:, 1], dists, g),
+        np.zeros(3))
+    weights = secondorder._correction_weights(GridRegion(g), centres, dists)
+    assert np.array_equal(weights,
+                          np.full(3, 1.0 / secondorder._MIN_ARC_FRACTION))
 
 
 def test_radii_validation():
@@ -236,14 +301,17 @@ def test_circle_fraction_rect_exact_values():
 
 
 def test_circle_fraction_mask_agrees_with_rect():
-    g = Grid.regular(0, 1, 0, 1, 0.1, 0.1)
+    # centres inside, on edges and on corners; radii up to past the box
+    g = Grid.regular(0, 1, 0, 0.8, 0.1, 0.1)
     rng = np.random.default_rng(3)
-    cx = rng.uniform(0.1, 0.9, 40)
-    cy = rng.uniform(0.1, 0.9, 40)
-    t = rng.uniform(0.02, 0.5, 40)
-    exact = circle_fraction_rect(cx, cy, t, 0, 1, 0, 1)
-    sampled = circle_fraction_mask(cx, cy, t, g)
-    assert np.all(np.abs(exact - sampled) < 0.01)
+    cx = np.concatenate([rng.uniform(0, 1, 200), [0, 1, 0.5, 0, 1, 0.37, 0]])
+    cy = np.concatenate([rng.uniform(0, 0.8, 200),
+                         [0.3, 0.8, 0, 0, 0, 0.8, 0.8]])
+    t = np.concatenate([rng.uniform(0, 1.5, 200),
+                        [0.2, 0.45, 0.6, 1.0, 1.3, 0.05, 2.0]])
+    exact = circle_fraction_rect(cx, cy, t, 0, 1, 0, 0.8)
+    got = circle_fraction_mask(cx, cy, t, g)
+    assert np.max(np.abs(exact - got)) < 1e-12
 
 
 def test_isotropic_correction_reduces_edge_bias():
