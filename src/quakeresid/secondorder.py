@@ -37,9 +37,8 @@ DEFAULT_R_STEP = 0.01
 # replicate holds one value per radius.
 MAX_RADII = 10_000
 
-# Floor on a circle's inside fraction, so one pair's edge weight is at most
-# 720: half of one sample of the 360-point arc sampling this replaced.
-_MIN_ARC_FRACTION = 0.5 / 360
+# Floor on a circle's inside fraction: one pair's edge weight is at most 720.
+_MIN_ARC_FRACTION = 1.0 / 720
 _MASK_CHUNK = 4096  # circles cut at once by circle_fraction_mask
 
 
@@ -119,10 +118,6 @@ _PAIR_BLOCK = 4096   # centres whose candidate pairs are expanded at once
 _MAX_CELLS = 2 ** 20  # cells per axis at most, so int64 cell keys never overflow
 
 
-def _no_pairs():
-    return np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros(0)
-
-
 def pairs_within(points: np.ndarray, r_max: float):
     """All unordered pairs (i < j) at distance <= r_max.
 
@@ -137,7 +132,7 @@ def pairs_within(points: np.ndarray, r_max: float):
     pts = np.asarray(points, dtype=float)
     finite = np.flatnonzero(np.isfinite(pts).all(axis=-1))
     if len(finite) < 2 or not r_max >= 0:
-        return _no_pairs()
+        return np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros(0)
     # cells from halved coordinates: the span of any finite set is finite
     half = 0.5 * pts[finite]
     lo = half.min(axis=0)
@@ -247,10 +242,10 @@ def circle_fraction_mask(cx, cy, t, grid: Grid):
         u, cut_x = _line_offsets(x, r, grid.lon_min, grid.dx, nx)
         v, cut_y = _line_offsets(y, r, grid.lat_min, grid.dy, ny)
         a = np.arccos(np.where(cut_x, u, 1.0))   # 0 and 2 pi where uncut
-        b = np.arcsin(np.where(cut_y, v, 0.0))
+        b = np.arcsin(np.where(cut_y, v, 0.0))   # 0 where uncut
         ang = np.concatenate([
             np.zeros_like(r), a, 2.0 * np.pi - a,
-            np.where(cut_y, np.where(b < 0.0, b + 2.0 * np.pi, b), 0.0),
+            np.where(b < 0.0, b + 2.0 * np.pi, b),
             np.where(cut_y, np.pi - b, 0.0),
             np.full_like(r, 2.0 * np.pi)], axis=1)
         ang.sort(axis=1)
