@@ -95,6 +95,18 @@ def test_poisson_draws_and_generator_state_are_pinned():
                                       0.96798899099257]
 
 
+def test_poisson_rows_counts_are_pinned():
+    # 500 replicate rows of a short, refill-heavy mean vector and of one
+    # with large PTRS means, up to the largest supported one
+    digest = hashlib.sha256()
+    for mus in ([10.0, 0.5, 12.0, 10.0], [37.5, 0.2, 1e6, 10.0, 1e12, 3.0]):
+        gens = [SeededStream(14, j).generator() for j in range(500)]
+        digest.update(poisson_rows(gens, np.array(mus)).astype("<i8")
+                      .tobytes())
+    assert digest.hexdigest() == \
+        "99b3fb6db716029811d421cfdcb8871fc0ab8460b0f58c68fbe2c30bffb625ac"
+
+
 def test_poisson_array_draws_equal_scalar_calls():
     # one array call reads the generator exactly as one call per mean would
     # (inversion means first, all at once, then the PTRS means in order)
