@@ -4,15 +4,16 @@ Streams are backed by counter-based Philox keyed on (seed, stream_index),
 so identical addresses give bit-identical draws on every platform and
 replicates can run in any order.  Poisson variates use a fixed method
 (CDF inversion below mean 10, Hormann's PTRS transformed rejection above)
-so outputs stay bit-reproducible across library versions.  poisson_rows
-draws one replicate per generator, many at once, with the same counts as
-one poisson call per generator.
+so outputs stay bit-reproducible across library versions.  One engine,
+poisson_rows, draws one replicate per generator, many at once; poisson is
+its one-row case.  Each generator ends where drawing its row alone would
+leave it, and no draw needs scipy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import floor, lgamma, log
+from math import lgamma, log
 
 import numpy as np
 
@@ -23,10 +24,6 @@ _INVERSION_CUTOFF = 10.0
 # grow like mu * log(mu); at 1e12 their rounding error is near 1e-2, and
 # the counts stay far inside int64.
 MAX_POISSON_MEAN = 1e12
-# poisson_rows draws, per row, one PTRS (u, v) pair per mean, a quarter
-# more for rejections and this many more; a row that still runs out is
-# refilled from its own generator.
-_SPARE_PAIRS = 8
 
 
 @dataclass(frozen=True)
@@ -52,53 +49,37 @@ class SeededStream:
 
 
 def poisson(rng: np.random.Generator, mu) -> np.ndarray:
-    """Poisson draws with the toolkit's fixed sampling method.
+    """Poisson draws with the toolkit's fixed sampling method: the one-row
+    case of poisson_rows.
 
-    mu may be a scalar or array; returns int64 of the same shape.
+    mu may be a scalar or array; returns int64 of the same shape, and an
+    int64 scalar for a scalar mu.
     """
-    mu_arr = np.asarray(mu, dtype=float)
-    scalar = mu_arr.ndim == 0
-    mu_flat = np.atleast_1d(mu_arr).ravel()
-    _check_means(mu_flat)
-    out = np.zeros(mu_flat.shape, dtype=np.int64)
-
-    small = np.flatnonzero((mu_flat > 0) & (mu_flat < _INVERSION_CUTOFF))
-    if len(small):
-        (at,), k = _poisson_inversion(rng.random(len(small)), mu_flat[small])
-        out[small[at]] = k
-    large = mu_flat >= _INVERSION_CUTOFF
-    out[large] = _poisson_ptrs(rng, mu_flat[large].tolist())
-
-    if scalar:
-        return out.reshape(mu_arr.shape)[()]
-    return out.reshape(mu_arr.shape)
+    mu = np.asarray(mu, dtype=float)
+    return poisson_rows([rng], mu.ravel())[0].reshape(mu.shape)[()]
 
 
 def poisson_rows(gens, mu) -> np.ndarray:
     """Counts of one replicate per generator: a (len(gens), len(mu)) int64
-    matrix whose row r equals poisson(gens[r], mu) bit for bit.
+    matrix whose row r is poisson(gens[r], mu).
 
-    Row r reads gens[r] in the scalar order: its inversion uniforms first,
-    then its PTRS pairs mean by mean.  The generators are then left past
-    that point, because PTRS uniforms are drawn ahead in whole rows.
+    Row r reads gens[r] in a fixed order: one uniform per inversion mean,
+    all at once, then PTRS pairs mean by mean in blocks of one pair per
+    mean left.  Each generator ends just past the last pair its row used.
     """
     mu = np.asarray(mu, dtype=float)
     _check_means(mu)
     out = np.zeros((len(gens), mu.size), dtype=np.int64)
     small = np.flatnonzero((mu > 0) & (mu < _INVERSION_CUTOFF))
     large = mu >= _INVERSION_CUTOFF
-    n_large = int(large.sum())
-    inv = np.empty((len(gens), len(small)))
-    pairs = n_large + n_large // 4 + _SPARE_PAIRS if n_large else 0
-    buf = np.empty((len(gens), 2 * pairs))
-    for g, inv_row, buf_row in zip(gens, inv, buf):
-        g.random(out=inv_row)
-        g.random(out=buf_row)
     if len(small):
+        inv = np.empty((len(gens), len(small)))
+        for g, inv_row in zip(gens, inv):
+            g.random(out=inv_row)
         (rows, cols), k = _poisson_inversion(inv, mu[small])
         out[rows, small[cols]] = k
-    if n_large:
-        out[:, large] = _ptrs_rows(gens, buf, mu[large].tolist())
+    if large.any():
+        out[:, large] = _ptrs_rows(gens, mu[large].tolist())
     return out
 
 
@@ -114,10 +95,9 @@ def _check_means(mu):
 def _poisson_inversion(u, mu):
     """Vectorized CDF inversion: smallest k with F(k) >= u.
 
-    u holds one uniform per mean: a vector like mu, or a matrix with one
-    row of uniforms per replicate of mu.  Returns the indices of the draws
-    with k >= 1, as np.nonzero gives them for u, and their k; the others
-    are 0.  Each step carries only the draws whose CDF is still below
+    u is a matrix with one row of uniforms per replicate of mu.  Returns
+    the (row, column) indices of the draws with k >= 1, as np.nonzero gives
+    them for u, and their k; the others are 0.  Each step carries only the draws whose CDF is still below
     their uniform, and updates each with the one-mean recursion
     p *= mu / k; cdf += p.
     """
@@ -154,20 +134,21 @@ def _ptrs_accepts(v, us, k, mu, a, b, inv_alpha, log_mu) -> bool:
             <= k * log_mu - mu - lgamma(k + 1.0))
 
 
-def _ptrs_accepts_all(v, us, k, mu, a, b, inv_alpha, log_mu,
-                      gammaln) -> np.ndarray:
+def _ptrs_accepts_all(v, us, k, mu, a, b, inv_alpha, log_mu) -> np.ndarray:
     """_ptrs_accepts over arrays (one mean and its constants per element),
-    with the same outcome for every element; gammaln is
-    scipy.special.gammaln, which the caller imports once.
+    with the same outcome for every element.
 
-    np.log and gammaln can differ from math.log and math.lgamma in the last
-    bits, so numpy decides only where the two sides of the test are further
-    apart than 1e-11 of the size of their terms, far beyond any such
-    difference; _ptrs_accepts decides the rest.
+    The right-hand side is the scalar one bit for bit: lgamma comes from
+    math.lgamma, once per distinct k.  np.log can differ from math.log in
+    the last bits, so numpy decides only where the two sides of the test
+    are further apart than 1e-11 of the size of their terms, far beyond
+    any such difference; _ptrs_accepts decides the rest.
     """
+    values, at = np.unique(k, return_inverse=True)
+    lgam = np.array([lgamma(x + 1.0) for x in values.tolist()])[at]
     log_v, log_h = np.log(v), np.log(a / (us * us) + b)
     log_ia = np.log(inv_alpha)
-    km, lgam = k * log_mu, gammaln(k + 1.0)
+    km = k * log_mu
     lhs = log_v + log_ia - log_h
     rhs = km - mu - lgam
     slack = 1e-11 * (np.abs(log_v) + np.abs(log_ia) + np.abs(log_h)
@@ -179,62 +160,34 @@ def _ptrs_accepts_all(v, us, k, mu, a, b, inv_alpha, log_mu,
     return accept
 
 
-def _poisson_ptrs(rng, mus):
-    """Hormann (1993) PTRS transformed rejection, valid for mu >= 10.
+def _ptrs_rows(gens, mus):
+    """Hormann (1993) PTRS transformed rejection, valid for mu >= 10: one
+    row of counts per generator, the means served in order.
 
-    The means are served in order, each from consecutive (u, v) uniform
-    pairs until one is accepted, exactly as one scalar loop per mean would
-    draw them.  Uniforms come in blocks of one pair per unfinished mean:
-    each of those needs at least one more pair, so a block never reads past
-    the scalar loop's draws and the generator ends in the same state.
+    Step t hands every unfinished row its t-th (u, v) pair, for the mean it
+    is serving: a row that accepts moves on to its next mean and a rejected
+    row retries.  A row reads its uniforms in blocks of one pair per mean it
+    has left, drawn from its own generator when the last block runs out;
+    each of those means needs at least one more pair, so a row never draws
+    past the pair it accepts last.  The squeezes and k use only + - * /,
+    abs and floor, which numpy rounds exactly as Python does.
     """
-    out = []
-    pending = len(mus)
-    block, pos = [], 0
-    for mu in mus:
-        a, b, inv_alpha, v_r, log_mu = _ptrs_constants(mu)
-        while True:
-            if pos == len(block):
-                block, pos = rng.random(2 * pending).tolist(), 0
-            u = block[pos] - 0.5
-            v = block[pos + 1]
-            pos += 2
-            us = 0.5 - abs(u)
-            k = floor((2.0 * a / us + b) * u + mu + 0.43)
-            if us >= 0.07 and v <= v_r:
-                break
-            if k < 0 or (us < 0.013 and v > us):
-                continue
-            if _ptrs_accepts(v, us, k, mu, a, b, inv_alpha, log_mu):
-                break
-        out.append(k)
-        pending -= 1
-    return out
-
-
-def _ptrs_rows(gens, buf, mus):
-    """PTRS for every row of buf at once.  Step t hands every unfinished
-    row its t-th (u, v) pair, for the mean it is serving: a row that
-    accepts moves on to its next mean and a rejected row retries, so each
-    row reads its uniforms in the scalar loop's order.  The squeezes and k
-    use only + - * /, abs and floor, which numpy rounds exactly as Python
-    does.  buf holds each row's first uniforms; the rows still unfinished
-    when it runs out are refilled from their own generators."""
-    from scipy.special import gammaln  # loaded only by PTRS blocks
-    n_rows, width = buf.shape
+    n_rows, n = len(gens), len(mus)
     consts = np.array([(mu, *_ptrs_constants(mu)) for mu in mus])
-    out = np.empty((n_rows, len(mus)), dtype=np.int64)
+    out = np.empty((n_rows, n), dtype=np.int64)
+    buf = np.empty((n_rows, 2 * n))
+    pos = np.zeros(n_rows, dtype=np.intp)
+    fill = np.zeros(n_rows, dtype=np.intp)
     serving = np.zeros(n_rows, dtype=np.intp)
     rows = np.arange(n_rows)
-    col = 0
     while len(rows):
-        if col == width:
-            for r in rows.tolist():
-                gens[r].random(out=buf[r])
-            col = 0
-        u = buf[rows, col] - 0.5
-        v = buf[rows, col + 1]
-        col += 2
+        for r in rows[pos[rows] == fill[rows]].tolist():
+            fill[r], pos[r] = 2 * (n - serving[r]), 0
+            gens[r].random(out=buf[r, :fill[r]])
+        at = pos[rows]
+        u = buf[rows, at] - 0.5
+        v = buf[rows, at + 1]
+        pos[rows] += 2
         m = serving[rows]
         mu, a, b, inv_alpha, v_r, log_mu = consts[m].T
         us = 0.5 - np.abs(u)
@@ -244,8 +197,8 @@ def _ptrs_rows(gens, buf, mus):
         if len(full):
             done[full] = _ptrs_accepts_all(
                 v[full], us[full], k[full], mu[full], a[full], b[full],
-                inv_alpha[full], log_mu[full], gammaln)
+                inv_alpha[full], log_mu[full])
         out[rows[done], m[done]] = k[done]
         serving[rows[done]] += 1
-        rows = rows[serving[rows] < len(mus)]
+        rows = rows[serving[rows] < n]
     return out

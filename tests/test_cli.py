@@ -257,26 +257,9 @@ def test_report_directory(workspace):
     assert manifest["version"]
 
 
-def test_cli_import_leaves_scipy_stats_unloaded(workspace):
-    # scipy.special alone costs about a third of a second of start-up, so
-    # scipy loads only where it is called: the analytic N-test, PTRS blocks
-    # and analytic K bands (scipy.special).  The pair search is numpy; the
-    # K commands never load scipy.spatial, which costs about 0.45 s more.
-    # Every mean of the workspace forecast is below 10: no PTRS.
-    tmp, fc, cat = workspace
-    files = ["--forecast", str(fc), "--catalog", str(cat)]
-    commands = {
-        "resid": ["resid", *files, "--kind", "pearson",
-                  "--svg", str(tmp / "r.svg"), "--out", str(tmp / "r.csv")],
-        "ltest": ["ltest", *files, "--sims", "50",
-                  "--out", str(tmp / "l.json")],
-        "ntest": ["ntest", *files, "--analytic",
-                  "--out", str(tmp / "n.json")],
-        "k": ["k", *files, "--weighted", "--edge", "isotropic",
-              "--out", str(tmp / "k.csv")],
-        "transform": ["transform", *files, "--kind", "superthin", "--assess",
-                      "--edge", "isotropic", "--out", str(tmp / "t.csv")],
-    }
+def _scipy_modules_after(commands):
+    """The scipy modules loaded after importing the CLI and after each
+    command, run in order in one fresh interpreter."""
     code = ("import json, sys\n"
             "import quakeresid, quakeresid.cli\n"
             "def scipy_modules():\n"
@@ -293,7 +276,29 @@ def test_cli_import_leaves_scipy_stats_unloaded(workspace):
         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
         timeout=120)
     assert out.returncode == 0, out.stderr
-    seen = json.loads(out.stdout)
+    return json.loads(out.stdout)
+
+
+def test_cli_import_leaves_scipy_stats_unloaded(workspace):
+    # scipy.special alone costs about a third of a second of start-up, so
+    # scipy loads only where it is called: the analytic N-test and the
+    # analytic K bands (scipy.special).  The pair search is numpy; the
+    # K commands never load scipy.spatial, which costs about 0.45 s more.
+    # Every mean of the workspace forecast is below 10: no PTRS.
+    tmp, fc, cat = workspace
+    files = ["--forecast", str(fc), "--catalog", str(cat)]
+    seen = _scipy_modules_after({
+        "resid": ["resid", *files, "--kind", "pearson",
+                  "--svg", str(tmp / "r.svg"), "--out", str(tmp / "r.csv")],
+        "ltest": ["ltest", *files, "--sims", "50",
+                  "--out", str(tmp / "l.json")],
+        "ntest": ["ntest", *files, "--analytic",
+                  "--out", str(tmp / "n.json")],
+        "k": ["k", *files, "--weighted", "--edge", "isotropic",
+              "--out", str(tmp / "k.csv")],
+        "transform": ["transform", *files, "--kind", "superthin", "--assess",
+                      "--edge", "isotropic", "--out", str(tmp / "t.csv")],
+    })
     assert seen["import"] == []
     assert seen["resid"] == []
     assert seen["ltest"] == []
@@ -301,6 +306,31 @@ def test_cli_import_leaves_scipy_stats_unloaded(workspace):
     for name in ("k", "transform"):
         assert not [m for m in seen[name]
                     if m == "scipy.spatial" or m.startswith("scipy.spatial.")]
+
+
+def test_ptrs_draws_leave_scipy_special_unloaded(tmp_path):
+    # every pixel mean is at least 10, so every Poisson draw of these
+    # commands is PTRS, which needs no scipy
+    fc = tmp_path / "dense.txt"
+    fc.write_text("0 0.5 0 0.5 0 30 3.95 4.05 12.0 1\n"
+                  "0.5 1 0 0.5 0 30 3.95 4.05 25.0 1\n"
+                  "0 0.5 0.5 1 0 30 3.95 4.05 40.0 1\n"
+                  "0.5 1 0.5 1 0 30 3.95 4.05 15.0 1\n")
+    cat = tmp_path / "cat.csv"
+    files = ["--forecast", str(fc), "--catalog", str(cat)]
+    seen = _scipy_modules_after({
+        "simulate": ["simulate", "--forecast", str(fc), "--seed", "3",
+                     "--out", str(cat)],
+        "ntest": ["ntest", *files, "--sims", "200",
+                  "--out", str(tmp_path / "n.json")],
+        "ltest": ["ltest", *files, "--sims", "200",
+                  "--out", str(tmp_path / "l.json")],
+        "transform": ["transform", *files, "--kind", "rescale", "--assess",
+                      "--sims", "5", "--out", str(tmp_path / "t.csv")],
+    })
+    for name, modules in seen.items():
+        assert not [m for m in modules if m == "scipy.special"
+                    or m.startswith("scipy.special.")], name
 
 
 @pytest.mark.filterwarnings("ignore:Support for `\\[tool.setuptools\\]`")

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import gammaln
+from scipy.special import pdtr
 
 from quakeresid import SeededStream, ValidationError, poisson
 from quakeresid import rng as rng_module
@@ -141,17 +141,19 @@ def test_poisson_rows_equal_scalar_calls():
     assert got.dtype == np.int64 and np.array_equal(got, np.stack(want))
 
 
-def test_poisson_rows_refill_from_own_generator(monkeypatch):
-    # with no spare pairs every rejected PTRS pair forces its row to draw
-    # more uniforms from its own generator
-    monkeypatch.setattr(rng_module, "_SPARE_PAIRS", 0)
-    mus = np.array([10.0, 0.5, 10.0, 12.0])
+def test_poisson_rows_refill_from_own_generator():
+    # a row draws one PTRS pair per mean it has left, so every rejection
+    # makes it draw again from its own generator, and it ends where a
+    # one-row call leaves the same generator
+    mus = np.array([10.0, 0.5, 12.0, 1e6, 37.5, MAX_POISSON_MEAN])
     gens = [_CountingGenerator(SeededStream(13, j).generator())
             for j in range(200)]
     got = poisson_rows(gens, mus)
-    want = [poisson(SeededStream(13, j).generator(), mus) for j in range(200)]
-    assert np.array_equal(got, np.stack(want))
     assert max(g.calls for g in gens) > 2
+    for j, g in enumerate(gens):
+        alone = SeededStream(13, j).generator()
+        assert got[j].tolist() == poisson(alone, mus).tolist()
+        assert g.random() == alone.random()
 
 
 def test_poisson_mean_cap():
@@ -179,8 +181,21 @@ def test_ptrs_array_acceptance_equals_scalar_test(mu):
     keep = (v > 0) & (v < 1)
     v, us, k = v[keep], us[keep], k[keep]
     got = rng_module._ptrs_accepts_all(
-        v, us, k, *np.broadcast_arrays(mu, a, b, inv_alpha, log_mu, v)[:5],
-        gammaln)
+        v, us, k, *np.broadcast_arrays(mu, a, b, inv_alpha, log_mu, v)[:5])
     want = [rng_module._ptrs_accepts(x, y, z, mu, a, b, inv_alpha, log_mu)
             for x, y, z in zip(v.tolist(), us.tolist(), k.tolist())]
     assert got.tolist() == want
+
+
+@pytest.mark.parametrize("mu", [10.0, 37.5, 1e3, 1e6])
+def test_ptrs_matches_the_poisson_cdf(mu):
+    # 20,000 seeded PTRS counts (200 rows of 100 means): the largest gap
+    # between their empirical CDF and the Poisson CDF stays within the DKW
+    # bound at alpha = 1e-6, about 0.019
+    gens = [SeededStream(15, j).generator() for j in range(200)]
+    draws = poisson_rows(gens, np.full(100, mu)).ravel()
+    k = np.arange(draws.min() - 1, draws.max() + 1)
+    ecdf = np.searchsorted(np.sort(draws), k, side="right") / draws.size
+    alpha = 1e-6
+    assert np.max(np.abs(ecdf - pdtr(k, mu))) < \
+        math.sqrt(math.log(2.0 / alpha) / (2.0 * draws.size))
