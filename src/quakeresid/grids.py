@@ -92,9 +92,6 @@ class Grid:
         return (self.lon_min + (ix + 0.5) * self.dx,
                 self.lat_min + (iy + 0.5) * self.dy)
 
-    def is_active(self, ix, iy):
-        return self.active_mask[np.asarray(iy), np.asarray(ix)]
-
     def contains(self, lon, lat):
         """True where (lon, lat) lies inside an active pixel."""
         lon = np.asarray(lon, dtype=float)

@@ -41,11 +41,6 @@ class IntensityField:
         """Rates of active pixels, row-major order."""
         return self.rate_per_area[self.grid.active_mask]
 
-    def zero_rate_pixels(self) -> np.ndarray:
-        """Flat indices of active pixels with zero rate."""
-        iy, ix = np.nonzero(self.grid.active_mask & (self.rate_per_area == 0))
-        return self.grid.flat_index(ix, iy)
-
 
 def aggregate(forecast: Forecast, mag_min: float) -> IntensityField:
     """Sum rates of all bins with mag_lo >= mag_min per pixel, divided by

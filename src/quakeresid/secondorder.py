@@ -76,7 +76,6 @@ class KCurve:
     radii: np.ndarray = field(repr=False)
     k_values: np.ndarray = field(repr=False)
     kind: str                      # "plain" | "weighted"
-    variance: np.ndarray | None = field(default=None, repr=False)
     bands: tuple | None = field(default=None, repr=False)  # (lower, upper), K units
     meta: dict = field(default_factory=dict, compare=False)
 
