@@ -97,9 +97,9 @@ def _poisson_inversion(u, mu):
 
     u is a matrix with one row of uniforms per replicate of mu.  Returns
     the (row, column) indices of the draws with k >= 1, as np.nonzero gives
-    them for u, and their k; the others are 0.  Each step carries only the draws whose CDF is still below
-    their uniform, and updates each with the one-mean recursion
-    p *= mu / k; cdf += p.
+    them for u, and their k; the others are 0.  Each step carries only the
+    draws whose CDF is still below their uniform, and updates each with the
+    one-mean recursion p *= mu / k; cdf += p.
     """
     p = np.exp(-mu)
     at = np.nonzero(p < u)
@@ -128,8 +128,8 @@ def _ptrs_constants(mu):
 
 
 def _ptrs_accepts(v, us, k, mu, a, b, inv_alpha, log_mu) -> bool:
-    """PTRS's exact acceptance test, on Python floats: math.log and
-    math.lgamma, whose last bits numpy's log and gammaln need not match."""
+    """PTRS's exact acceptance test, on Python floats: math.log, whose last
+    bits numpy's log need not match, and math.lgamma."""
     return (log(v) + log(inv_alpha) - log(a / (us * us) + b)
             <= k * log_mu - mu - lgamma(k + 1.0))
 

@@ -284,7 +284,6 @@ def test_cli_import_leaves_scipy_stats_unloaded(workspace):
     # scipy loads only where it is called: the analytic N-test and the
     # analytic K bands (scipy.special).  The pair search is numpy; the
     # K commands never load scipy.spatial, which costs about 0.45 s more.
-    # Every mean of the workspace forecast is below 10: no PTRS.
     tmp, fc, cat = workspace
     files = ["--forecast", str(fc), "--catalog", str(cat)]
     seen = _scipy_modules_after({
