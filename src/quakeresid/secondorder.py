@@ -13,7 +13,10 @@ Isotropic edge correction weights a pair by the reciprocal fraction of the
 circle centered at the first point and passing through the second that lies
 inside the region.  Both paths are exact: interval arithmetic for full
 rectangles, and for irregular masks the arcs between the circle's crossings
-with the grid lines, each inside one pixel.
+with the grid lines, each inside one pixel.  On a mask, a circle shorter
+than its centre pixel's clearance (how many whole pixels of active grid
+surround that pixel on every side, found with a summed-area table) lies
+wholly inside and is not cut: its fraction is exactly 1.
 """
 
 from __future__ import annotations
@@ -184,7 +187,11 @@ def circle_fraction_rect(cx, cy, t, x0, x1, y0, y1):
 
     The outside part is a union of up to four arcs, one per side; arcs of
     opposite sides never overlap and triple overlaps are empty, so
-    inclusion-exclusion over adjacent side pairs is exact at every radius.
+    inclusion-exclusion over adjacent side pairs is exact at every radius,
+    for centres inside the rectangle and outside it alike.  (Two arcs can
+    also meet on their far sides, but only for a circle that misses the
+    rectangle; its outside part then exceeds 2 pi and the fraction clips
+    to 0.)
     """
     cx = np.asarray(cx, dtype=float)
     cy = np.asarray(cy, dtype=float)
@@ -196,7 +203,12 @@ def circle_fraction_rect(cx, cy, t, x0, x1, y0, y1):
             alphas.append(np.where(d < t, np.arccos(ratio), 0.0))
     outside = 2.0 * sum(alphas)
     for a, b in ((0, 1), (1, 2), (2, 3), (3, 0)):
-        outside -= np.maximum(0.0, alphas[a] + alphas[b] - np.pi / 2.0)
+        # arcs centred pi/2 apart overlap by a + b - pi/2, or by all of the
+        # shorter arc when the longer one (past pi/2 of half-width: a
+        # centre outside the rectangle) holds it
+        outside -= np.maximum(0.0, np.minimum(
+            alphas[a] + alphas[b] - np.pi / 2.0,
+            2.0 * np.minimum(alphas[a], alphas[b])))
     return np.clip(1.0 - outside / (2.0 * np.pi), 0.0, 1.0)
 
 
@@ -211,6 +223,40 @@ def _line_offsets(centre, r, origin, step, n_lines):
     return u, np.abs(u) <= 1.0
 
 
+def _cut_fractions(cx, cy, t, grid: Grid, t_max: float):
+    """Fractions of the circles inside the active pixels, from the arcs
+    between their crossings with the grid lines.  Every circle gets the
+    cut angles a circle of radius t_max needs, padded with angle 0."""
+    # lines one circle can cut on each axis, with a margin for rounding
+    nx = min(grid.n_x + 1, int(2.0 * t_max / grid.dx) + 3)
+    ny = min(grid.n_y + 1, int(2.0 * t_max / grid.dy) + 3)
+    x, y, r = cx[:, None], cy[:, None], t[:, None]
+    u, cut_x = _line_offsets(x, r, grid.lon_min, grid.dx, nx)
+    v, cut_y = _line_offsets(y, r, grid.lat_min, grid.dy, ny)
+    a = np.arccos(np.where(cut_x, u, 1.0))   # 0 and 2 pi where uncut
+    b = np.arcsin(np.where(cut_y, v, 0.0))   # 0 where uncut
+    ang = np.concatenate([
+        np.zeros_like(r), a, 2.0 * np.pi - a,
+        np.where(b < 0.0, b + 2.0 * np.pi, b),
+        np.where(cut_y, np.pi - b, 0.0),
+        np.full_like(r, 2.0 * np.pi)], axis=1)
+    ang.sort(axis=1)
+    arc = ang[:, 1:] - ang[:, :-1]
+    mid = ang[:, :-1] + 0.5 * arc
+    px = x + r * np.cos(mid)
+    py = y + r * np.sin(mid)
+    inside = (px >= grid.lon_min) & (px <= grid.lon_max) & \
+             (py >= grid.lat_min) & (py <= grid.lat_max)
+    # truncation is floor wherever inside holds
+    ix = np.clip(((px - grid.lon_min) / grid.dx).astype(np.intp),
+                 0, grid.n_x - 1)
+    iy = np.clip(((py - grid.lat_min) / grid.dy).astype(np.intp),
+                 0, grid.n_y - 1)
+    inside &= grid.active_mask.ravel()[iy * grid.n_x + ix]
+    arc *= inside
+    return arc.sum(axis=1) / (2.0 * np.pi)
+
+
 def circle_fraction_mask(cx, cy, t, grid: Grid):
     """Exact fraction of the circle inside the active-pixel union.
 
@@ -223,45 +269,47 @@ def circle_fraction_mask(cx, cy, t, grid: Grid):
     are cut in chunks of _MASK_CHUNK, so peak memory is bounded by the
     chunk, not by the number of circles.  A circle of radius 0 takes its
     centre pixel's flag.
+
+    Interior circles are not cut.  A pixel's clearance is k min(dx, dy)
+    for the largest k whose (2k + 1) x (2k + 1) block of pixels centred on
+    it is all active and inside the grid; a circle whose radius lies
+    strictly below its centre pixel's clearance lies inside that block and
+    gets fraction exactly 1.  One summed-area table of the mask answers
+    this for each circle with the block of the smallest k that would
+    suffice.  Centres outside the grid or in inactive pixels, and circles
+    of radius 0, are always cut.
     """
     cx = np.asarray(cx, dtype=float)
     cy = np.asarray(cy, dtype=float)
     t = np.asarray(t, dtype=float)
-    out = np.empty(len(t))
+    out = np.ones(len(t))
     if len(t) == 0:
         return out
-    # lines one circle can cut on each axis, with a margin for rounding
+    # interior shortcut: k = floor(t / d) + 1 pixels is the least clearance
+    # that clears radius t, so test the block of that k
+    d = min(grid.dx, grid.dy)
+    near = np.flatnonzero((t > 0) & (cx >= grid.lon_min)
+                          & (cx <= grid.lon_max) & (cy >= grid.lat_min)
+                          & (cy <= grid.lat_max))
+    k = np.minimum(t[near] / d, grid.n_x + grid.n_y).astype(np.intp) + 1
+    ix = np.minimum(((cx[near] - grid.lon_min) / grid.dx).astype(np.intp),
+                    grid.n_x - 1)
+    iy = np.minimum(((cy[near] - grid.lat_min) / grid.dy).astype(np.intp),
+                    grid.n_y - 1)
+    fits = (t[near] < k * d) & (ix >= k) & (ix + k < grid.n_x) \
+        & (iy >= k) & (iy + k < grid.n_y)
+    near, k, ix, iy = near[fits], k[fits], ix[fits], iy[fits]
+    sat = np.zeros((grid.n_y + 1, grid.n_x + 1), dtype=np.intp)
+    sat[1:, 1:] = grid.active_mask.cumsum(axis=0).cumsum(axis=1)
+    block = sat[iy + k + 1, ix + k + 1] - sat[iy - k, ix + k + 1] \
+        - sat[iy + k + 1, ix - k] + sat[iy - k, ix - k]
+    to_cut = np.ones(len(t), dtype=bool)
+    to_cut[near[block == (2 * k + 1) ** 2]] = False
+    to_cut = np.flatnonzero(to_cut)
     t_max = float(t.max())
-    nx = min(grid.n_x + 1, int(2.0 * t_max / grid.dx) + 3)
-    ny = min(grid.n_y + 1, int(2.0 * t_max / grid.dy) + 3)
-    active = grid.active_mask.ravel()
-    for lo in range(0, len(t), _MASK_CHUNK):
-        part = slice(lo, lo + _MASK_CHUNK)
-        x, y, r = cx[part, None], cy[part, None], t[part, None]
-        u, cut_x = _line_offsets(x, r, grid.lon_min, grid.dx, nx)
-        v, cut_y = _line_offsets(y, r, grid.lat_min, grid.dy, ny)
-        a = np.arccos(np.where(cut_x, u, 1.0))   # 0 and 2 pi where uncut
-        b = np.arcsin(np.where(cut_y, v, 0.0))   # 0 where uncut
-        ang = np.concatenate([
-            np.zeros_like(r), a, 2.0 * np.pi - a,
-            np.where(b < 0.0, b + 2.0 * np.pi, b),
-            np.where(cut_y, np.pi - b, 0.0),
-            np.full_like(r, 2.0 * np.pi)], axis=1)
-        ang.sort(axis=1)
-        arc = ang[:, 1:] - ang[:, :-1]
-        mid = ang[:, :-1] + 0.5 * arc
-        px = x + r * np.cos(mid)
-        py = y + r * np.sin(mid)
-        inside = (px >= grid.lon_min) & (px <= grid.lon_max) & \
-                 (py >= grid.lat_min) & (py <= grid.lat_max)
-        # truncation is floor wherever inside holds
-        ix = np.clip(((px - grid.lon_min) / grid.dx).astype(np.intp),
-                     0, grid.n_x - 1)
-        iy = np.clip(((py - grid.lat_min) / grid.dy).astype(np.intp),
-                     0, grid.n_y - 1)
-        inside &= active[iy * grid.n_x + ix]
-        arc *= inside
-        out[part] = arc.sum(axis=1) / (2.0 * np.pi)
+    for lo in range(0, len(to_cut), _MASK_CHUNK):
+        part = to_cut[lo:lo + _MASK_CHUNK]
+        out[part] = _cut_fractions(cx[part], cy[part], t[part], grid, t_max)
     return out
 
 
@@ -396,10 +444,11 @@ def wk_confidence_bands(radii, area: float, total_intensity: float,
     radii = radii_grid(radii)
     if total_intensity <= 0:
         raise ValidationError("total intensity must be positive")
-    if not (0.0 <= level < 1.0):
+    p = 0.5 + level / 2.0   # rounds to 1 for the largest level below 1
+    if not (0.0 <= level and p < 1.0):
         raise ValidationError("level must lie in [0, 1)")
-    from scipy.special import ndtri  # loaded only by the analytic bands
-    z = ndtri(0.5 + level / 2.0)
+    from statistics import NormalDist  # loaded only by the analytic bands
+    z = NormalDist().inv_cdf(p)
     mean = np.pi * radii ** 2
     half = z * np.sqrt(2.0 * np.pi * radii ** 2 * area) / total_intensity
     return mean - half, mean + half

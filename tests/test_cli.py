@@ -280,10 +280,11 @@ def _scipy_modules_after(commands):
 
 
 def test_cli_import_leaves_scipy_stats_unloaded(workspace):
-    # scipy.special alone costs about a third of a second of start-up, so
-    # scipy loads only where it is called: the analytic N-test and the
-    # analytic K bands (scipy.special).  The pair search is numpy; the
-    # K commands never load scipy.spatial, which costs about 0.45 s more.
+    # scipy.special alone costs about 0.3 s of start-up, so scipy loads
+    # only where it is called: the analytic N-test (scipy.special).  The
+    # analytic K bands take the normal quantile from the standard library
+    # and the pair search is numpy, so no K command loads scipy at all.
+    # The K commands run first: a module stays loaded once imported.
     tmp, fc, cat = workspace
     files = ["--forecast", str(fc), "--catalog", str(cat)]
     seen = _scipy_modules_after({
@@ -291,20 +292,18 @@ def test_cli_import_leaves_scipy_stats_unloaded(workspace):
                   "--svg", str(tmp / "r.svg"), "--out", str(tmp / "r.csv")],
         "ltest": ["ltest", *files, "--sims", "50",
                   "--out", str(tmp / "l.json")],
-        "ntest": ["ntest", *files, "--analytic",
-                  "--out", str(tmp / "n.json")],
         "k": ["k", *files, "--weighted", "--edge", "isotropic",
               "--out", str(tmp / "k.csv")],
         "transform": ["transform", *files, "--kind", "superthin", "--assess",
                       "--edge", "isotropic", "--out", str(tmp / "t.csv")],
+        "report": ["report", *files, "--sims", "20", "--edge", "isotropic",
+                   "--out", str(tmp / "rep")],
+        "ntest": ["ntest", *files, "--analytic",
+                  "--out", str(tmp / "n.json")],
     })
-    assert seen["import"] == []
-    assert seen["resid"] == []
-    assert seen["ltest"] == []
+    for name in ("import", "resid", "ltest", "k", "transform", "report"):
+        assert seen[name] == [], name
     assert "scipy.special" in seen["ntest"]
-    for name in ("k", "transform"):
-        assert not [m for m in seen[name]
-                    if m == "scipy.spatial" or m.startswith("scipy.spatial.")]
 
 
 def test_ptrs_draws_leave_scipy_special_unloaded(tmp_path):

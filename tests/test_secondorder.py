@@ -6,7 +6,7 @@ from quakeresid import (Grid, GridRegion, IntensityField, SeededStream,
                         envelope_bands, pairs_within, radii_grid, ripley_k,
                         weighted_k, weighted_k_constant, wk_confidence_bands)
 from quakeresid import secondorder
-from quakeresid.secondorder import (circle_fraction_mask,
+from quakeresid.secondorder import (KCurve, circle_fraction_mask,
                                     circle_fraction_rect)
 
 
@@ -227,6 +227,61 @@ def test_circle_fraction_mask_radius_zero_takes_centre_flag():
     assert np.array_equal(got, (inbox & g.active_mask[iy, ix]).astype(float))
 
 
+def _clearance(mask):
+    """Brute force: the largest k whose (2k + 1)-pixel square block about
+    each pixel is all active and inside the grid (0 for inactive pixels)."""
+    n_y, n_x = mask.shape
+    out = np.zeros(mask.shape, dtype=int)
+    for iy in range(n_y):
+        for ix in range(n_x):
+            k = 0
+            while (mask[iy, ix]
+                   and k < min(ix, iy, n_x - 1 - ix, n_y - 1 - iy)
+                   and mask[iy - k - 1:iy + k + 2, ix - k - 1:ix + k + 2].all()):
+                k += 1
+            out[iy, ix] = k
+    return out
+
+
+@pytest.mark.parametrize("dx, dy, holes, seed", [
+    (0.25, 0.25, 0.04, 1), (0.1, 0.1, 0.04, 2), (0.1, 0.1, 0.02, 3),
+    (0.1, 0.1, 0.3, 4), (0.1, 0.25, 0.03, 5), (0.3, 0.1, 0.03, 6)])
+def test_circle_fraction_mask_interior_shortcut_matches_full_cutting(
+        monkeypatch, dx, dy, holes, seed):
+    # random masks on a 30 x 24 grid; centres in active and inactive
+    # pixels, outside the grid, and on pixel edges and corners; radii 0,
+    # exactly at the centre pixel's clearance and one step either side
+    rng = np.random.default_rng(seed)
+    mask = rng.random((24, 30)) >= holes
+    g = Grid.regular(0, 30 * dx, 0, 24 * dy, dx, dy, active_mask=mask)
+    n = 3000
+    cx = rng.uniform(-2 * dx, 32 * dx, n)
+    cy = rng.uniform(-2 * dy, 26 * dy, n)
+    cx[:800] = rng.integers(0, 31, 800) * dx
+    cy[400:1200] = rng.integers(0, 25, 800) * dy
+    inbox = (cx >= 0) & (cx <= 30 * dx) & (cy >= 0) & (cy <= 24 * dy)
+    ix = np.clip(np.floor(cx / dx).astype(int), 0, 29)
+    iy = np.clip(np.floor(cy / dy).astype(int), 0, 23)
+    clear = np.where(inbox, _clearance(mask)[iy, ix] * min(dx, dy), 0.0)
+    t = rng.uniform(0, 4 * max(dx, dy), n)
+    t[::6] = 0.0
+    t[1::6] = clear[1::6]
+    cleared = clear > 0
+    t[2::6] = np.where(cleared, np.nextafter(clear, 0), t)[2::6]
+    t[3::6] = np.where(cleared, np.nextafter(clear, np.inf), t)[3::6]
+    got = circle_fraction_mask(cx, cy, t, g)
+    full = secondorder._cut_fractions(cx, cy, t, g, float(t.max()))
+    assert np.max(np.abs(got - full)) < 1e-12
+    interior = (t > 0) & (t < clear)
+    assert interior.sum() > (20 if holes > 0.1 else 250)
+    assert np.all(got[interior] == 1.0)
+    # everything else is cut exactly as before: same angles, same sums
+    assert np.array_equal(got[~interior], full[~interior])
+    for chunk in (1, 7):
+        monkeypatch.setattr(secondorder, "_MASK_CHUNK", chunk)
+        assert np.array_equal(circle_fraction_mask(cx, cy, t, g), got)
+
+
 def test_enclosing_circle_takes_the_weight_floor():
     g = _masked_grid()
     centres = np.array([[0.5, 0.4], [0.02, 0.03], [0.99, 0.79]])
@@ -283,7 +338,6 @@ def test_k_needs_two_points():
 
 def test_centered_l_zero_under_null_mean():
     radii = radii_grid([0.1, 0.2, 0.3])
-    from quakeresid.secondorder import KCurve
     curve = KCurve(radii, np.pi * radii ** 2, "plain")
     assert np.allclose(curve.centered_l, 0.0, atol=1e-12)
 
@@ -314,6 +368,27 @@ def test_circle_fraction_mask_agrees_with_rect():
     assert np.max(np.abs(exact - got)) < 1e-12
 
 
+def test_circle_fraction_rect_exact_for_centres_outside():
+    # inside-out inclusion-exclusion: an arc past pi/2 of half-width can
+    # hold its neighbour's arc, or meet it on both sides
+    box = Grid.regular(0, 1, 0, 0.8, 1, 0.8)   # one pixel, all active
+    assert circle_fraction_rect(-0.0275, 0.6068, 0.0143, 0, 1, 0, 0.8) == 0
+    rng = np.random.default_rng(12)
+    cx, cy = rng.uniform(-0.1, 1.1, 200), rng.uniform(-0.1, 0.9, 200)
+    t = rng.uniform(0, 1.5, 200)
+    outside = (cx < 0) | (cx > 1) | (cy < 0) | (cy > 0.8)
+    assert 50 < outside.sum() < 150
+    got = circle_fraction_rect(cx, cy, t, 0, 1, 0, 0.8)
+    assert np.max(np.abs(got - circle_fraction_mask(cx, cy, t, box))) < 1e-12
+    # centres beyond a side or a corner, at radii up to past the far side
+    cx = np.array([-0.3, 1.2, 0.5, 0.5, -0.2, 1.3, -0.05, 1.05])
+    cy = np.array([0.4, 0.4, -0.2, 1.0, -0.1, 0.9, 0.85, -0.02])
+    for r in (0.01, 0.25, 0.5, 0.9, 1.4, 3.0):
+        t = np.full(len(cx), r)
+        assert np.max(np.abs(circle_fraction_rect(cx, cy, t, 0, 1, 0, 0.8)
+                             - circle_fraction_mask(cx, cy, t, box))) < 1e-12
+
+
 def test_isotropic_correction_reduces_edge_bias():
     # homogeneous points: corrected K should sit nearer pi r^2 than raw K
     g = Grid.regular(0, 1, 0, 1, 0.25, 0.25)
@@ -339,6 +414,51 @@ def test_wk_confidence_bands_scaling():
     # half-width halves when the total intensity doubles
     assert np.allclose(hi2 - lo2, (hi1 - lo1) / 2.0)
     assert np.allclose((hi1 + lo1) / 2.0, np.pi * radii ** 2)
+
+
+def test_band_quantile_matches_scipy_ndtri():
+    # the bands take the normal quantile from the standard library; scipy's
+    # ndtri is the reference (it lies a few ulps away: 5 at level 0.7226,
+    # 1.02e-15 relative, on a grid of 1e-5 steps)
+    from statistics import NormalDist
+    from scipy.special import ndtri
+    for level in np.arange(1000) / 1000:
+        want = float(ndtri(0.5 + level / 2.0))
+        got = NormalDist().inv_cdf(0.5 + level / 2.0)
+        assert abs(got - want) <= 1e-15 * abs(want), level
+
+
+def test_wk_confidence_bands_text_unchanged_from_ndtri():
+    # the golden fixture's radii, area and totals: forecast A's 15 active
+    # half-degree pixels with two magnitude bins each, and super-thinning
+    # at rate 6
+    from scipy.special import ndtri
+    radii = default_radii(0.5, 0.05)
+    rates = np.linspace(0.6, 3.0, 16).reshape(4, 4)
+    active = np.ones((4, 4), dtype=bool)
+    active[0, 3] = False
+    area = 15 * 0.25
+    total = sum(float("%.6f" % (r * share)) for r in rates[active]
+                for share in (0.7, 0.3))
+    for total_intensity in (total, 6.0 * area):
+        got = wk_confidence_bands(radii, area, total_intensity, 0.95)
+        half = ndtri(0.975) * np.sqrt(2.0 * np.pi * radii ** 2 * area) \
+            / total_intensity
+        want = (np.pi * radii ** 2 - half, np.pi * radii ** 2 + half)
+        k = np.pi * radii ** 2
+        for g, w in zip(got, want):
+            assert ["%.12g" % v for v in g] == ["%.12g" % v for v in w]
+        assert (KCurve(radii, k, "weighted", bands=got).to_csv()
+                == KCurve(radii, k, "weighted", bands=want).to_csv())
+
+
+def test_wk_confidence_bands_level_validation():
+    radii = radii_grid([0.1, 0.2])
+    lo, hi = wk_confidence_bands(radii, 1.0, 50.0, level=0.0)
+    assert np.array_equal(lo, hi)
+    for level in (-0.1, 1.0, np.nextafter(1.0, 0.0), float("nan")):
+        with pytest.raises(ValidationError):
+            wk_confidence_bands(radii, 1.0, 50.0, level=level)
 
 
 def test_envelope_bands_min_max_for_two_sims():
