@@ -17,7 +17,7 @@ from dataclasses import replace
 from .catalogs import filter_catalog, parse_catalog, serialize_catalog
 from .consistency import l_test, log_likelihood, n_test
 from .errors import QuakeResidError
-from .forecasts import parse_forecast
+from .forecasts import decode_utf8, parse_forecast
 from .intensity import aggregate, integrate, scale_window
 from .manifest import build_manifest
 from .residuals import (deviance_residuals, lr_score, pearson_residuals,
@@ -40,9 +40,15 @@ _NOT_PARAMETERS = {"command", "seed", "forecast", "forecast_a", "forecast_b",
                    "catalog", "out", "svg", "k_ambiguous"}
 
 
-def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
+def _read_bytes(path: str) -> bytes:
+    with open(path, "rb") as fh:
         return fh.read()
+
+
+def _read(path: str) -> str:
+    """A catalog's text, newlines translated as text-mode open does."""
+    text = decode_utf8(_read_bytes(path))
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def _write(path, text: str):
@@ -81,7 +87,7 @@ def _intensity(forecast, args):
 
 def _load_pair(args, forecast_path=None):
     """Forecast + filtered catalog + aggregated intensity field."""
-    forecast = parse_forecast(_read(forecast_path or args.forecast))
+    forecast = parse_forecast(_read_bytes(forecast_path or args.forecast))
     catalog = parse_catalog(_read(args.catalog))
     catalog = filter_catalog(catalog, forecast, args.mag_min, args.depth_max)
     return forecast, catalog, _intensity(forecast, args)
@@ -135,7 +141,7 @@ def cmd_resid(args, parser) -> int:
             parser.error("--kind deviance requires --forecast-a and "
                          "--forecast-b")
         _, catalog, fld_a = _load_pair(args, forecast_path=args.forecast_a)
-        fld_b = _intensity(parse_forecast(_read(args.forecast_b)), args)
+        fld_b = _intensity(parse_forecast(_read_bytes(args.forecast_b)), args)
         rmap = deviance_residuals(fld_a, fld_b, catalog)
         try:
             footer = {"lr_score": lr_score(rmap), "lr_score_defined": True}
@@ -242,7 +248,7 @@ def cmd_transform(args, parser) -> int:
 
 
 def cmd_simulate(args) -> int:
-    forecast = parse_forecast(_read(args.forecast))
+    forecast = parse_forecast(_read_bytes(args.forecast))
     fld = _intensity(forecast, args)
     catalog = simulate_catalog(fld, SeededStream(args.seed, 0),
                                forecast.window_start, forecast.window_end,

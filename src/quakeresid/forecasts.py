@@ -1,11 +1,12 @@
 """Forecast grids: parsing, serialization, and magnitude extrapolation.
 
-Forecast files are plain text with ten whitespace-separated columns per row:
+Forecast files are UTF-8 text with ten whitespace-separated columns per row:
 
     lon_min lon_max lat_min lat_max depth_min depth_max mag_lo mag_hi rate mask_flag
 
 '#' starts a comment line.  A row with mask_flag 0 deactivates its pixel;
-pixels never mentioned are inactive.
+pixels never mentioned are inactive.  parse_forecast takes the file's
+content as bytes (read without decoding) or as str.
 """
 
 from __future__ import annotations
@@ -54,8 +55,9 @@ class Forecast:
         dup = _first_duplicate(self.pixel_index, self.mag_lo)
         if dup is not None:
             pix, lo = self.pixel_index[dup[0]], self.mag_lo[dup[0]]
-            raise ValidationError(
-                f"duplicate (pixel, magnitude-bin) key: pixel {pix}, mag_lo {lo}")
+            raise _DuplicateKeyError(
+                f"duplicate (pixel, magnitude-bin) key: pixel {pix}, "
+                f"mag_lo {lo}", dup)
 
     @property
     def n_bins(self) -> int:
@@ -64,6 +66,15 @@ class Forecast:
     @property
     def mag_min(self) -> float:
         return float(self.mag_lo.min()) if self.n_bins else float("nan")
+
+
+class _DuplicateKeyError(ValidationError):
+    """Two bins share a key; rows is (i, j) as _first_duplicate returns it,
+    so parse_forecast can name their lines."""
+
+    def __init__(self, message, rows):
+        super().__init__(message)
+        self.rows = rows
 
 
 def _first_duplicate(pixel, mag_lo):
@@ -98,14 +109,23 @@ def _empty_forecast(window_start, window_end):
                     window_start=window_start, window_end=window_end)
 
 
-def _rows_by_line(text: str):
+def decode_utf8(data: bytes) -> str:
+    """data as text; invalid UTF-8 is a ParseError naming its line."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError("not valid UTF-8 text",
+                         data.count(b"\n", 0, exc.start) + 1) from None
+
+
+def _rows_by_line(data: bytes):
     """Read the data rows one line at a time: (line numbers, (n, 10) array).
 
     The reference reader, and the only one that knows line numbers: it
     raises ParseError naming the first line that is not ten numbers.
     """
     linenos, rows = [], []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(decode_utf8(data).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -122,45 +142,63 @@ def _rows_by_line(text: str):
 
 
 # Characters at which str.splitlines ends a line but np.loadtxt sees
-# whitespace inside one.  A lone "\r" is a third case: np.loadtxt ends a
-# line there, except inside a comment, which it runs on to the next "\n".
-_LOADTXT_UNSPLIT_BREAKS = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+# whitespace inside one: ASCII bytes, then the non-ASCII ones.  A lone "\r"
+# is a third case: np.loadtxt ends a line there, except inside a comment,
+# which it runs on to the next "\n".
+_LOADTXT_UNSPLIT_BYTES = (b"\v", b"\f", b"\x1c", b"\x1d", b"\x1e")
+_LOADTXT_UNSPLIT_CHARS = ("\x85", "\u2028", "\u2029")
 
 
-def _bulk_rows(text: str):
+def _bulk_rows(data: bytes):
     """Read the data rows in one np.loadtxt pass: an (n, 10) array, or None.
 
-    None means the line reader must decide: the text holds a line break
-    that np.loadtxt does not split as str.splitlines does, a token
-    np.loadtxt rejects (float() accepts a few more, such as "1_0"), or rows
-    that are not ten columns.  Whatever np.loadtxt accepts otherwise,
-    _rows_by_line reads to the same array.
+    None means the line reader must decide: the data is not UTF-8, holds a
+    line break that np.loadtxt does not split as str.splitlines does, a
+    token np.loadtxt rejects (float() accepts a few more, such as "1_0"),
+    or rows that are not ten columns.  Whatever np.loadtxt accepts
+    otherwise, _rows_by_line reads to the same array.  ASCII data goes to
+    np.loadtxt as it is; only other data is decoded, to turn U+2212 into
+    "-", and encoded again.
     """
-    if (any(c in text for c in _LOADTXT_UNSPLIT_BREAKS)
-            or "\r" in text and text.count("\r") != text.count("\r\n")):
+    if (any(b in data for b in _LOADTXT_UNSPLIT_BYTES)
+            or b"\r" in data and data.count(b"\r") != data.count(b"\r\n")):
         return None
+    if not data.isascii():
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError:
+            return None
+        if any(c in text for c in _LOADTXT_UNSPLIT_CHARS):
+            return None
+        data = text.replace("−", "-").encode("utf-8")
     try:
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            arr = np.loadtxt(io.StringIO(text.replace("−", "-")),
-                             comments="#", ndmin=2)
+            arr = np.loadtxt(io.BytesIO(data), comments="#", ndmin=2,
+                             encoding="utf-8")
     except ValueError:
         return None
     return arr if arr.shape[1] == 10 else None
 
 
-def parse_forecast(text: str, window_start=DEFAULT_WINDOW_START,
+def parse_forecast(text: bytes | str, window_start=DEFAULT_WINDOW_START,
                    window_end=DEFAULT_WINDOW_END) -> Forecast:
-    """Parse forecast-file content into a Forecast.
+    """Parse forecast-file content, as bytes or str, into a Forecast.
 
-    The grid is inferred from the union of rows; all rows must describe
-    pixels of one common size on one common lattice.  The rows are read in
-    one bulk pass and checked as arrays; the text is read again line by
-    line only to name the line of an error.
+    Bytes must be UTF-8 (anything else is a ParseError naming its line);
+    a str is encoded to UTF-8 once and read the same way.  The grid is
+    inferred from the union of rows; all rows must describe pixels of one
+    common size on one common lattice.  The rows are read in one bulk pass
+    and checked as arrays; the data is decoded and read again line by line
+    only to name the line of an error.
     """
-    arr = _bulk_rows(text)
+    data = text
+    if isinstance(data, str):
+        # a lone surrogate becomes invalid UTF-8: a ParseError below
+        data = data.encode("utf-8", "surrogatepass")
+    arr = _bulk_rows(data)
     if arr is None:
-        arr = _rows_by_line(text)[1]
+        arr = _rows_by_line(data)[1]
     if len(arr) == 0:
         return _empty_forecast(window_start, window_end)
 
@@ -179,7 +217,7 @@ def parse_forecast(text: str, window_start=DEFAULT_WINDOW_START,
     bad = (arr[:, 8] < 0) | (arr[:, 6] >= arr[:, 7])
     if bad.any():
         i = int(np.argmax(bad))
-        lineno = _rows_by_line(text)[0][i]
+        lineno = _rows_by_line(data)[0][i]
         if arr[i, 8] < 0:
             raise ValidationError(f"line {lineno}: negative rate {float(arr[i, 8])}")
         raise ValidationError(f"line {lineno}: mag_lo >= mag_hi")
@@ -188,7 +226,7 @@ def parse_forecast(text: str, window_start=DEFAULT_WINDOW_START,
     # grid size's int(round(...))
     nonfinite = ~np.isfinite(arr[:, :4]).all(axis=1)
     if nonfinite.any():
-        lineno = _rows_by_line(text)[0][int(np.argmax(nonfinite))]
+        lineno = _rows_by_line(data)[0][int(np.argmax(nonfinite))]
         raise SchemaError(f"line {lineno}: pixel edges must be finite")
 
     lon_min, lon_max = lon_lo.min(), lon_hi.max()
@@ -198,11 +236,11 @@ def parse_forecast(text: str, window_start=DEFAULT_WINDOW_START,
         n_x, n_y = (lon_max - lon_min) / dx, (lat_max - lat_min) / dy
         if not (np.isfinite(n_x) and np.isfinite(n_y)):
             span = np.maximum((lon_hi - lon_min) / dx, (lat_hi - lat_min) / dy)
-            lineno = _rows_by_line(text)[0][int(np.argmax(~np.isfinite(span)))]
+            lineno = _rows_by_line(data)[0][int(np.argmax(~np.isfinite(span)))]
             raise SchemaError(f"line {lineno}: grid extent is not finite")
     n_x, n_y = int(round(n_x)), int(round(n_y))
     if n_x * n_y > MAX_GRID_PIXELS:
-        linenos = _rows_by_line(text)[0]
+        linenos = _rows_by_line(data)[0]
         west, east, south, north = (
             linenos[int(f(col))] for f, col in ((np.argmin, lon_lo),
                                                  (np.argmax, lon_hi),
@@ -231,16 +269,15 @@ def parse_forecast(text: str, window_start=DEFAULT_WINDOW_START,
     grid = Grid(float(lon_min), float(lon_max), float(lat_min), float(lat_max),
                 float(dx), float(dy), n_x, n_y, active)
 
-    dup = _first_duplicate(pixel, arr[:, 6])
-    if dup is not None:
-        linenos = _rows_by_line(text)[0]
+    try:
+        return Forecast(grid, pixel, arr[:, 6].copy(), arr[:, 7].copy(),
+                        arr[:, 8].copy(), arr[:, 4].copy(), arr[:, 5].copy(),
+                        window_start=window_start, window_end=window_end)
+    except _DuplicateKeyError as exc:
+        linenos = _rows_by_line(data)[0]
         raise ValidationError(
-            f"line {linenos[dup[0]]}: duplicate (pixel, magnitude-bin) key "
-            f"(first seen on line {linenos[dup[1]]})")
-
-    return Forecast(grid, pixel, arr[:, 6].copy(), arr[:, 7].copy(),
-                    arr[:, 8].copy(), arr[:, 4].copy(), arr[:, 5].copy(),
-                    window_start=window_start, window_end=window_end)
+            f"line {linenos[exc.rows[0]]}: duplicate (pixel, magnitude-bin) "
+            f"key (first seen on line {linenos[exc.rows[1]]})") from None
 
 
 def serialize_forecast(forecast: Forecast) -> str:

@@ -193,6 +193,84 @@ def test_non_finite_forecast_edge_exit_code(tmp_path, capsys):
     assert "line 2: pixel edges must be finite" in capsys.readouterr().err
 
 
+def _run_cli(args, tmp_path, code=None):
+    """Run the CLI in a fresh interpreter, from this checkout's package."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(quakeresid.__file__)))
+    command = ["-m", "quakeresid.cli"] if code is None else ["-c", code]
+    return subprocess.run(
+        [sys.executable, *command, *args], cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1"),
+        capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("bad", ["forecast", "catalog"])
+def test_non_utf8_input_exit_code(tmp_path, capsys, bad):
+    fc = tmp_path / "fc.txt"
+    fc.write_bytes(FORECAST.encode() + (b"# \xff\n" if bad == "forecast"
+                                        else b""))
+    cat = tmp_path / "cat.csv"
+    cat.write_bytes(b"time,lon,lat,depth,mag\n" + (b"# \xff\n" if bad ==
+                                                  "catalog" else b""))
+    line = 5 if bad == "forecast" else 2
+    args = ["ntest", "--forecast", str(fc), "--catalog", str(cat),
+            "--analytic"]
+    assert main(args) == 3
+    assert capsys.readouterr().err == \
+        f"error: line {line}: not valid UTF-8 text\n"
+    out = _run_cli(args, tmp_path)
+    assert out.returncode == 3, out.stderr
+    assert "Traceback" not in out.stderr
+    assert f"line {line}: not valid UTF-8 text" in out.stderr
+
+
+def _relm_like_forecast(n_x, n_y, n_mag):
+    """Rows of an n_x by n_y grid of 0.1-degree pixels with n_mag bins,
+    written as RELM forecasts are (about 54 bytes a row)."""
+    rates = np.random.default_rng(3).lognormal(-9.0, 1.0, n_x * n_y * n_mag)
+    lines, k = ["# generated RELM-like forecast"], 0
+    for iy in range(n_y):
+        for ix in range(n_x):
+            head = "%.1f %.1f %.1f %.1f 0 30 " % (
+                -125 + ix / 10, -125 + (ix + 1) / 10, 32 + iy / 10,
+                32 + (iy + 1) / 10)
+            for m in range(n_mag):
+                lines.append(head + "%.2f %.2f %.6e 1" % (
+                    4.95 + m / 10, 5.05 + m / 10, rates[k]))
+                k += 1
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="needs VmHWM from /proc/self/status")
+def test_forecast_parse_peak_memory_follows_the_file(tmp_path):
+    # A child's VmHWM, read after importing the CLI and again after one
+    # command, bounds what that command added to the peak.  Parsing needs
+    # the file's bytes, the (n, 10) row array and the kept columns: about
+    # 4.7 times the file here.  A whole-file str plus a UCS-4 copy for
+    # np.loadtxt took 7.9 times.
+    fc = tmp_path / "fc.txt"
+    fc.write_text(_relm_like_forecast(75, 50, 40))     # 150,000 rows
+    cat = tmp_path / "cat.csv"
+    cat.write_text("time,lon,lat,depth,mag\n"
+                   "2006-06-01T00:00:00Z,-124.95,32.05,5,5.0\n")
+    code = ("import sys\n"
+            "def hwm_kb():\n"
+            "    with open('/proc/self/status') as fh:\n"
+            "        return next(int(line.split()[1]) for line in fh\n"
+            "                    if line.startswith('VmHWM:'))\n"
+            "from quakeresid.cli import main\n"
+            "before = hwm_kb()\n"
+            "rc = main(sys.argv[1:])\n"
+            "print(rc, hwm_kb() - before)\n")
+    out = _run_cli(["resid", "--kind", "pearson", "--forecast", str(fc),
+                    "--catalog", str(cat), "--out", str(tmp_path / "r.csv")],
+                   tmp_path, code)
+    assert out.returncode == 0, out.stderr
+    rc, added_kb = map(int, out.stdout.split())
+    assert rc == 0
+    assert added_kb * 1024 < 6 * fc.stat().st_size, added_kb
+
+
 @pytest.mark.parametrize("command", [
     ["ntest", "--sims", "10"], ["ltest", "--sims", "10"], ["simulate"]])
 def test_huge_finite_rate_exit_code(tmp_path, command):
@@ -205,11 +283,7 @@ def test_huge_finite_rate_exit_code(tmp_path, command):
     args = command + ["--forecast", str(fc)]
     if command[0] != "simulate":
         args += ["--catalog", str(cat)]
-    src = os.path.dirname(os.path.dirname(os.path.abspath(quakeresid.__file__)))
-    out = subprocess.run(
-        [sys.executable, "-m", "quakeresid.cli", *args, "--out",
-         str(tmp_path / "out")], env=dict(os.environ, PYTHONPATH=src),
-        capture_output=True, text=True, timeout=120)
+    out = _run_cli(args + ["--out", str(tmp_path / "out")], tmp_path)
     assert out.returncode == 3, out.stderr
     assert "Traceback" not in out.stderr
     assert "largest supported mean 1e+12" in out.stderr
@@ -232,10 +306,7 @@ def test_points_beyond_memory_exit_code(tmp_path, command):
             "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
             "from quakeresid.cli import main\n"
             "sys.exit(main(sys.argv[1:]))\n")
-    src = os.path.dirname(os.path.dirname(os.path.abspath(quakeresid.__file__)))
-    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
-    out = subprocess.run([sys.executable, "-c", code, *args], env=env,
-                         capture_output=True, text=True, timeout=120)
+    out = _run_cli(args, tmp_path, code)
     assert out.returncode == 3, out.stderr
     assert "Traceback" not in out.stderr
     assert "simulated points, above the supported 1e+07" in out.stderr

@@ -42,37 +42,106 @@ def _outcome(text):
             fc.grid.active_mask.tolist(), fc.grid.lon_min, fc.grid.lat_min)
 
 
-def _bulk_and_line_outcomes(text, monkeypatch):
-    bulk = _outcome(text)
+def _reader_outcomes(text, monkeypatch):
+    """Outcomes of parse_forecast on text as str, as UTF-8 bytes, and by
+    the line reader alone.  Bytes that are not UTF-8 reach the str path
+    with each bad byte as a lone surrogate."""
+    data = text if isinstance(text, bytes) else text.encode("utf-8")
+    as_str = _outcome(data.decode("utf-8", "surrogateescape"))
+    as_bytes = _outcome(data)
     with monkeypatch.context() as m:
-        m.setattr(forecasts, "_bulk_rows", lambda text: None)
-        by_line = _outcome(text)
-    return bulk, by_line
+        m.setattr(forecasts, "_bulk_rows", lambda data: None)
+        by_line = _outcome(data)
+    return as_str, as_bytes, by_line
+
+
+ROW2 = ROW.replace("0.5 0 0.5", "0.5 0.5 1")
+
+
+def _grid_rows(n_x, n_y, n_mag):
+    """Rows of an n_x by n_y grid of 0.1-degree pixels, n_mag bins each."""
+    lines = []
+    for iy in range(n_y):
+        for ix in range(n_x):
+            head = "%.1f %.1f %.1f %.1f 0 30 " % (
+                ix / 10, (ix + 1) / 10, iy / 10, (iy + 1) / 10)
+            lines.extend(head + "%.2f %.2f %.6e 1" % (
+                4.95 + m / 10, 5.05 + m / 10, 1e-5 * (1 + (ix * m) % 7))
+                for m in range(n_mag))
+    return "\n".join(lines) + "\n"
+
+
+BODY_60K = _grid_rows(50, 30, 40)
 
 
 @pytest.mark.parametrize("text, bulk_reads_it", [
     ("# header\n" + ROW + "  # trailing\n# end\n", True),
     ("\n\n" + ROW + "\n   \n\t\n", True),
-    (ROW + "\r\n" + ROW.replace("0.5 0 0.5", "0.5 0.5 1") + "\r\n", True),
+    (ROW + "\r\n" + ROW2 + "\r\n", True),
     (ROW.replace(" ", "\t"), True),
     ("−0.5 0 0 0.5 0 30 3.95 4.05 0.1 1\n", True),
+    (ROW.replace("0.1 1", "1e−1 1"), True),
     (ROW, True),
+    # a multi-byte comment starting at byte offsets 0 to 7, ahead of
+    # 60,000 rows
+    *(pytest.param(" " * k + "# Kagan–Jackson ∑\n" + BODY_60K, True,
+                   id=f"non-ASCII comment at byte {k}, 60k rows")
+      for k in range(8)),
     ("# only a comment\n", False),
     ("", False),
     ("0 0.5 0 0.5 0 30 3.95 4.05 0.1\n", False),
     (ROW + "\n0 0.5 0 0.5 0 30 3.95 4.05 0.1\n", False),
     (ROW + "\n0 0.5 0 0.5 0 30 x 4.05 0.1 1\n", False),
     (ROW.replace(" 30 ", " 3_0 "), False),
+    # a byte-order mark is not whitespace: the first token is not a number
+    ("\ufeff" + ROW + "\n", False),
+    ("\ufeff# header\n" + ROW + "\n", False),
     # str.splitlines ends a line at these; np.loadtxt reads whitespace
     ("0 0.5 0 0.5 0\f30 3.95 4.05 0.1 1\n", False),
-    (ROW + "\x1c" + ROW.replace("0.5 0 0.5", "0.5 0.5 1"), False),
+    (ROW + "\x1c" + ROW2, False),
+    ("0 0.5 0 0.5 0\x8530 3.95 4.05 0.1 1\n", False),
+    (ROW + "\n# note\u2028" + ROW2 + "\n", False),
+    (ROW + "\u2029" + ROW2, False),
     # a lone CR ends a line, also one inside a comment
     ("# note\r" + ROW + "\n", False),
+    (ROW + "\r" + ROW2 + "\n", False),
+    # not UTF-8: a parse error naming the line
+    (b"# \xff\n" + ROW.encode(), False),
+    (ROW.encode() + b"\n\n" + ROW2.encode() + b"  # caf\xe9\n", False),
 ])
 def test_bulk_parse_matches_line_reader(text, bulk_reads_it, monkeypatch):
-    assert (forecasts._bulk_rows(text) is not None) == bulk_reads_it
-    bulk, by_line = _bulk_and_line_outcomes(text, monkeypatch)
-    assert bulk == by_line
+    data = text if isinstance(text, bytes) else text.encode("utf-8")
+    assert (forecasts._bulk_rows(data) is not None) == bulk_reads_it
+    as_str, as_bytes, by_line = _reader_outcomes(text, monkeypatch)
+    assert as_str == as_bytes == by_line
+
+
+@pytest.mark.parametrize("data, line", [
+    (b"# \xff\n" + ROW.encode(), 1),
+    (ROW.encode() + b"\n\n" + ROW2.encode() + b"  # caf\xe9\n", 3),
+    (ROW.encode() + b"\r\n" + ROW2[:5].encode() + b"\xe2\x88", 2),
+])
+def test_invalid_utf8_is_a_parse_error_naming_its_line(data, line):
+    with pytest.raises(ParseError, match=f"^line {line}: not valid UTF-8") \
+            as exc:
+        parse_forecast(data)
+    assert exc.value.line_number == line
+
+
+def test_duplicate_keys_are_searched_once(monkeypatch):
+    calls = []
+    search = forecasts._first_duplicate
+
+    def spy(pixel, mag_lo):
+        calls.append(len(pixel))
+        return search(pixel, mag_lo)
+
+    monkeypatch.setattr(forecasts, "_first_duplicate", spy)
+    assert parse_forecast(SIMPLE).n_bins == 4
+    assert calls == [4]
+    with pytest.raises(ValidationError, match="^line 6: duplicate"):
+        parse_forecast(SIMPLE + ROW + "\n")
+    assert calls == [4, 5]
 
 
 @pytest.mark.parametrize("bad_row, message", [
@@ -84,22 +153,20 @@ def test_bulk_parse_matches_line_reader(text, bulk_reads_it, monkeypatch):
 ])
 def test_row_errors_name_line_after_comments(bad_row, message, monkeypatch):
     text = "# header\n\n" + ROW + "\n# between\n\n" + bad_row + "\n"
-    bulk, by_line = _bulk_and_line_outcomes(text, monkeypatch)
-    assert bulk == by_line == (ValidationError, message)
+    assert _reader_outcomes(text, monkeypatch) == ((ValidationError,
+                                                    message),) * 3
 
 
 def test_non_finite_edge_names_its_line(monkeypatch):
     text = "# header\n" + ROW + "\n\n0.5 nan 0 0.5 0 30 3.95 4.05 0.1 1\n"
-    bulk, by_line = _bulk_and_line_outcomes(text, monkeypatch)
-    assert bulk == by_line == (SchemaError,
-                               "line 4: pixel edges must be finite")
+    assert _reader_outcomes(text, monkeypatch) == ((
+        SchemaError, "line 4: pixel edges must be finite"),) * 3
 
 
 def test_infinite_extent_names_its_line(monkeypatch):
     text = "# header\n\n-1e308 1e308 0 0.5 0 30 3.95 4.05 0.1 1\n"
-    bulk, by_line = _bulk_and_line_outcomes(text, monkeypatch)
-    assert bulk == by_line == (SchemaError,
-                               "line 3: grid extent is not finite")
+    assert _reader_outcomes(text, monkeypatch) == ((
+        SchemaError, "line 3: grid extent is not finite"),) * 3
 
 
 def test_bounding_box_pixel_cap_names_the_extreme_rows(monkeypatch):
