@@ -69,21 +69,29 @@ def utc64(times) -> np.ndarray:
     return np.array(micros, dtype=np.int64).astype("datetime64[us]")
 
 
+def _csv_rows(reader):
+    """The reader's rows; a csv.Error becomes a ParseError naming its line."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ParseError(str(exc), reader.line_num) from None
+
+
 def parse_catalog(text: str) -> Catalog:
     """Parse catalog CSV with header time,lon,lat,depth,mag.
 
     Out-of-order rows are sorted, rows of one instant kept in file order;
     unparseable rows raise with line number.
     """
-    reader = csv.reader(io.StringIO(text))
+    rows = _csv_rows(csv.reader(io.StringIO(text)))
     try:
-        header = next(reader)
+        header = next(rows)
     except StopIteration:
         raise ParseError("empty catalog file", 1) from None
     if [h.strip().lower() for h in header] != HEADER:
         raise ParseError(f"expected header {','.join(HEADER)}", 1)
     times, values = [], []
-    for lineno, row in enumerate(reader, start=2):
+    for lineno, row in enumerate(rows, start=2):
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
         if len(row) != 5:

@@ -27,7 +27,7 @@ from .secondorder import (DEFAULT_R_MAX, DEFAULT_R_STEP, default_radii,
                           ripley_k, weighted_k, wk_confidence_bands)
 from .simulate import simulate_catalog
 from .svg import k_curve_svg, point_map_svg, residual_map_svg
-from .transforms import (assess_homogeneity, check_k_rate, rescale,
+from .transforms import (assess_homogeneity, check_finite_positive, rescale,
                          super_thin, superpose, thin_approx, thin_exact)
 
 DEFAULT_MAG_MIN = 3.95
@@ -204,9 +204,12 @@ def cmd_transform(args, parser) -> int:
     if args.k_ambiguous is not None:
         parser.error("--k is ambiguous: use --k-count (expected retained "
                      "count) or --k-rate (points per square degree)")
+    if args.kind == "thin-approx" and args.k_count is None:
+        parser.error("--kind thin-approx requires --k-count")
     radii = default_radii(args.rmax, args.dr) if args.assess else None
-    if args.k_rate is not None:
-        check_k_rate(args.k_rate)
+    for name in ("k_count", "k_rate"):
+        if getattr(args, name) is not None:
+            check_finite_positive(name, getattr(args, name))
     _, catalog, fld = _load_pair(args)
     stream = SeededStream(args.seed, 0)
     if args.kind == "rescale":
@@ -214,8 +217,6 @@ def cmd_transform(args, parser) -> int:
     elif args.kind == "thin":
         rset = thin_exact(catalog, fld, stream)
     elif args.kind == "thin-approx":
-        if args.k_count is None:
-            parser.error("--kind thin-approx requires --k-count")
         rset = thin_approx(catalog, fld, args.k_count, stream)
     elif args.kind == "superpose":
         rset = superpose(catalog, fld, stream)
@@ -261,7 +262,7 @@ def cmd_simulate(args) -> int:
 def cmd_report(args) -> int:
     radii = default_radii(args.rmax, args.dr)
     if args.k_rate is not None:
-        check_k_rate(args.k_rate)
+        check_finite_positive("k_rate", args.k_rate)
     os.makedirs(args.out, exist_ok=True)
     _, catalog, fld = _load_pair(args)
     out = lambda name: os.path.join(args.out, name)

@@ -13,7 +13,7 @@ import numpy as np
 from .catalogs import Catalog, utc64
 from .errors import ValidationError
 from .forecasts import DEFAULT_WINDOW_END, DEFAULT_WINDOW_START
-from .intensity import IntensityField, extremes
+from .intensity import IntensityField
 from .rng import (MAX_POISSON_MEAN, SeededStream, _check_means, poisson,
                   poisson_rows)
 
@@ -42,8 +42,11 @@ def _pixel_means(fld: IntensityField) -> np.ndarray:
     return fld.active_rates() * fld.grid.pixel_area
 
 
-def _place_in_pixels(rng, grid, counts):
-    """Uniform placement of counts[i] points in the i-th active pixel."""
+def _poisson_points(rng, grid, means):
+    """Poisson(means[i]) points placed uniformly in the i-th active pixel;
+    the means are checked before anything is drawn."""
+    _check_point_means(means)
+    counts = poisson(rng, means)
     iy, ix = np.nonzero(grid.active_mask)
     total = int(counts.sum())
     rep_ix = np.repeat(ix, counts)
@@ -63,11 +66,8 @@ def simulate_catalog(fld: IntensityField, stream: SeededStream,
     magnitudes and depths are not modeled, every event gets the constant
     magnitude argument and depth zero.
     """
-    lam = _pixel_means(fld)
-    _check_point_means(lam)
     rng = stream.generator()
-    counts = poisson(rng, lam)
-    xs, ys = _place_in_pixels(rng, fld.grid, counts)
+    xs, ys = _poisson_points(rng, fld.grid, _pixel_means(fld))
     span = (window_end - window_start).total_seconds()
     offsets = np.sort(rng.random(len(xs))) * span
     times = utc64([window_start + timedelta(seconds=dt)
@@ -104,27 +104,15 @@ def replicate_counts(fld: IntensityField, stream: SeededStream, n_sims: int):
                             range(first, min(first + rows, n_sims))], lam)
 
 
-def simulate_cox_complement(fld: IntensityField, level: float, mode: str,
+def simulate_cox_complement(fld: IntensityField, level: float,
                             stream: SeededStream):
-    """Points from the complement rate field: (level - rate) in superpose
-    mode, max(0, level - rate) in superthin mode.  Returns (x, y) arrays.
-    """
-    if mode not in ("superpose", "superthin"):
-        raise ValidationError(f"unknown mode {mode!r}")
+    """simulate_cox_complement(fld, level, stream) -> (x, y) arrays of
+    points from the complement rate max(0, level - rate); for a level at or
+    above the field's supremum that is level - rate everywhere."""
     if level < 0:
         raise ValidationError("level must be non-negative")
-    sup = extremes(fld)[1]
-    if mode == "superpose" and level < sup:
-        raise ValidationError(
-            f"superpose level {level} is below the field supremum {sup}")
-    grid = fld.grid
-    comp = level - fld.active_rates()
-    if mode == "superthin":
-        comp = np.maximum(0.0, comp)
-    means = comp * grid.pixel_area
-    _check_point_means(means)
-    rng = stream.generator()
-    return _place_in_pixels(rng, grid, poisson(rng, means))
+    means = np.maximum(0.0, level - fld.active_rates()) * fld.grid.pixel_area
+    return _poisson_points(stream.generator(), fld.grid, means)
 
 
 def simulate_homogeneous(region, rate: float, stream: SeededStream):

@@ -40,8 +40,7 @@ class ResidualSet:
         sim = np.asarray(self.simulated, dtype=bool).reshape(-1)
         if len(pts) != len(sim):
             raise ValidationError("points and simulated flags must align")
-        if self.null_rate <= 0:
-            raise ValidationError("null rate must be positive")
+        check_finite_positive("null rate", self.null_rate)
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "simulated", sim)
 
@@ -73,10 +72,10 @@ class ResidualSet:
         return out.getvalue()
 
 
-def _rates_at_events(fld: IntensityField, pts: np.ndarray) -> np.ndarray:
-    if len(pts) == 0:
-        return np.zeros(0)
-    return np.asarray(evaluate(fld, pts[:, 0], pts[:, 1]), dtype=float)
+def check_finite_positive(name: str, value: float) -> None:
+    """Raise ValidationError unless value is finite and positive."""
+    if not (np.isfinite(value) and value > 0):
+        raise ValidationError(f"{name} must be finite and positive")
 
 
 def rescale(catalog: Catalog, fld: IntensityField,
@@ -97,38 +96,57 @@ def rescale(catalog: Catalog, fld: IntensityField,
     pts = catalog.points()
     if len(pts) and not np.all(grid.contains(pts[:, 0], pts[:, 1])):
         raise ValidationError("catalog events outside the active region")
+    ix, iy = grid.pixel_of(pts[:, 0], pts[:, 1])
+    (x0, dx), (y0, dy) = (grid.lon_min, grid.dx), (grid.lat_min, grid.dy)
+    if axis == "vertical":
+        # the horizontal stretch of the transposed layout; cumsum along
+        # either axis adds the same numbers in the same order
+        rates, pts, ix, iy = rates.T, pts[:, ::-1], iy, ix
+        (x0, dx), (y0, dy) = (y0, dy), (x0, dx)
 
-    if axis == "horizontal":
-        # cumulative rate integral along each row, per unit lon
-        cum = np.concatenate(
-            [np.zeros((grid.n_y, 1)), np.cumsum(rates * grid.dx, axis=1)],
-            axis=1)
-        t_of_band = cum[:, -1]
-        band_edges = grid.lat_min + grid.dy * np.arange(grid.n_y + 1)
-        region = RowIntervalRegion(band_edges, t_of_band)
-        if len(pts):
-            ix, iy = grid.pixel_of(pts[:, 0], pts[:, 1])
-            frac = pts[:, 0] - (grid.lon_min + ix * grid.dx)
-            new_x = cum[iy, ix] + rates[iy, ix] * frac
-            pts = np.column_stack([new_x, pts[:, 1]])
-    else:
-        cum = np.concatenate(
-            [np.zeros((1, grid.n_x)), np.cumsum(rates * grid.dy, axis=0)],
-            axis=0)
-        t_of_band = cum[-1, :]
-        band_edges = grid.lon_min + grid.dx * np.arange(grid.n_x + 1)
-        region = TransposedRegion(RowIntervalRegion(band_edges, t_of_band))
-        if len(pts):
-            ix, iy = grid.pixel_of(pts[:, 0], pts[:, 1])
-            frac = pts[:, 1] - (grid.lat_min + iy * grid.dy)
-            new_y = cum[iy, ix] + rates[iy, ix] * frac
-            pts = np.column_stack([pts[:, 0], new_y])
+    # cumulative rate integral along each row, per unit of the stretched axis
+    cum = np.concatenate(
+        [np.zeros((len(rates), 1)), np.cumsum(rates * dx, axis=1)], axis=1)
+    region = RowIntervalRegion(y0 + dy * np.arange(len(rates) + 1),
+                               cum[:, -1])
+    new_x = cum[iy, ix] + rates[iy, ix] * (pts[:, 0] - (x0 + ix * dx))
+    pts = np.column_stack([new_x, pts[:, 1]])
+    if axis == "vertical":
+        pts, region = pts[:, ::-1].copy(), TransposedRegion(region)
 
     if region.area <= 0:
         raise ValidationError("model rate integrates to zero; nothing to rescale")
     return ResidualSet(pts, np.zeros(len(pts), dtype=bool), 1.0, region,
                        "rescale", meta={"axis": axis,
                                         "expected_count": region.area})
+
+
+def _thin_and_superpose(fld: IntensityField, pts: np.ndarray,
+                        null_rate: float, transform: str, meta: dict,
+                        keep=None, add=None) -> ResidualSet:
+    """The one operation behind the grid transforms: keep each event with
+    probability p(x), then add simulated points from the complement rate
+    max(0, level - rate).
+
+    keep is (p at each event, stream) or None to keep every event; add is
+    (level, stream) or None to add nothing.  Kept events come first, then
+    the simulated points.
+    """
+    n_input = len(pts)
+    if keep is not None:
+        probs, stream = keep
+        pts = pts[stream.generator().random(n_input) < probs]
+    sim_pts = np.zeros((0, 2))
+    if add is not None:
+        level, stream = add
+        sim_pts = np.column_stack(simulate_cox_complement(fld, level, stream))
+    seed = (keep or add)[1].seed
+    return ResidualSet(np.concatenate([pts, sim_pts]),
+                       np.repeat([False, True], [len(pts), len(sim_pts)]),
+                       null_rate, GridRegion(fld.grid), transform, seed=seed,
+                       meta={**meta, "n_input": n_input,
+                             "n_retained": len(pts),
+                             "n_simulated": len(sim_pts)})
 
 
 def thin_exact(catalog: Catalog, fld: IntensityField,
@@ -144,15 +162,10 @@ def thin_exact(catalog: Catalog, fld: IntensityField,
         raise DegenerateInfimumError(
             "rate infimum is zero; exact thinning would delete everything")
     pts = catalog.points()
-    lam = _rates_at_events(fld, pts)
-    rng = stream.generator()
-    keep = rng.random(len(pts)) < b / lam if len(pts) else \
-        np.zeros(0, dtype=bool)
-    kept = pts[keep]
-    return ResidualSet(kept, np.zeros(len(kept), dtype=bool), b,
-                       GridRegion(fld.grid), "thin", seed=stream.seed,
-                       meta={"retention": "inf(rate)/rate",
-                             "n_input": len(pts)})
+    lam = evaluate(fld, pts[:, 0], pts[:, 1])
+    return _thin_and_superpose(fld, pts, b, "thin",
+                               {"retention": "inf(rate)/rate"},
+                               keep=(b / lam, stream))
 
 
 def thin_approx(catalog: Catalog, fld: IntensityField, k_count: float,
@@ -163,32 +176,20 @@ def thin_approx(catalog: Catalog, fld: IntensityField, k_count: float,
     probabilities above one are clamped with a warning.  The null rate of
     the output is k_count divided by the region area.
     """
-    if k_count <= 0:
-        raise ValidationError("k_count must be positive")
+    check_finite_positive("k_count", k_count)
     pts = catalog.points()
-    lam = _rates_at_events(fld, pts)
+    lam = evaluate(fld, pts[:, 0], pts[:, 1])
     if np.any(lam == 0):
         raise ValidationError("thinning is undefined for events on zero rate")
-    region = GridRegion(fld.grid)
-    if len(pts) == 0:
-        return ResidualSet(np.zeros((0, 2)), np.zeros(0, dtype=bool),
-                           k_count / region.area, region, "thin",
-                           seed=stream.seed, meta={"k_count": k_count})
-    inv_sum = float(np.sum(1.0 / lam))
-    probs = k_count / (lam * inv_sum)
+    probs = k_count / (lam * float(np.sum(1.0 / lam)))
     n_clamped = int(np.sum(probs > 1.0))
     if n_clamped:
         warnings.warn(f"{n_clamped} retention probabilities clamped to 1; "
                       "target count is approximate", stacklevel=2)
         probs = np.minimum(probs, 1.0)
-    rng = stream.generator()
-    keep = rng.random(len(pts)) < probs
-    kept = pts[keep]
-    return ResidualSet(kept, np.zeros(len(kept), dtype=bool),
-                       k_count / region.area, region, "thin",
-                       seed=stream.seed,
-                       meta={"k_count": k_count, "n_clamped": n_clamped,
-                             "n_input": len(pts)})
+    return _thin_and_superpose(fld, pts, k_count / fld.grid.area, "thin",
+                               {"k_count": k_count, "n_clamped": n_clamped},
+                               keep=(probs, stream))
 
 
 def superpose(catalog: Catalog, fld: IntensityField, stream: SeededStream,
@@ -206,22 +207,11 @@ def superpose(catalog: Catalog, fld: IntensityField, stream: SeededStream,
     pts = catalog.points()
     if len(pts) and not np.all(fld.grid.contains(pts[:, 0], pts[:, 1])):
         raise ValidationError("catalog events outside the active region")
-    xs, ys = simulate_cox_complement(fld, level, "superpose", stream)
-    sim_pts = np.column_stack([xs, ys]) if len(xs) else np.zeros((0, 2))
-    all_pts = np.concatenate([pts, sim_pts])
-    sim_flag = np.concatenate([np.zeros(len(pts), dtype=bool),
-                               np.ones(len(sim_pts), dtype=bool)])
-    return ResidualSet(all_pts, sim_flag, level, GridRegion(fld.grid),
-                       "superpose", seed=stream.seed,
-                       meta={"level": level, "n_observed": len(pts),
-                             "n_simulated": len(sim_pts)})
-
-
-def check_k_rate(k_rate: float) -> None:
-    """Raise ValidationError unless the super-thinning rate is finite and
-    positive."""
-    if not (np.isfinite(k_rate) and k_rate > 0):
-        raise ValidationError("k_rate must be finite and positive")
+    if level < sup:
+        raise ValidationError(
+            f"superpose level {level} is below the field supremum {sup}")
+    return _thin_and_superpose(fld, pts, level, "superpose", {"level": level},
+                               add=(level, stream))
 
 
 def super_thin(catalog: Catalog, fld: IntensityField,
@@ -234,31 +224,17 @@ def super_thin(catalog: Catalog, fld: IntensityField,
     pointwise, the combined set is homogeneous with rate k_rate, which
     defaults to the model's mean rate over the region.
     """
-    region = GridRegion(fld.grid)
     if k_rate is None:
-        k_rate = integrate(fld) / region.area
-    check_k_rate(k_rate)
+        k_rate = integrate(fld) / fld.grid.area
+    check_finite_positive("k_rate", k_rate)
     pts = catalog.points()
-    lam = _rates_at_events(fld, pts)
-    rng = stream.substream(0).generator()
-    if len(pts):
-        with np.errstate(divide="ignore"):
-            probs = np.minimum(1.0, np.where(lam > 0, k_rate / np.maximum(lam, 1e-300), 1.0))
-        keep = rng.random(len(pts)) < probs
-    else:
-        keep = np.zeros(0, dtype=bool)
-    kept = pts[keep]
-    xs, ys = simulate_cox_complement(fld, k_rate, "superthin",
-                                     stream.substream(1))
-    sim_pts = np.column_stack([xs, ys]) if len(xs) else np.zeros((0, 2))
-    all_pts = np.concatenate([kept, sim_pts])
-    sim_flag = np.concatenate([np.zeros(len(kept), dtype=bool),
-                               np.ones(len(sim_pts), dtype=bool)])
-    return ResidualSet(all_pts, sim_flag, k_rate, region, "superthin",
-                       seed=stream.seed,
-                       meta={"k_rate": k_rate, "n_retained": len(kept),
-                             "n_simulated": len(sim_pts),
-                             "n_input": len(pts)})
+    # an event on zero rate gets k / 0 = inf, so it is always kept
+    with np.errstate(divide="ignore", over="ignore"):
+        probs = np.minimum(1.0, k_rate / evaluate(fld, pts[:, 0], pts[:, 1]))
+    return _thin_and_superpose(fld, pts, k_rate, "superthin",
+                               {"k_rate": k_rate},
+                               keep=(probs, stream.substream(0)),
+                               add=(k_rate, stream.substream(1)))
 
 
 def assess_homogeneity(rset: ResidualSet, radii=None,

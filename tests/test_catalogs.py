@@ -91,6 +91,14 @@ def test_bad_row_has_line_number():
     assert exc.value.line_number == 2
 
 
+def test_csv_errors_name_their_line():
+    oversized = CSV_TEXT + f"2008-01-01T00:00:00Z,{'1' * 200_000},0,5,4\n"
+    with pytest.raises(ParseError, match="^line 4: field larger than"):
+        parse_catalog(oversized)
+    with pytest.raises(ParseError, match="^line 4: new-line character"):
+        parse_catalog(CSV_TEXT + "2008-01-01T00:00:00Z,0.1\r,0.2,5,4\n")
+
+
 def test_catalog_rejects_unordered_events():
     times = np.array(["2007-01-01", "2006-01-01"], dtype="datetime64[us]")
     with pytest.raises(ValidationError):

@@ -223,6 +223,23 @@ def test_non_utf8_input_exit_code(tmp_path, capsys, bad):
     assert f"line {line}: not valid UTF-8 text" in out.stderr
 
 
+def test_oversized_catalog_field_exit_code(tmp_path, capsys):
+    fc = tmp_path / "fc.txt"
+    fc.write_text(FORECAST)
+    cat = tmp_path / "cat.csv"
+    cat.write_text("time,lon,lat,depth,mag\n"
+                   f"2006-01-01T00:00:00Z,{'1' * 200_000},0.25,5,4\n")
+    args = ["ntest", "--forecast", str(fc), "--catalog", str(cat),
+            "--analytic"]
+    message = "line 2: field larger than field limit (131072)"
+    assert main(args) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
+    out = _run_cli(args, tmp_path)
+    assert out.returncode == 3, out.stderr
+    assert "Traceback" not in out.stderr
+    assert message in out.stderr
+
+
 def _relm_like_forecast(n_x, n_y, n_mag):
     """Rows of an n_x by n_y grid of 0.1-degree pixels with n_mag bins,
     written as RELM forecasts are (about 54 bytes a row)."""
@@ -456,3 +473,29 @@ def test_non_finite_k_rate_exit_code(workspace, capsys, command, k_rate):
     assert "Traceback" not in err
     assert "k_rate must be finite and positive" in err
     assert sorted(os.listdir(tmp)) == before
+
+
+@pytest.mark.parametrize("assess", [[], ["--assess"]])
+@pytest.mark.parametrize("k_count", ["nan", "inf", "-inf", "0", "-1"])
+def test_non_finite_k_count_exit_code(workspace, capsys, assess, k_count):
+    # checked as --k-rate is, before any input is read or output made
+    tmp, fc, cat = workspace
+    before = sorted(os.listdir(tmp))
+    rc = main(["transform", "--forecast", str(fc), "--catalog", str(cat),
+               "--kind", "thin-approx", *assess, f"--k-count={k_count}",
+               "--out", str(tmp / "out")])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert "Traceback" not in err
+    assert "k_count must be finite and positive" in err
+    assert sorted(os.listdir(tmp)) == before
+
+
+def test_thin_approx_without_k_count_fails_before_reading(tmp_path, capsys):
+    # the usage error comes first: the missing inputs are never opened
+    with pytest.raises(SystemExit) as exc:
+        main(["transform", "--forecast", str(tmp_path / "missing.txt"),
+              "--catalog", str(tmp_path / "missing.csv"),
+              "--kind", "thin-approx"])
+    assert exc.value.code == 2
+    assert "--kind thin-approx requires --k-count" in capsys.readouterr().err

@@ -58,10 +58,12 @@ def test_masked_pixels_get_no_points():
 
 
 def test_cox_complement_superpose_level_check():
+    # no level check here: below the supremum the complement is clipped to
+    # the pixels under the level (superpose rejects such a level itself)
     fld = _field()
-    with pytest.raises(ValidationError):
-        simulate_cox_complement(fld, 1.0, "superpose", SeededStream(0, 0))
-    xs, ys = simulate_cox_complement(fld, 8.0, "superpose", SeededStream(0, 0))
+    xs, ys = simulate_cox_complement(fld, 1.0, SeededStream(0, 0))
+    assert np.all((xs < 0.5) & (ys < 0.5))    # only the 0.5-rate pixel
+    xs, ys = simulate_cox_complement(fld, 8.0, SeededStream(0, 0))
     assert len(xs) == len(ys)
 
 
@@ -70,7 +72,7 @@ def test_cox_complement_superthin_clips_negative():
     g = Grid.regular(0, 1, 0, 1, 0.5, 0.5)
     rates = np.array([[10.0, 10.0], [0.0, 0.0]])
     fld = IntensityField(g, rates)
-    xs, ys = simulate_cox_complement(fld, 2.0, "superthin", SeededStream(5, 0))
+    xs, ys = simulate_cox_complement(fld, 2.0, SeededStream(5, 0))
     assert np.all(ys >= 0.5)  # only the zero-rate row gets complement points
 
 
@@ -78,7 +80,7 @@ def test_cox_complement_mean_count():
     g = Grid.regular(0, 1, 0, 1, 0.5, 0.5)
     fld = IntensityField(g, np.zeros((2, 2)))
     m = 12.0  # expected complement count: level * area
-    totals = [len(simulate_cox_complement(fld, m, "superpose",
+    totals = [len(simulate_cox_complement(fld, m,
                                           SeededStream(6, j))[0])
               for j in range(300)]
     se = np.sqrt(m / 300)
@@ -107,7 +109,7 @@ def test_expected_points_above_cap_rejected_before_drawing():
     g = Grid.regular(0, 1, 0, 1, 0.5, 0.5)
     fld = IntensityField(g, np.array([[4e11, 1.0], [1.0, 1.0]]))
     for draw in (lambda: simulate_catalog(fld, SeededStream(0, 0)),
-                 lambda: simulate_cox_complement(fld, 4e11, "superthin",
+                 lambda: simulate_cox_complement(fld, 4e11,
                                                  SeededStream(0, 0)),
                  lambda: simulate_homogeneous(GridRegion(g), 4e11,
                                               SeededStream(0, 0))):

@@ -3,10 +3,10 @@ import pytest
 
 from quakeresid import (DegenerateInfimumError, Grid, GridRegion,
                         IntensityField, ResidualSet, RowIntervalRegion,
-                        SeededStream, ValidationError, assess_homogeneity,
-                        integrate, parse_catalog, rescale, simulate_catalog,
-                        simulate_homogeneous, super_thin, superpose,
-                        thin_approx, thin_exact)
+                        SeededStream, TransposedRegion, ValidationError,
+                        assess_homogeneity, integrate, parse_catalog, rescale,
+                        simulate_catalog, simulate_homogeneous, super_thin,
+                        superpose, thin_approx, thin_exact)
 
 
 def _catalog(points):
@@ -72,6 +72,29 @@ def test_rescale_vertical_mode():
     assert np.all(rset.region.contains(rset.points[:, 0], rset.points[:, 1]))
 
 
+def test_rescale_vertical_is_transposed_horizontal():
+    # a 3 x 4 grid with zero-rate and masked pixels; events include pixel
+    # edges and the closed outer corner
+    mask = np.array([[1, 1, 0], [1, 1, 1], [0, 1, 1], [1, 1, 1]], bool)
+    rates = np.array([[1.5, 0.0, 2.0], [0.7, 3.1, 0.0], [1.0, 2.2, 0.4],
+                      [0.0, 1.3, 5.0]])
+    fld = IntensityField(Grid.regular(0, 1.5, 0, 1, 0.5, 0.25, mask), rates)
+    fld_t = IntensityField(Grid.regular(0, 1, 0, 1.5, 0.25, 0.5, mask.T),
+                           rates.T)
+    rng = np.random.default_rng(21)
+    pts = np.column_stack([rng.uniform(0, 1.5, 300), rng.uniform(0, 1, 300)])
+    pts = np.concatenate([[[0.5, 0.25], [1.5, 1.0], [1.0, 0.5]], pts])
+    pts = pts[fld.grid.contains(pts[:, 0], pts[:, 1])]
+    vertical = rescale(_catalog(pts), fld, axis="vertical")
+    horizontal = rescale(_catalog(pts[:, ::-1]), fld_t)
+    assert np.array_equal(vertical.points, horizontal.points[:, ::-1])
+    assert isinstance(vertical.region, TransposedRegion)
+    assert np.array_equal(vertical.region.inner.y_edges,
+                          horizontal.region.y_edges)
+    assert np.array_equal(vertical.region.inner.t_of_row,
+                          horizontal.region.t_of_row)
+
+
 def test_rescale_event_outside_region_rejected():
     mask = np.array([[True, False], [True, True]])
     g = Grid.regular(0, 1, 0, 1, 0.5, 0.5, active_mask=mask)
@@ -123,9 +146,17 @@ def test_thin_approx_clamps_and_warns():
     g = Grid.regular(0, 1, 0, 1, 0.5, 0.5)
     fld = IntensityField(g, np.array([[1.0, 100.0], [1.0, 1.0]]))
     cat = _catalog([(0.25, 0.25), (0.75, 0.25)])
-    with pytest.warns(UserWarning):
+    with pytest.warns(UserWarning) as record:
         rset = thin_approx(cat, fld, 1.9, SeededStream(4, 0))
     assert rset.meta["n_clamped"] == 1
+    assert record[0].filename == __file__    # it names the caller's line
+
+
+@pytest.mark.parametrize("k_count", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+def test_thin_approx_needs_finite_positive_count(k_count):
+    fld = IntensityField.constant(_grid(), 2.0)
+    with pytest.raises(ValidationError, match="k_count must be finite"):
+        thin_approx(_catalog([(0.3, 0.3)]), fld, k_count, SeededStream(5, 0))
 
 
 def test_thin_approx_empty_catalog():
@@ -163,6 +194,12 @@ def test_superpose_labels_partition():
     assert np.array_equal(rset.retained_points()[0], [0.3, 0.3])
     assert np.all(fld.grid.contains(rset.simulated_points()[:, 0],
                                     rset.simulated_points()[:, 1]))
+
+
+def test_superpose_level_below_sup_rejected():
+    fld = IntensityField(_grid(), np.array([[8.0, 1.0], [1.0, 1.0]]))
+    with pytest.raises(ValidationError, match="below the field supremum"):
+        superpose(_catalog([(0.3, 0.3)]), fld, SeededStream(21, 0), level=7.9)
 
 
 # --- super-thinning ----------------------------------------------------
@@ -256,6 +293,13 @@ def test_assess_needs_points():
     rset = thin_exact(_catalog([]), fld, SeededStream(19, 0))
     with pytest.raises(ValidationError):
         assess_homogeneity(rset, [0.1])
+
+
+@pytest.mark.parametrize("rate", [np.nan, np.inf, 0.0, -1.0])
+def test_residual_set_needs_finite_positive_null_rate(rate):
+    with pytest.raises(ValidationError, match="null rate must be finite"):
+        ResidualSet(np.zeros((0, 2)), np.zeros(0, bool), rate,
+                    GridRegion(_grid()), "null")
 
 
 def test_residual_set_csv():
