@@ -3,23 +3,28 @@ render SVG figures.
 
 Exit codes: 0 success, 2 usage error, 3 data or validation error.  Every
 command is a pure function of (input files, flags, seed); outputs written
-with --out get a manifest sidecar at <out>.manifest.json.
+with --out get a manifest sidecar at <out>.manifest.json.  Parsed forecast
+rows are cached per user, keyed by the sha256 of the file's bytes (see
+parse_forecast); the cache never changes an output.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import sys
 from dataclasses import replace
 
+import numpy as np
+
 from .catalogs import filter_catalog, parse_catalog, serialize_catalog
 from .consistency import l_test, log_likelihood, n_test
 from .errors import QuakeResidError
-from .forecasts import decode_utf8, parse_forecast
+from .forecasts import Forecast, build_forecast, decode_utf8, read_rows
 from .intensity import aggregate, integrate, scale_window
-from .manifest import build_manifest
+from .manifest import TOOLKIT_VERSION, build_manifest
 from .residuals import (deviance_residuals, lr_score, pearson_residuals,
                         raw_residuals)
 from .rng import SeededStream
@@ -33,6 +38,9 @@ from .transforms import (assess_homogeneity, check_finite_positive, rescale,
 DEFAULT_MAG_MIN = 3.95
 DEFAULT_DEPTH_MAX = 30.0
 DEFAULT_SIMS = 1000
+# Largest total size of the forecast row cache; the least recently used
+# entries go first.  A RELM forecast's rows take about 26 MB.
+CACHE_MAX_BYTES = 256 * 2 ** 20
 
 # argparse destinations that are not run parameters: file paths and the
 # seed have their own manifest fields, and --k only ever ends in an error
@@ -40,15 +48,93 @@ _NOT_PARAMETERS = {"command", "seed", "forecast", "forecast_a", "forecast_b",
                    "catalog", "out", "svg", "k_ambiguous"}
 
 
-def _read_bytes(path: str) -> bytes:
+def _read_bytes(path: str) -> tuple[bytes, str]:
+    """A file's bytes and their sha256 digest."""
     with open(path, "rb") as fh:
-        return fh.read()
+        data = fh.read()
+    return data, hashlib.sha256(data).hexdigest()
 
 
-def _read(path: str) -> str:
-    """A catalog's text, newlines translated as text-mode open does."""
-    text = decode_utf8(_read_bytes(path))
-    return text.replace("\r\n", "\n").replace("\r", "\n")
+def _read(path: str) -> tuple[str, str]:
+    """A catalog's text, newlines translated as text-mode open does, and the
+    sha256 digest of its bytes."""
+    data, digest = _read_bytes(path)
+    text = decode_utf8(data)
+    return text.replace("\r\n", "\n").replace("\r", "\n"), digest
+
+
+def _cache_dir() -> str:
+    base = os.environ.get("XDG_CACHE_HOME") or os.path.join(
+        os.path.expanduser("~"), ".cache")
+    return os.path.join(base, "quakeresid")
+
+
+def _cached_rows(path: str):
+    """The (n, 10) float64 rows stored at path, or None; a hit is touched,
+    so eviction finds the least recently used entries by mtime."""
+    try:
+        rows = np.load(path, allow_pickle=False)
+        os.utime(path)
+    except (OSError, ValueError, EOFError):
+        return None
+    if rows.dtype != np.float64 or rows.ndim != 2 or rows.shape[1] != 10:
+        return None
+    return rows
+
+
+def _store_rows(path: str, rows) -> None:
+    """Write rows to path through a temporary file, then evict the least
+    recently used entries until the cache is within CACHE_MAX_BYTES.  Rows
+    larger than the whole cache are not stored."""
+    if rows.nbytes > CACHE_MAX_BYTES:
+        return
+    directory = os.path.dirname(path)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        os.makedirs(directory, mode=0o700, exist_ok=True)
+        try:
+            with open(tmp, "wb") as fh:
+                np.save(fh, rows, allow_pickle=False)
+            os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):
+                os.remove(tmp)
+        entries = sorted((e.stat().st_mtime, e.stat().st_size, e.path)
+                         for e in os.scandir(directory) if e.is_file())
+        total = sum(size for _, size, _ in entries)
+        for _, size, entry in entries:
+            if total <= CACHE_MAX_BYTES:
+                break
+            os.remove(entry)
+            total -= size
+    except OSError:
+        pass
+
+
+def parse_forecast(data: bytes, digest: str) -> Forecast:
+    """forecasts.parse_forecast(data), its rows loaded from the row cache
+    entry of digest when one holds them.
+
+    A hit holds the same bits as a fresh read, and every check runs on it
+    again; only rows that pass them are stored.  Any OSError on the cache
+    path leaves the parse as it would be without a cache.  This keeps the
+    library function's name, so per-layer timing that wraps the CLI's
+    parse_forecast (bench/tracing.py) times the cached parse.
+    """
+    path = os.path.join(_cache_dir(), f"rows-{TOOLKIT_VERSION}-{digest}.npy")
+    rows = _cached_rows(path)
+    if rows is not None:
+        return build_forecast(rows, data)
+    rows = read_rows(data)
+    forecast = build_forecast(rows, data)
+    _store_rows(path, rows)
+    return forecast
+
+
+def _load_forecast(path: str) -> tuple[Forecast, str]:
+    """The forecast in a file and the sha256 digest of the bytes parsed."""
+    data, digest = _read_bytes(path)
+    return parse_forecast(data, digest), digest
 
 
 def _write(path, text: str):
@@ -60,7 +146,8 @@ def _write(path, text: str):
 
 
 def _manifest(args, inputs, seed):
-    """Run manifest; every parsed flag but paths and the seed is a parameter."""
+    """Run manifest of inputs, a path -> digest of the bytes parsed map;
+    every parsed flag but paths and the seed is a parameter."""
     parameters = {k: v for k, v in vars(args).items()
                   if k not in _NOT_PARAMETERS}
     return build_manifest(args.command, inputs, seed, parameters)
@@ -86,11 +173,15 @@ def _intensity(forecast, args):
 
 
 def _load_pair(args, forecast_path=None):
-    """Forecast + filtered catalog + aggregated intensity field."""
-    forecast = parse_forecast(_read_bytes(forecast_path or args.forecast))
-    catalog = parse_catalog(_read(args.catalog))
-    catalog = filter_catalog(catalog, forecast, args.mag_min, args.depth_max)
-    return forecast, catalog, _intensity(forecast, args)
+    """Forecast + filtered catalog + aggregated intensity field, and the
+    path -> digest map of the two files."""
+    forecast_path = forecast_path or args.forecast
+    forecast, forecast_digest = _load_forecast(forecast_path)
+    text, catalog_digest = _read(args.catalog)
+    catalog = filter_catalog(parse_catalog(text), forecast, args.mag_min,
+                             args.depth_max)
+    inputs = {forecast_path: forecast_digest, args.catalog: catalog_digest}
+    return forecast, catalog, _intensity(forecast, args), inputs
 
 
 def _score_json(name: str, score, extra=None) -> str:
@@ -116,22 +207,22 @@ def _k_flags(sub):
 
 
 def cmd_ntest(args) -> int:
-    _, catalog, fld = _load_pair(args)
+    _, catalog, fld, inputs = _load_pair(args)
     if args.analytic:
         score = n_test(fld, catalog, method="analytic")
     else:
         score = n_test(fld, catalog, args.sims, SeededStream(args.seed, 0))
     _write(args.out, _score_json("ntest", score,
                                  {"expected_count": integrate(fld)}))
-    _sidecar(args, [args.forecast, args.catalog], args.seed)
+    _sidecar(args, inputs, args.seed)
     return 0
 
 
 def cmd_ltest(args) -> int:
-    _, catalog, fld = _load_pair(args)
+    _, catalog, fld, inputs = _load_pair(args)
     score = l_test(fld, catalog, args.sims, SeededStream(args.seed, 0))
     _write(args.out, _score_json("ltest", score))
-    _sidecar(args, [args.forecast, args.catalog], args.seed)
+    _sidecar(args, inputs, args.seed)
     return 0
 
 
@@ -140,22 +231,21 @@ def cmd_resid(args, parser) -> int:
         if not (args.forecast_a and args.forecast_b):
             parser.error("--kind deviance requires --forecast-a and "
                          "--forecast-b")
-        _, catalog, fld_a = _load_pair(args, forecast_path=args.forecast_a)
-        fld_b = _intensity(parse_forecast(_read_bytes(args.forecast_b)), args)
+        _, catalog, fld_a, inputs = _load_pair(args, args.forecast_a)
+        forecast_b, inputs[args.forecast_b] = _load_forecast(args.forecast_b)
+        fld_b = _intensity(forecast_b, args)
         rmap = deviance_residuals(fld_a, fld_b, catalog)
         try:
             footer = {"lr_score": lr_score(rmap), "lr_score_defined": True}
         except QuakeResidError:
             footer = {"lr_score": None, "lr_score_defined": False}
-        inputs = [args.forecast_a, args.forecast_b, args.catalog]
     else:
         if not args.forecast:
             parser.error(f"--kind {args.kind} requires --forecast")
-        _, catalog, fld = _load_pair(args)
+        _, catalog, fld, inputs = _load_pair(args)
         rmap = raw_residuals(fld, catalog) if args.kind == "raw" \
             else pearson_residuals(fld, catalog)
         footer = None
-        inputs = [args.forecast, args.catalog]
     _write(args.out, rmap.to_csv())
     if footer is not None:
         sys.stdout.write(json.dumps(footer, sort_keys=True) + "\n")
@@ -175,7 +265,7 @@ def _weighted_k_with_bands(events, fld, radii, edge):
 
 def cmd_k(args) -> int:
     radii = default_radii(args.rmax, args.dr)
-    _, catalog, fld = _load_pair(args)
+    _, catalog, fld, inputs = _load_pair(args)
     pts = catalog.points()
     if args.weighted:
         curve = _weighted_k_with_bands(pts, fld, radii, args.edge)
@@ -186,7 +276,7 @@ def cmd_k(args) -> int:
     _write(args.out, curve.to_csv())
     if args.svg:
         _write(args.svg, k_curve_svg(curve, title))
-    _sidecar(args, [args.forecast, args.catalog], None)
+    _sidecar(args, inputs, None)
     return 0
 
 
@@ -210,7 +300,7 @@ def cmd_transform(args, parser) -> int:
     for name in ("k_count", "k_rate"):
         if getattr(args, name) is not None:
             check_finite_positive(name, getattr(args, name))
-    _, catalog, fld = _load_pair(args)
+    _, catalog, fld, inputs = _load_pair(args)
     stream = SeededStream(args.seed, 0)
     if args.kind == "rescale":
         rset = rescale(catalog, fld, args.axis)
@@ -244,18 +334,18 @@ def cmd_transform(args, parser) -> int:
             stem, ext = os.path.splitext(args.svg)
             _write(stem + "_assess" + (ext or ".svg"),
                    k_curve_svg(curve, f"{args.kind} homogeneity assessment"))
-    _sidecar(args, [args.forecast, args.catalog], args.seed)
+    _sidecar(args, inputs, args.seed)
     return 0
 
 
 def cmd_simulate(args) -> int:
-    forecast = parse_forecast(_read_bytes(args.forecast))
+    forecast, digest = _load_forecast(args.forecast)
     fld = _intensity(forecast, args)
     catalog = simulate_catalog(fld, SeededStream(args.seed, 0),
                                forecast.window_start, forecast.window_end,
                                magnitude=args.mag_min)
     _write(args.out, serialize_catalog(catalog))
-    _sidecar(args, [args.forecast], args.seed)
+    _sidecar(args, {args.forecast: digest}, args.seed)
     return 0
 
 
@@ -264,7 +354,7 @@ def cmd_report(args) -> int:
     if args.k_rate is not None:
         check_finite_positive("k_rate", args.k_rate)
     os.makedirs(args.out, exist_ok=True)
-    _, catalog, fld = _load_pair(args)
+    _, catalog, fld, inputs = _load_pair(args)
     out = lambda name: os.path.join(args.out, name)
 
     n_score = n_test(fld, catalog, args.sims, SeededStream(args.seed, 0))
@@ -305,7 +395,7 @@ def cmd_report(args) -> int:
         _write(out("superthin_assess.svg"),
                k_curve_svg(assess, "superthin homogeneity assessment"))
 
-    manifest = _manifest(args, [args.forecast, args.catalog], args.seed)
+    manifest = _manifest(args, inputs, args.seed)
     _write(out("manifest.json"), manifest.to_json())
     return 0
 

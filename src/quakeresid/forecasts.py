@@ -181,24 +181,38 @@ def _bulk_rows(data: bytes):
     return arr if arr.shape[1] == 10 else None
 
 
+def read_rows(data: bytes) -> np.ndarray:
+    """The data rows of forecast-file bytes as an (n, 10) float array: one
+    bulk pass, or the line reader where the bulk reader cannot decide."""
+    arr = _bulk_rows(data)
+    return _rows_by_line(data)[1] if arr is None else arr
+
+
 def parse_forecast(text: bytes | str, window_start=DEFAULT_WINDOW_START,
                    window_end=DEFAULT_WINDOW_END) -> Forecast:
     """Parse forecast-file content, as bytes or str, into a Forecast.
 
     Bytes must be UTF-8 (anything else is a ParseError naming its line);
-    a str is encoded to UTF-8 once and read the same way.  The grid is
-    inferred from the union of rows; all rows must describe pixels of one
-    common size on one common lattice.  The rows are read in one bulk pass
-    and checked as arrays; the data is decoded and read again line by line
-    only to name the line of an error.
+    a str is encoded to UTF-8 once and read the same way.  The rows are
+    read by read_rows and checked by build_forecast.
     """
     data = text
     if isinstance(data, str):
         # a lone surrogate becomes invalid UTF-8: a ParseError below
         data = data.encode("utf-8", "surrogatepass")
-    arr = _bulk_rows(data)
-    if arr is None:
-        arr = _rows_by_line(data)[1]
+    return build_forecast(read_rows(data), data, window_start, window_end)
+
+
+def build_forecast(arr: np.ndarray, data: bytes,
+                   window_start=DEFAULT_WINDOW_START,
+                   window_end=DEFAULT_WINDOW_END) -> Forecast:
+    """The Forecast of rows that read_rows(data) returned, after every check.
+
+    The grid is inferred from the union of rows; all rows must describe
+    pixels of one common size on one common lattice.  The rows are checked
+    as arrays; data is decoded and read again line by line only to name
+    the line of an error.
+    """
     if len(arr) == 0:
         return _empty_forecast(window_start, window_end)
 

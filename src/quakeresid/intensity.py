@@ -63,13 +63,21 @@ def scale_window(fld: IntensityField, fraction: float) -> IntensityField:
     return IntensityField(fld.grid, rates)
 
 
+def check_inside(grid: Grid, lon, lat) -> None:
+    """OutsideRegionError naming the first point not in an active pixel."""
+    inside = np.atleast_1d(grid.contains(lon, lat))
+    if not inside.all():
+        i = int(np.argmin(inside))
+        x, y = np.broadcast_arrays(np.atleast_1d(lon), np.atleast_1d(lat))
+        raise OutsideRegionError(f"point at index {i} (lon {x[i]}, lat {y[i]}) "
+                                 "is outside the active region")
+
+
 def evaluate(fld: IntensityField, lon, lat):
     """Rate per square degree at (lon, lat); OutsideRegionError if the point
     is not in an active pixel."""
-    grid = fld.grid
-    if not np.all(grid.contains(lon, lat)):
-        raise OutsideRegionError(f"point ({lon}, {lat}) outside active region")
-    ix, iy = grid.pixel_of(lon, lat)
+    check_inside(fld.grid, lon, lat)
+    ix, iy = fld.grid.pixel_of(lon, lat)
     return fld.rate_per_area[iy, ix]
 
 

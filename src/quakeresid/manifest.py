@@ -7,7 +7,6 @@ only in the manifest sidecar.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -15,18 +14,10 @@ from datetime import datetime, timezone
 TOOLKIT_VERSION = "0.3.0"
 
 
-def file_digest(path: str) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 16), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
-
 @dataclass(frozen=True)
 class RunManifest:
     command: str
-    inputs: dict                 # path -> sha256 digest
+    inputs: dict                 # path -> sha256 digest of the bytes parsed
     seed: int | None
     parameters: dict
     version: str = TOOLKIT_VERSION
@@ -48,9 +39,11 @@ class RunManifest:
         return json.dumps(record, indent=2, sort_keys=True) + "\n"
 
 
-def build_manifest(command: str, input_paths, seed=None,
+def build_manifest(command: str, inputs: dict, seed=None,
                    parameters=None) -> RunManifest:
-    inputs = {str(p): file_digest(str(p)) for p in input_paths}
+    """Manifest of a run; inputs maps each input path to the sha256 digest
+    of the bytes the command parsed from it."""
+    inputs = {str(p): digest for p, digest in inputs.items()}
     return RunManifest(command, inputs, seed, dict(parameters or {}),
                        TOOLKIT_VERSION,
                        datetime.now(timezone.utc).isoformat())

@@ -17,7 +17,8 @@ import numpy as np
 
 from .catalogs import Catalog
 from .errors import DegenerateInfimumError, ValidationError
-from .intensity import IntensityField, evaluate, extremes, integrate
+from .intensity import (IntensityField, check_inside, evaluate, extremes,
+                        integrate)
 from .regions import GridRegion, RowIntervalRegion, TransposedRegion
 from .rng import SeededStream
 from .secondorder import (KCurve, default_radii, envelope_bands, radii_grid,
@@ -94,8 +95,7 @@ def rescale(catalog: Catalog, fld: IntensityField,
     grid = fld.grid
     rates = np.where(grid.active_mask, fld.rate_per_area, 0.0)
     pts = catalog.points()
-    if len(pts) and not np.all(grid.contains(pts[:, 0], pts[:, 1])):
-        raise ValidationError("catalog events outside the active region")
+    check_inside(grid, pts[:, 0], pts[:, 1])
     ix, iy = grid.pixel_of(pts[:, 0], pts[:, 1])
     (x0, dx), (y0, dy) = (grid.lon_min, grid.dx), (grid.lat_min, grid.dy)
     if axis == "vertical":
@@ -205,8 +205,7 @@ def superpose(catalog: Catalog, fld: IntensityField, stream: SeededStream,
     if sup == 0:
         raise ValidationError("rate supremum is zero; nothing to superpose onto")
     pts = catalog.points()
-    if len(pts) and not np.all(fld.grid.contains(pts[:, 0], pts[:, 1])):
-        raise ValidationError("catalog events outside the active region")
+    check_inside(fld.grid, pts[:, 0], pts[:, 1])
     if level < sup:
         raise ValidationError(
             f"superpose level {level} is below the field supremum {sup}")

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 import quakeresid
-from quakeresid import secondorder
+from quakeresid import cli, secondorder
 from quakeresid.cli import main
 
 FORECAST = """\
@@ -60,6 +61,25 @@ def test_ntest_json_and_manifest(workspace, capsys):
     manifest = json.loads((tmp / "score.json.manifest.json").read_text())
     assert manifest["command"] == "ntest"
     assert str(fc) in manifest["inputs"]
+
+
+def test_manifest_digests_the_bytes_parsed(workspace, monkeypatch):
+    tmp, fc, cat = workspace
+    parsed = {str(p): hashlib.sha256(p.read_bytes()).hexdigest()
+              for p in (fc, cat)}
+    filter_catalog = cli.filter_catalog
+
+    def replace_inputs_then_filter(*args, **kwargs):
+        fc.write_text(FORECAST.replace("2.0", "3.0"))
+        cat.write_text("time,lon,lat,depth,mag\n")
+        return filter_catalog(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "filter_catalog", replace_inputs_then_filter)
+    assert main(["ntest", "--forecast", str(fc), "--catalog", str(cat),
+                 "--analytic", "--out", str(tmp / "score.json")]) == 0
+    record = json.loads((tmp / "score.json.manifest.json").read_text())
+    assert record["inputs"] == parsed
+    assert hashlib.sha256(fc.read_bytes()).hexdigest() != parsed[str(fc)]
 
 
 def test_ntest_simulated_deterministic(workspace, capsys):

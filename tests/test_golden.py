@@ -14,6 +14,7 @@ import os
 import numpy as np
 import pytest
 
+from quakeresid import cli
 from quakeresid.cli import main
 
 # 4x4 half-degree pixels over [0, 2]^2, two magnitude bins per pixel; pixel
@@ -247,3 +248,18 @@ def test_cli_output_digests(name, inputs, tmp_path, capsys):
     capsys.readouterr()
     assert main(argv) == 0
     assert _digests(tmp_path, capsys.readouterr().out) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_warm_cache_writes_the_same_bytes(name, inputs, tmp_path, capsys,
+                                          monkeypatch):
+    found = []
+    for run in ("cold", "warm"):
+        out = tmp_path / run
+        out.mkdir()
+        capsys.readouterr()
+        assert main([a.format(out=out, **inputs) for a in CASES[name]]) == 0
+        found.append(_digests(out, capsys.readouterr().out))
+        # the warm run must take every forecast's rows from the cache
+        monkeypatch.setattr(cli, "read_rows", None)
+    assert found[0] == found[1] == GOLDEN[name]

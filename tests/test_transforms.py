@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from quakeresid import (DegenerateInfimumError, Grid, GridRegion,
-                        IntensityField, ResidualSet, RowIntervalRegion,
-                        SeededStream, TransposedRegion, ValidationError,
-                        assess_homogeneity, integrate, parse_catalog, rescale,
-                        simulate_catalog, simulate_homogeneous, super_thin,
-                        superpose, thin_approx, thin_exact)
+                        IntensityField, OutsideRegionError, ResidualSet,
+                        RowIntervalRegion, SeededStream, TransposedRegion,
+                        ValidationError, assess_homogeneity, integrate,
+                        parse_catalog, rescale, simulate_catalog,
+                        simulate_homogeneous, super_thin, superpose,
+                        thin_approx, thin_exact)
 
 
 def _catalog(points):
@@ -99,8 +100,24 @@ def test_rescale_event_outside_region_rejected():
     mask = np.array([[True, False], [True, True]])
     g = Grid.regular(0, 1, 0, 1, 0.5, 0.5, active_mask=mask)
     fld = IntensityField(g, np.ones((2, 2)))
-    with pytest.raises(ValidationError):
+    with pytest.raises(OutsideRegionError, match=r"^point at index 0 "):
         rescale(_catalog([(0.75, 0.25)]), fld)
+
+
+@pytest.mark.parametrize("transform", [
+    lambda cat, fld: rescale(cat, fld),
+    lambda cat, fld: thin_exact(cat, fld, SeededStream(1, 0)),
+    lambda cat, fld: thin_approx(cat, fld, 10.0, SeededStream(1, 0)),
+    lambda cat, fld: superpose(cat, fld, SeededStream(1, 0)),
+    lambda cat, fld: super_thin(cat, fld, SeededStream(1, 0)),
+], ids=["rescale", "thin", "thin-approx", "superpose", "superthin"])
+def test_event_outside_region_is_one_error_naming_its_index(transform):
+    fld = IntensityField(_grid(), np.array([[1.0, 2.0], [3.0, 4.0]]))
+    cat = _catalog([(0.2, 0.2)] * 2999 + [(1.5, 0.2)])
+    with pytest.raises(OutsideRegionError) as exc:
+        transform(cat, fld)
+    assert str(exc.value) == ("point at index 2999 (lon 1.5, lat 0.2) is "
+                              "outside the active region")
 
 
 # --- thinning ----------------------------------------------------------
