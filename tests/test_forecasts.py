@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -370,3 +371,60 @@ def test_gr_extrapolate_bin_masses_follow_survivor():
     new = ext.rate[: len(ext.rate) - fc.n_bins]
     pix_tot = fc.rate  # one old bin per pixel in SIMPLE
     assert np.allclose(np.sort(new), np.sort(pix_tot * mass), rtol=1e-12)
+
+
+def _pin_forecast():
+    """A 6 x 5 grid of 0.1-degree pixels at -118, 34 with three magnitude
+    bins each, rows out of pixel order, one pixel masked out, one never
+    mentioned and one with a second depth range."""
+    rng = np.random.default_rng(17)
+    rows = []
+    for pix in rng.permutation(30):
+        ix, iy = pix % 6, pix // 6
+        if (ix, iy) == (4, 3):
+            continue
+        flag = 0 if (ix, iy) == (1, 2) else 1
+        depth = "0 20" if (ix, iy) == (2, 4) else "0 30"
+        for m in rng.permutation(3):
+            rows.append("%.1f %.1f %.1f %.1f %s %.2f %.2f %.9e %d" % (
+                -118 + ix / 10, -118 + (ix + 1) / 10, 34 + iy / 10,
+                34 + (iy + 1) / 10, depth, 4.95 + m / 10, 5.05 + m / 10,
+                rng.lognormal(-7.0, 1.5), flag))
+    return parse_forecast("\n".join(rows) + "\n")
+
+
+def _digest(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(a.dtype.str.encode() + repr(a.shape).encode() + a.tobytes())
+    return h.hexdigest()
+
+
+# Two overlapping special regions: pixels in both take the first one's b,
+# and some pixel centres lie within rounding of a region edge, on either
+# side (edges are inclusive).
+_PIN_REGIONS = [((-117.95, -117.65, 34.05, 34.25), 1.3),
+                ((-117.75, -117.45, 34.15, 34.45), 0.7)]
+
+
+@pytest.mark.parametrize("regions, digest", [
+    (None,
+     "57157ee7b65e5db4dcfee192b57ba6fa6f21661523d6c4f9002169331d5494d6"),
+    (_PIN_REGIONS,
+     "aeced7ac67ba498e4577b2d8310185d91ba3c320ac0fa849349f2b8e700e2d32"),
+], ids=["plain", "overlapping-special-regions"])
+def test_gr_extrapolate_arrays_are_pinned(regions, digest):
+    ext = gr_extrapolate(_pin_forecast(), 4.45, b_value=0.95, corner_mag=8.0,
+                         special_regions=regions)
+    assert _digest(ext.pixel_index, ext.mag_lo, ext.mag_hi, ext.rate,
+                   ext.depth_lo, ext.depth_hi,
+                   ext.grid.active_mask) == digest
+
+
+def test_serialize_forecast_text_is_pinned():
+    fc = _pin_forecast()
+    ext = gr_extrapolate(fc, 4.45, b_value=0.95, corner_mag=8.0,
+                         special_regions=_PIN_REGIONS)
+    text = serialize_forecast(fc) + serialize_forecast(ext)
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "ab4f0f40080272d8589d868ab2abc2af8409613425b022b97012f9701075b263"
