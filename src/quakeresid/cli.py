@@ -28,8 +28,9 @@ from .manifest import TOOLKIT_VERSION, build_manifest
 from .residuals import (deviance_residuals, lr_score, pearson_residuals,
                         raw_residuals)
 from .rng import SeededStream
-from .secondorder import (DEFAULT_R_MAX, DEFAULT_R_STEP, default_radii,
-                          ripley_k, weighted_k, wk_confidence_bands)
+from .secondorder import (DEFAULT_R_MAX, DEFAULT_R_STEP, check_envelope_size,
+                          default_radii, ripley_k, weighted_k,
+                          wk_confidence_bands)
 from .simulate import simulate_catalog
 from .svg import k_curve_svg, point_map_svg, residual_map_svg
 from .transforms import (assess_homogeneity, check_finite_positive, rescale,
@@ -297,6 +298,9 @@ def cmd_transform(args, parser) -> int:
     if args.kind == "thin-approx" and args.k_count is None:
         parser.error("--kind thin-approx requires --k-count")
     radii = default_radii(args.rmax, args.dr) if args.assess else None
+    bands = "envelope" if args.kind == "rescale" else "analytic"
+    if args.assess and bands == "envelope":
+        check_envelope_size(args.sims, len(radii))
     for name in ("k_count", "k_rate"):
         if getattr(args, name) is not None:
             check_finite_positive(name, getattr(args, name))
@@ -322,7 +326,6 @@ def cmd_transform(args, parser) -> int:
     if args.svg:
         _write(args.svg, point_map_svg(rset, f"{args.kind} residuals"))
     if args.assess:
-        bands = "envelope" if args.kind == "rescale" else "analytic"
         curve = assess_homogeneity(
             rset, radii, bands=bands, n_sims=args.sims,
             stream=SeededStream(args.seed, 1), edge_correction=args.edge)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import io
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 
 import numpy as np
@@ -21,8 +21,8 @@ import numpy as np
 from .errors import ParseError, SchemaError, ValidationError
 from .grids import Grid
 
-# Default forecast window: the five-year experiment period the row format
-# comes from.  parse_forecast accepts explicit bounds for anything else.
+# Forecast window of every parsed file: the five-year experiment period the
+# row format comes from.
 DEFAULT_WINDOW_START = datetime(2006, 1, 1, tzinfo=timezone.utc)
 DEFAULT_WINDOW_END = datetime(2011, 1, 1, tzinfo=timezone.utc)
 
@@ -46,18 +46,28 @@ class Forecast:
     window_end: datetime = DEFAULT_WINDOW_END
 
     def __post_init__(self):
+        """The bin checks: each bin has a finite, non-negative rate and
+        mag_lo < mag_hi, and no two bins share a key."""
         if self.window_start >= self.window_end:
             raise ValidationError("window_start must precede window_end")
-        if np.any(self.rate < 0):
-            raise ValidationError("negative forecast rate")
-        if np.any(self.mag_lo >= self.mag_hi):
-            raise ValidationError("mag_lo must be < mag_hi")
-        dup = _first_duplicate(self.pixel_index, self.mag_lo)
+        rate, lo, hi = self.rate, self.mag_lo, self.mag_hi
+        ok = (rate >= 0) & (rate < np.inf) & (lo < hi)
+        if not ok.all():
+            i = int(np.argmin(ok))
+            r = float(rate[i])
+            raise _RowFault(
+                f"negative rate {r}" if r < 0 else
+                f"rate {r} is not finite" if not r < np.inf else
+                "mag_lo >= mag_hi" if lo[i] >= hi[i] else
+                f"magnitude bin edges must be numbers, got {float(lo[i])} "
+                f"and {float(hi[i])}", [i])
+        dup = _first_duplicate(self.pixel_index, lo)
         if dup is not None:
-            pix, lo = self.pixel_index[dup[0]], self.mag_lo[dup[0]]
-            raise _DuplicateKeyError(
-                f"duplicate (pixel, magnitude-bin) key: pixel {pix}, "
-                f"mag_lo {lo}", dup)
+            raise _RowFault(
+                f"duplicate (pixel, magnitude-bin) key: pixel "
+                f"{self.pixel_index[dup[0]]}, mag_lo {lo[dup[0]]}", dup,
+                "line {}: duplicate (pixel, magnitude-bin) key (first seen "
+                "on line {})")
 
     @property
     def n_bins(self) -> int:
@@ -68,13 +78,15 @@ class Forecast:
         return float(self.mag_lo.min()) if self.n_bins else float("nan")
 
 
-class _DuplicateKeyError(ValidationError):
-    """Two bins share a key; rows is (i, j) as _first_duplicate returns it,
-    so parse_forecast can name their lines."""
+class _RowFault(ValidationError):
+    """A check failed at these row indices.  build_forecast raises
+    kind(lines.format(*their line numbers)) in its place; lines defaults
+    to the message after "line {}: "."""
 
-    def __init__(self, message, rows):
+    def __init__(self, message, rows, lines=None, kind=ValidationError):
         super().__init__(message)
-        self.rows = rows
+        self.rows, self.kind = rows, kind
+        self.lines = lines or "line {}: " + message
 
 
 def _first_duplicate(pixel, mag_lo):
@@ -101,14 +113,6 @@ def _first_duplicate(pixel, mag_lo):
     return None
 
 
-def _empty_forecast(window_start, window_end):
-    grid = Grid.regular(0.0, 1.0, 0.0, 1.0, 1.0, 1.0,
-                        active_mask=np.zeros((1, 1), dtype=bool))
-    z = np.zeros(0)
-    return Forecast(grid, z.astype(int), z, z, z, z, z,
-                    window_start=window_start, window_end=window_end)
-
-
 def decode_utf8(data: bytes) -> str:
     """data as text; invalid UTF-8 is a ParseError naming its line."""
     try:
@@ -133,11 +137,10 @@ def _rows_by_line(data: bytes):
         if len(fields) != 10:
             raise ParseError(f"expected 10 columns, got {len(fields)}", lineno)
         try:
-            vals = [float(f) for f in fields]
+            rows.append([float(f) for f in fields])
         except ValueError as exc:
             raise ParseError(str(exc), lineno) from None
         linenos.append(lineno)
-        rows.append(vals)
     return linenos, np.array(rows, dtype=float).reshape(-1, 10)
 
 
@@ -188,39 +191,46 @@ def read_rows(data: bytes) -> np.ndarray:
     return _rows_by_line(data)[1] if arr is None else arr
 
 
-def parse_forecast(text: bytes | str, window_start=DEFAULT_WINDOW_START,
-                   window_end=DEFAULT_WINDOW_END) -> Forecast:
+def parse_forecast(text: bytes | str) -> Forecast:
     """Parse forecast-file content, as bytes or str, into a Forecast.
 
     Bytes must be UTF-8 (anything else is a ParseError naming its line);
     a str is encoded to UTF-8 once and read the same way.  The rows are
     read by read_rows and checked by build_forecast.
     """
-    data = text
-    if isinstance(data, str):
+    if isinstance(text, str):
         # a lone surrogate becomes invalid UTF-8: a ParseError below
-        data = data.encode("utf-8", "surrogatepass")
-    return build_forecast(read_rows(data), data, window_start, window_end)
+        text = text.encode("utf-8", "surrogatepass")
+    return build_forecast(read_rows(text), text)
 
 
-def build_forecast(arr: np.ndarray, data: bytes,
-                   window_start=DEFAULT_WINDOW_START,
-                   window_end=DEFAULT_WINDOW_END) -> Forecast:
+def build_forecast(arr: np.ndarray, data: bytes) -> Forecast:
     """The Forecast of rows that read_rows(data) returned, after every check.
 
     The grid is inferred from the union of rows; all rows must describe
-    pixels of one common size on one common lattice.  The rows are checked
-    as arrays; data is decoded and read again line by line only to name
-    the line of an error.
+    pixels of one common size on one common lattice.  The geometry checks
+    run first, then Forecast's bin checks.  The rows are checked as arrays;
+    data is decoded and read again line by line only to name the lines of
+    a fault.
     """
-    if len(arr) == 0:
-        return _empty_forecast(window_start, window_end)
+    try:
+        return _build(arr)
+    except _RowFault as fault:
+        linenos = _rows_by_line(data)[0]
+        raise fault.kind(fault.lines.format(
+            *(linenos[i] for i in fault.rows))) from None
 
+
+def _build(arr: np.ndarray) -> Forecast:
+    """build_forecast's checks; a fault at known rows is a _RowFault."""
+    if len(arr) == 0:
+        grid = Grid(0.0, 1.0, 0.0, 1.0, 1.0, 1.0, 1, 1, np.zeros((1, 1), bool))
+        z = np.zeros(0)
+        return Forecast(grid, z.astype(int), z, z, z, z, z)
     lon_lo, lon_hi, lat_lo, lat_hi = arr[:, 0], arr[:, 1], arr[:, 2], arr[:, 3]
     # non-finite edges and sizes are stopped below, as typed errors
     with np.errstate(over="ignore", invalid="ignore"):
-        dxs = lon_hi - lon_lo
-        dys = lat_hi - lat_lo
+        dxs, dys = lon_hi - lon_lo, lat_hi - lat_lo
         dx, dy = dxs[0], dys[0]
         if (np.any(np.abs(dxs - dx) > _EDGE_TOL)
                 or np.any(np.abs(dys - dy) > _EDGE_TOL)):
@@ -228,20 +238,12 @@ def build_forecast(arr: np.ndarray, data: bytes,
     if dx <= 0 or dy <= 0:
         raise SchemaError("pixel edges must have positive extent")
 
-    bad = (arr[:, 8] < 0) | (arr[:, 6] >= arr[:, 7])
-    if bad.any():
-        i = int(np.argmax(bad))
-        lineno = _rows_by_line(data)[0][i]
-        if arr[i, 8] < 0:
-            raise ValidationError(f"line {lineno}: negative rate {float(arr[i, 8])}")
-        raise ValidationError(f"line {lineno}: mag_lo >= mag_hi")
-
     # a NaN or infinite edge gets past the checks above; stop it before the
     # grid size's int(round(...))
-    nonfinite = ~np.isfinite(arr[:, :4]).all(axis=1)
-    if nonfinite.any():
-        lineno = _rows_by_line(data)[0][int(np.argmax(nonfinite))]
-        raise SchemaError(f"line {lineno}: pixel edges must be finite")
+    finite = np.isfinite(arr[:, :4]).all(axis=1)
+    if not finite.all():
+        raise _RowFault("pixel edges must be finite", [np.argmin(finite)],
+                        kind=SchemaError)
 
     lon_min, lon_max = lon_lo.min(), lon_hi.max()
     lat_min, lat_max = lat_lo.min(), lat_hi.max()
@@ -250,21 +252,17 @@ def build_forecast(arr: np.ndarray, data: bytes,
         n_x, n_y = (lon_max - lon_min) / dx, (lat_max - lat_min) / dy
         if not (np.isfinite(n_x) and np.isfinite(n_y)):
             span = np.maximum((lon_hi - lon_min) / dx, (lat_hi - lat_min) / dy)
-            lineno = _rows_by_line(data)[0][int(np.argmax(~np.isfinite(span)))]
-            raise SchemaError(f"line {lineno}: grid extent is not finite")
+            raise _RowFault("grid extent is not finite",
+                            [np.argmax(~np.isfinite(span))], kind=SchemaError)
     n_x, n_y = int(round(n_x)), int(round(n_y))
     if n_x * n_y > MAX_GRID_PIXELS:
-        linenos = _rows_by_line(data)[0]
-        west, east, south, north = (
-            linenos[int(f(col))] for f, col in ((np.argmin, lon_lo),
-                                                 (np.argmax, lon_hi),
-                                                 (np.argmin, lat_lo),
-                                                 (np.argmax, lat_hi)))
-        raise SchemaError(
-            f"grid bounding box of {n_x} x {n_y} pixels is above the largest "
-            f"supported {MAX_GRID_PIXELS} pixels; its extreme rows are line "
-            f"{west} (west), {east} (east), {south} (south) and {north} "
-            f"(north)")
+        message = (f"grid bounding box of {n_x} x {n_y} pixels is above the "
+                   f"largest supported {MAX_GRID_PIXELS} pixels")
+        raise _RowFault(
+            message, [np.argmin(lon_lo), np.argmax(lon_hi), np.argmin(lat_lo),
+                      np.argmax(lat_hi)],
+            message + "; its extreme rows are line {} (west), {} (east), {} "
+            "(south) and {} (north)", SchemaError)
 
     ix = np.round((lon_lo - lon_min) / dx).astype(int)
     iy = np.round((lat_lo - lat_min) / dy).astype(int)
@@ -272,9 +270,7 @@ def build_forecast(arr: np.ndarray, data: bytes,
             np.any(np.abs(lat_lo - (lat_min + iy * dy)) > _EDGE_TOL)):
         raise SchemaError("pixel edges do not lie on a common lattice")
 
-    pixel = iy * n_x + ix
     mask_flag = arr[:, 9] != 0
-
     active = np.zeros((n_y, n_x), dtype=bool)
     active[iy[mask_flag], ix[mask_flag]] = True
     # any masked-out row deactivates its pixel, regardless of other rows
@@ -282,40 +278,23 @@ def build_forecast(arr: np.ndarray, data: bytes,
 
     grid = Grid(float(lon_min), float(lon_max), float(lat_min), float(lat_max),
                 float(dx), float(dy), n_x, n_y, active)
-
-    try:
-        return Forecast(grid, pixel, arr[:, 6].copy(), arr[:, 7].copy(),
-                        arr[:, 8].copy(), arr[:, 4].copy(), arr[:, 5].copy(),
-                        window_start=window_start, window_end=window_end)
-    except _DuplicateKeyError as exc:
-        linenos = _rows_by_line(data)[0]
-        raise ValidationError(
-            f"line {linenos[exc.rows[0]]}: duplicate (pixel, magnitude-bin) "
-            f"key (first seen on line {linenos[exc.rows[1]]})") from None
+    return Forecast(grid, iy * n_x + ix, arr[:, 6].copy(), arr[:, 7].copy(),
+                    arr[:, 8].copy(), arr[:, 4].copy(), arr[:, 5].copy())
 
 
 def serialize_forecast(forecast: Forecast) -> str:
     """Write a Forecast back to the ten-column row format."""
     grid = forecast.grid
-    lines = []
-    active = forecast.grid.active_mask
-    for i in range(forecast.n_bins):
-        pix = int(forecast.pixel_index[i])
-        ix, iy = grid.unflatten(pix)
-        flag = 1 if active[iy, ix] else 0
-        lines.append(" ".join([
-            "%.12g" % (grid.lon_min + ix * grid.dx),
-            "%.12g" % (grid.lon_min + (ix + 1) * grid.dx),
-            "%.12g" % (grid.lat_min + iy * grid.dy),
-            "%.12g" % (grid.lat_min + (iy + 1) * grid.dy),
-            "%.12g" % forecast.depth_lo[i],
-            "%.12g" % forecast.depth_hi[i],
-            "%.12g" % forecast.mag_lo[i],
-            "%.12g" % forecast.mag_hi[i],
-            "%.12g" % forecast.rate[i],
-            str(flag),
-        ]))
-    return "\n".join(lines) + ("\n" if lines else "")
+    ix, iy = grid.unflatten(forecast.pixel_index)
+    cols = np.column_stack([
+        grid.lon_min + ix * grid.dx, grid.lon_min + (ix + 1) * grid.dx,
+        grid.lat_min + iy * grid.dy, grid.lat_min + (iy + 1) * grid.dy,
+        forecast.depth_lo, forecast.depth_hi, forecast.mag_lo,
+        forecast.mag_hi, forecast.rate])
+    flags = grid.active_mask[iy, ix]
+    row_format = "%.12g " * 9 + "%d\n"
+    return "".join(row_format % (*row, flag)
+                   for row, flag in zip(cols.tolist(), flags.tolist()))
 
 
 def seismic_moment(magnitude):
@@ -365,42 +344,28 @@ def gr_extrapolate(forecast: Forecast, new_mag_min: float, b_value: float,
             "extrapolation range must be a whole number of magnitude steps")
     edges = np.linspace(new_mag_min, old_lo, n_new + 1)
 
-    grid = forecast.grid
-    pixels = np.unique(forecast.pixel_index)
-    per_pixel_total = {int(p): 0.0 for p in pixels}
-    for p, r in zip(forecast.pixel_index, forecast.rate):
-        per_pixel_total[int(p)] += float(r)
-
-    def b_for_pixel(pix):
-        if special_regions:
-            cx, cy = grid.pixel_center(pix)
-            for (lon_lo, lon_hi, lat_lo, lat_hi), b_special in special_regions:
-                if lon_lo <= cx <= lon_hi and lat_lo <= cy <= lat_hi:
-                    return b_special
-        return b_value
-
-    new_pix, new_lo, new_hi, new_rate = [], [], [], []
-    depth_lo = float(forecast.depth_lo.min()) if forecast.n_bins else 0.0
-    depth_hi = float(forecast.depth_hi.max()) if forecast.n_bins else 30.0
-    for pix in pixels:
-        total = per_pixel_total[int(pix)]
-        b_pix = b_for_pixel(int(pix))
-        surv = tapered_gr_survivor(edges, b_pix, corner_mag, ref_mag=old_lo)
-        bin_mass = surv[:-1] - surv[1:]  # survivor at old_lo is 1
-        for j in range(n_new):
-            new_pix.append(int(pix))
-            new_lo.append(edges[j])
-            new_hi.append(edges[j + 1])
-            new_rate.append(total * bin_mass[j])
-
-    return Forecast(
-        grid,
-        np.concatenate([np.array(new_pix, dtype=int), forecast.pixel_index]),
-        np.concatenate([np.array(new_lo), forecast.mag_lo]),
-        np.concatenate([np.array(new_hi), forecast.mag_hi]),
-        np.concatenate([np.array(new_rate), forecast.rate]),
-        np.concatenate([np.full(len(new_pix), depth_lo), forecast.depth_lo]),
-        np.concatenate([np.full(len(new_pix), depth_hi), forecast.depth_hi]),
-        window_start=forecast.window_start,
-        window_end=forecast.window_end,
-    )
+    # per-pixel totals, added in row order; pixels in ascending order
+    pixels, slot = np.unique(forecast.pixel_index, return_inverse=True)
+    total = np.bincount(slot, weights=forecast.rate)
+    # k for pixels centred in special region k (from 1), 0 for the rest;
+    # regions are applied last to first, so the first match wins
+    regions = special_regions or []
+    which = np.zeros(len(pixels), dtype=int)
+    cx, cy = forecast.grid.pixel_center(pixels)
+    for k in range(len(regions), 0, -1):
+        (x0, x1, y0, y1), _ = regions[k - 1]
+        which[(x0 <= cx) & (cx <= x1) & (y0 <= cy) & (cy <= y1)] = k
+    # one survivor per b-value, each from a scalar b: numpy's power rounds
+    # some exponents (2/3 b of 0.5, 2 or -1) differently when broadcast
+    surv = np.array([tapered_gr_survivor(edges, b, corner_mag, old_lo)
+                     for b in [b_value] + [b for _, b in regions]])
+    bin_mass = surv[:, :-1] - surv[:, 1:]  # survivor at old_lo is 1
+    new_rate = (total[:, None] * bin_mass[which]).ravel()
+    new = {"pixel_index": np.repeat(pixels, n_new),
+           "mag_lo": np.tile(edges[:-1], len(pixels)),
+           "mag_hi": np.tile(edges[1:], len(pixels)), "rate": new_rate,
+           "depth_lo": np.full(len(new_rate), forecast.depth_lo.min()),
+           "depth_hi": np.full(len(new_rate), forecast.depth_hi.max())}
+    return replace(forecast, **{
+        name: np.concatenate([bins, getattr(forecast, name)])
+        for name, bins in new.items()})

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import OutsideRegionError, ValidationError
+from .errors import ValidationError
 from .grids import Grid
 from .intensity import IntensityField, evaluate, extremes, integrate
 from .regions import GridRegion
@@ -39,6 +39,9 @@ DEFAULT_R_STEP = 0.01
 # Most radii default_radii builds: every K curve and every envelope
 # replicate holds one value per radius.
 MAX_RADII = 10_000
+# Most values one simulation envelope holds, replicates times radii: 80 MB
+# of float64, enough for the default 1000 replicates at MAX_RADII radii.
+MAX_ENVELOPE_VALUES = 10_000_000
 
 # Floor on a circle's inside fraction: one pair's edge weight is at most 720.
 _MIN_ARC_FRACTION = 1.0 / 720
@@ -395,23 +398,19 @@ def weighted_k(points, null_field: IntensityField, radii,
     radii = radii_grid(radii)
     if len(pts) < 2:
         raise ValidationError("weighted K needs at least two points")
-    grid = null_field.grid
-    inside = grid.contains(pts[:, 0], pts[:, 1])
-    if not np.all(inside):
-        bad = np.nonzero(~inside)[0]
-        raise OutsideRegionError(
-            f"points outside the active region at indices {bad.tolist()}")
+    # evaluate names the first point outside the active pixels
     lam = np.asarray(evaluate(null_field, pts[:, 0], pts[:, 1]), dtype=float)
     if np.any(lam == 0):
-        bad = np.nonzero(lam == 0)[0]
-        raise ValidationError(
-            f"points in zero-rate pixels at indices {bad.tolist()}")
+        i = int(np.argmax(lam == 0))
+        raise ValidationError(f"point at index {i} (lon {pts[i, 0]}, lat "
+                              f"{pts[i, 1]}) is in a zero-rate pixel")
     b = extremes(null_field)[0]
     total = integrate(null_field)
     if total <= 0:
         raise ValidationError("null field integrates to zero")
     k = _weighted_k_from_weights(pts, 1.0 / lam, b / total,
-                                 GridRegion(grid), radii, edge_correction)
+                                 GridRegion(null_field.grid), radii,
+                                 edge_correction)
     return KCurve(radii, k, "weighted",
                   meta={"pair_convention": _PAIR_CONVENTION,
                         "edge_correction": edge_correction,
@@ -454,6 +453,17 @@ def wk_confidence_bands(radii, area: float, total_intensity: float,
     return mean - half, mean + half
 
 
+def check_envelope_size(n_sims: int, n_radii: int) -> None:
+    """ValidationError unless an envelope of n_sims replicates at n_radii
+    radii has two replicates or more and fits MAX_ENVELOPE_VALUES."""
+    if n_sims < 2:
+        raise ValidationError("envelope needs at least two simulations")
+    if n_sims * n_radii > MAX_ENVELOPE_VALUES:
+        raise ValidationError(
+            f"{n_sims} simulations at {n_radii} radii are above the "
+            f"supported {MAX_ENVELOPE_VALUES} envelope values")
+
+
 def envelope_bands(region, rate: float, radii, n_sims: int,
                    stream: SeededStream, level: float = 0.95,
                    edge_correction: str = "none"):
@@ -462,8 +472,7 @@ def envelope_bands(region, rate: float, radii, n_sims: int,
     region: same weights, prefactor, region and edge correction.  Returns
     (lower, upper) order statistics in K units."""
     radii = radii_grid(radii)
-    if n_sims < 2:
-        raise ValidationError("envelope needs at least two simulations")
+    check_envelope_size(n_sims, len(radii))
     sims = np.empty((n_sims, len(radii)))
     for j in range(n_sims):
         xs, ys = simulate_homogeneous(region, rate, stream.substream(j))

@@ -105,17 +105,20 @@ def rescale(catalog: Catalog, fld: IntensityField,
         (x0, dx), (y0, dy) = (y0, dy), (x0, dx)
 
     # cumulative rate integral along each row, per unit of the stretched axis
-    cum = np.concatenate(
-        [np.zeros((len(rates), 1)), np.cumsum(rates * dx, axis=1)], axis=1)
-    region = RowIntervalRegion(y0 + dy * np.arange(len(rates) + 1),
-                               cum[:, -1])
+    with np.errstate(over="ignore"):   # an overflow fails the check below
+        cum = np.concatenate(
+            [np.zeros((len(rates), 1)), np.cumsum(rates * dx, axis=1)], axis=1)
+        region = RowIntervalRegion(y0 + dy * np.arange(len(rates) + 1),
+                                   cum[:, -1])
+        area = region.area
+    if not 0 < area < np.inf:
+        raise ValidationError(f"model rate integrates to {area}; rescaling "
+                              "needs a positive, finite integral")
     new_x = cum[iy, ix] + rates[iy, ix] * (pts[:, 0] - (x0 + ix * dx))
     pts = np.column_stack([new_x, pts[:, 1]])
     if axis == "vertical":
         pts, region = pts[:, ::-1].copy(), TransposedRegion(region)
 
-    if region.area <= 0:
-        raise ValidationError("model rate integrates to zero; nothing to rescale")
     return ResidualSet(pts, np.zeros(len(pts), dtype=bool), 1.0, region,
                        "rescale", meta={"axis": axis,
                                         "expected_count": region.area})

@@ -349,6 +349,48 @@ def test_points_beyond_memory_exit_code(tmp_path, command):
     assert "simulated points, above the supported 1e+07" in out.stderr
 
 
+def test_envelope_beyond_memory_exit_code(workspace):
+    # an envelope of 1e11 replicates would need 50.9 TiB: run in a child
+    # whose address space is capped at 1 GiB, so allocating it would fail;
+    # the cap stops it before the inputs are read or an output is written
+    tmp, fc, cat = workspace
+    before = sorted(os.listdir(tmp))
+    code = ("import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from quakeresid.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n")
+    out = _run_cli(["transform", "--kind", "rescale", "--assess", "--sims",
+                    "100000000000", "--forecast", str(fc), "--catalog",
+                    str(cat), "--out", str(tmp / "rs.csv")], tmp, code)
+    assert out.returncode == 3, out.stderr
+    assert "Traceback" not in out.stderr
+    assert "100000000000 simulations at 70 radii are above the supported " \
+        "10000000 envelope values" in out.stderr
+    assert sorted(os.listdir(tmp)) == before
+
+
+@pytest.mark.parametrize("assess", [[], ["--assess", "--sims", "19"]])
+def test_overflowing_rescale_exit_code(tmp_path, capsys, assess):
+    # each pixel's rate is finite, but the integral along the row is not
+    fc = tmp_path / "fc.txt"
+    fc.write_text("0 1 0 1 0 30 3.95 4.05 1e308 1\n"
+                  "1 2 0 1 0 30 3.95 4.05 1e308 1\n")
+    cat = tmp_path / "cat.csv"
+    cat.write_text("time,lon,lat,depth,mag\n"
+                   "2007-01-01T00:00:00Z,0.5,0.5,5,4.0\n")
+    args = ["transform", "--kind", "rescale", *assess, "--forecast", str(fc),
+            "--catalog", str(cat), "--out", str(tmp_path / "rs.csv")]
+    assert main(args) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "model rate integrates to inf" in err
+    assert not (tmp_path / "rs.csv").exists()
+    out = _run_cli(args, tmp_path)
+    assert out.returncode == 3, out.stderr
+    assert "Traceback" not in out.stderr
+    assert "model rate integrates to inf" in out.stderr
+
+
 def test_report_directory(workspace):
     tmp, fc, cat = workspace
     outdir = tmp / "report"

@@ -76,7 +76,13 @@ def test_hit_matches_a_fresh_parse_bit_for_bit(text, bulk, monkeypatch):
     (ROW + "\n# note\n" + ROW.replace("0.1 1", "-0.1 1") + "\n",
      "line 3: negative rate -0.1"),
     (FORECAST + ROW + "\n", "line 3: duplicate (pixel, magnitude-bin) key"),
-], ids=["byte-order-mark", "negative-rate", "duplicate-key"])
+    (ROW + "\n\n" + ROW2.replace("3.95", "nan") + "\n",
+     "line 3: magnitude bin edges must be numbers, got nan and 4.05"),
+    (ROW + "\n# note\n" + ROW2.replace("0.1 1", "nan 1") + "\n",
+     "line 3: rate nan is not finite"),
+    (ROW.replace("0.1 1", "inf 1") + "\n", "line 1: rate inf is not finite"),
+], ids=["byte-order-mark", "negative-rate", "duplicate-key", "nan-mag-lo",
+        "nan-rate", "infinite-rate"])
 def test_bad_forecast_names_its_line_twice_and_leaves_no_entry(
         text, message, tmp_path, capsys):
     fc, cat = tmp_path / "fc.txt", tmp_path / "cat.csv"

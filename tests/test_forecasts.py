@@ -151,11 +151,27 @@ def test_duplicate_keys_are_searched_once(monkeypatch):
     ("0.5 1 0 0.5 0 30 4.05 3.95 -0.1 1", "line 6: negative rate -0.1"),
     ("0 0.5 0 0.5 0 30 3.9500000001 4.05 0.7 1",
      "line 6: duplicate (pixel, magnitude-bin) key (first seen on line 3)"),
+    ("0.5 1 0 0.5 0 30 nan 4.05 0.1 1",
+     "line 6: magnitude bin edges must be numbers, got nan and 4.05"),
+    ("0.5 1 0 0.5 0 30 3.95 nan 0.1 1",
+     "line 6: magnitude bin edges must be numbers, got 3.95 and nan"),
+    ("0.5 1 0 0.5 0 30 3.95 4.05 nan 1", "line 6: rate nan is not finite"),
+    ("0.5 1 0 0.5 0 30 3.95 4.05 inf 1", "line 6: rate inf is not finite"),
+    ("0.5 1 0 0.5 0 30 3.95 4.05 -inf 1", "line 6: negative rate -inf"),
 ])
 def test_row_errors_name_line_after_comments(bad_row, message, monkeypatch):
     text = "# header\n\n" + ROW + "\n# between\n\n" + bad_row + "\n"
     assert _reader_outcomes(text, monkeypatch) == ((ValidationError,
                                                     message),) * 3
+
+
+def test_geometry_faults_come_before_bin_faults(monkeypatch):
+    # line 1 has a negative rate, line 3 a NaN edge: the grid is checked
+    # before the bins
+    text = ROW.replace("0.1 1", "-0.1 1") + "\n" + ROW2 + "\n" + \
+        "0.5 nan 0 0.5 0 30 3.95 4.05 0.1 1\n"
+    assert _reader_outcomes(text, monkeypatch) == ((
+        SchemaError, "line 3: pixel edges must be finite"),) * 3
 
 
 def test_non_finite_edge_names_its_line(monkeypatch):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from quakeresid import (Grid, GridRegion, IntensityField, SeededStream,
+from quakeresid import (Grid, GridRegion, IntensityField,
+                        OutsideRegionError, SeededStream,
                         ValidationError, default_radii,
                         envelope_bands, pairs_within, radii_grid, ripley_k,
                         weighted_k, weighted_k_constant, wk_confidence_bands)
@@ -330,6 +331,19 @@ def test_weighted_k_rejects_zero_rate_events():
         weighted_k(pts, fld, [0.2], "none")
 
 
+def test_weighted_k_point_errors_name_the_first_index():
+    g = Grid.regular(0, 1, 0, 1, 0.5, 0.5)
+    fld = IntensityField(g, np.array([[0.0, 2.0], [2.0, 0.0]]))
+    pts = np.array([[0.7, 0.2], [0.25, 0.25], [0.75, 0.75], [0.3, 0.1]])
+    with pytest.raises(ValidationError, match=r"^point at index 1 \(lon "
+                       r"0.25, lat 0.25\) is in a zero-rate pixel$"):
+        weighted_k(pts, fld, [0.2], "none")
+    outside = np.concatenate([pts, [[1.5, 0.5], [0.5, 2.0]]])
+    with pytest.raises(OutsideRegionError, match=r"^point at index 4 \(lon "
+                       r"1.5, lat 0.5\) is outside the active region$"):
+        weighted_k(outside, fld, [0.2], "none")
+
+
 def test_k_needs_two_points():
     g = Grid.regular(0, 1, 0, 1, 0.5, 0.5)
     with pytest.raises(ValidationError):
@@ -472,6 +486,19 @@ def test_envelope_bands_min_max_for_two_sims():
     assert not lo.any() and not hi.any()
     with pytest.raises(ValidationError):
         envelope_bands(region, 30.0, radii, 1, SeededStream(5, 0))
+
+
+def test_envelope_size_cap_stops_before_simulating(monkeypatch):
+    # five replicates at two radii are ten values, one above a cap of 9;
+    # a stream that is never read shows nothing was drawn
+    monkeypatch.setattr(secondorder, "MAX_ENVELOPE_VALUES", 9)
+    region = GridRegion(Grid.regular(0, 1, 0, 1, 0.5, 0.5))
+    radii = radii_grid([0.2, 0.4])
+    with pytest.raises(ValidationError, match="^5 simulations at 2 radii are "
+                       "above the supported 9 envelope values$"):
+        envelope_bands(region, 30.0, radii, 5, None)
+    lo, hi = envelope_bands(region, 30.0, radii, 4, SeededStream(5, 0))
+    assert np.all(lo <= hi)
 
 
 def test_weighted_k_constant_matches_inhomogeneous_on_uniform_field():
