@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -84,3 +86,40 @@ def test_constant_constructor():
     g = Grid.regular(0, 2, 0, 2, 1.0, 1.0)
     fld = IntensityField.constant(g, 2.5)
     assert integrate(fld) == pytest.approx(10.0)
+
+
+def _pin_forecast():
+    """A 7 x 5 grid of 0.1-degree pixels: up to 12 bins per pixel, most with
+    rates near 1e-3 (so their sum depends on its order) and some from
+    1e-300 to 1e300, every row shuffled so a pixel's bins are spread over
+    the file, bins on both sides of 3.95, one masked pixel and one never
+    mentioned."""
+    rng = np.random.default_rng(23)
+    rows = []
+    for pix in range(35):
+        ix, iy = pix % 7, pix // 7
+        if (ix, iy) == (5, 1):
+            continue
+        flag = 0 if (ix, iy) == (2, 3) else 1
+        for m in rng.choice(25, size=rng.integers(1, 13), replace=False):
+            rows.append("%.1f %.1f %.1f %.1f 0 30 %.2f %.2f %.17g %d" % (
+                -118 + ix / 10, -118 + (ix + 1) / 10, 34 + iy / 10,
+                34 + (iy + 1) / 10, 3.45 + m / 10, 3.55 + m / 10,
+                rng.lognormal(-7.0, 1.5) if rng.random() < 0.7 else
+                10.0 ** rng.uniform(-300, 300), flag))
+    return parse_forecast("\n".join(rng.permutation(rows)) + "\n")
+
+
+@pytest.mark.parametrize("mag_min, digest", [
+    (3.95,
+     "6b3f35199679801bc2f220fcd07fd74e648b702584829b583838ad49a089a976"),
+    (0.0,
+     "8b6428b73c9ab9993b9938dc9e24c8459ba32566708f7854ebb453a99ad4f95c"),
+])
+def test_aggregate_field_is_pinned(mag_min, digest):
+    # taken with np.add.at; any summation that adds each pixel's bins in
+    # row order gives the same bits
+    fld = aggregate(_pin_forecast(), mag_min)
+    rates = fld.rate_per_area
+    assert hashlib.sha256(rates.dtype.str.encode() + repr(rates.shape).encode()
+                          + rates.tobytes()).hexdigest() == digest
