@@ -84,9 +84,10 @@ def _cached_rows(path: str):
 
 
 def _store_rows(path: str, rows) -> None:
-    """Write rows to path through a temporary file, then evict the least
-    recently used entries until the cache is within CACHE_MAX_BYTES.  Rows
-    larger than the whole cache are not stored."""
+    """Write rows to path column-major, one column at a time, through a
+    temporary file, then evict the least recently used entries until the
+    cache is within CACHE_MAX_BYTES.  Rows larger than the whole cache are
+    not stored."""
     if rows.nbytes > CACHE_MAX_BYTES:
         return
     directory = os.path.dirname(path)
@@ -95,7 +96,11 @@ def _store_rows(path: str, rows) -> None:
         os.makedirs(directory, mode=0o700, exist_ok=True)
         try:
             with open(tmp, "wb") as fh:
-                np.save(fh, rows, allow_pickle=False)
+                np.lib.format.write_array_header_1_0(fh, {
+                    "descr": "<f8", "fortran_order": True,
+                    "shape": rows.shape})
+                for column in rows.T:
+                    fh.write(np.ascontiguousarray(column, "<f8"))
             os.replace(tmp, path)
         finally:
             if os.path.exists(tmp):
@@ -113,16 +118,18 @@ def _store_rows(path: str, rows) -> None:
 
 
 def parse_forecast(data: bytes, digest: str) -> Forecast:
-    """forecasts.parse_forecast(data), its rows loaded from the row cache
-    entry of digest when one holds them.
+    """forecasts.parse_forecast(data), its rows loaded from the cache entry
+    of digest when one holds them.
 
-    A hit holds the same bits as a fresh read, and every check runs on it
-    again; only rows that pass them are stored.  Any OSError on the cache
-    path leaves the parse as it would be without a cache.  This keeps the
-    library function's name, so per-layer timing that wraps the CLI's
-    parse_forecast (bench/tracing.py) times the cached parse.
+    An entry stores the rows column-major, so each column build_forecast
+    checks is contiguous on a hit.  A hit holds the same bits as a fresh
+    read, and every check runs on it again; only rows that pass them are
+    stored.  Any OSError on the cache path leaves the parse as it would be
+    without a cache.  This keeps the library function's name, so per-layer
+    timing that wraps the CLI's parse_forecast (bench/tracing.py) times the
+    cached parse.
     """
-    path = os.path.join(_cache_dir(), f"rows-{TOOLKIT_VERSION}-{digest}.npy")
+    path = os.path.join(_cache_dir(), f"cols-{TOOLKIT_VERSION}-{digest}.npy")
     rows = _cached_rows(path)
     if rows is not None:
         return build_forecast(rows, data)

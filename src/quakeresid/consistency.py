@@ -80,7 +80,8 @@ def _loglik_rows(lam: np.ndarray, counts: np.ndarray) -> np.ndarray:
     impossible = (counts[:, lam == 0] > 0).any(axis=1)
     values = np.unique(counts[counts > 0])
     log_fact = np.array([lgamma(k + 1.0) for k in values.tolist()])
-    base = -lam.sum()
+    with np.errstate(over="ignore"):   # an overflowing total scores -inf
+        base = -lam.sum()
     ell = np.full(len(counts), float("-inf"))
     for i in np.flatnonzero(~impossible).tolist():
         pos = counts[i] > 0

@@ -89,20 +89,29 @@ class _RowFault(ValidationError):
         self.lines = lines or "line {}: " + message
 
 
+def _close_neighbours(pixel, mag_lo, order) -> bool:
+    """Whether two rows next to each other in order share a pixel and have
+    mag_lo at most 2e-9 apart ("not >" also counts inf - inf = nan)."""
+    p, m = pixel[order], mag_lo[order]
+    with np.errstate(over="ignore", invalid="ignore"):
+        return bool(np.any((p[1:] == p[:-1]) & ~(m[1:] - m[:-1] > 2e-9)))
+
+
 def _first_duplicate(pixel, mag_lo):
     """First repeated (pixel, mag_lo to 9 decimals) key, in row order.
 
     Returns (i, j): row i repeats the key first held by row j < i; None when
     no key repeats.  Two keys can only match between rows of one pixel whose
-    mag_lo differ by at most 1e-9, so one sort and a comparison of
-    neighbouring rows settle the usual case.  Only when such a pair exists
-    does the row loop decide, with Python's decimal-exact round.
+    mag_lo differ by at most 1e-9.  A stable sort by pixel keeps each
+    pixel's rows in file order, so when their bins rise by more than 2e-9,
+    as in a file written bin after bin, no key repeats.  Otherwise a sort by
+    (pixel, mag_lo) and the same comparison of neighbouring rows settle the
+    usual case.  Only when such a pair exists does the row loop decide, with
+    Python's decimal-exact round.
     """
-    order = np.lexsort((mag_lo, pixel))
-    p, m = pixel[order], mag_lo[order]
-    # "not >" keeps the inf - inf = nan neighbours for the row loop
-    near = (p[1:] == p[:-1]) & ~(m[1:] - m[:-1] > 2e-9)
-    if not near.any():
+    if (not _close_neighbours(pixel, mag_lo, np.argsort(pixel, kind="stable"))
+            or not _close_neighbours(pixel, mag_lo,
+                                     np.lexsort((mag_lo, pixel)))):
         return None
     seen = {}
     for i, (pix, lo) in enumerate(zip(pixel.tolist(), mag_lo.tolist())):
@@ -221,26 +230,40 @@ def build_forecast(arr: np.ndarray, data: bytes) -> Forecast:
             *(linenos[i] for i in fault.rows))) from None
 
 
+def _beyond_tol(diff: np.ndarray) -> bool:
+    """Whether any |diff| exceeds _EDGE_TOL; diff is overwritten."""
+    return bool(np.any(np.abs(diff, out=diff) > _EDGE_TOL))
+
+
 def _build(arr: np.ndarray) -> Forecast:
-    """build_forecast's checks; a fault at known rows is a _RowFault."""
+    """build_forecast's checks; a fault at known rows is a _RowFault.
+
+    The checks take one column at a time, a contiguous one when arr is
+    column-major (as a cache entry is), and do their arithmetic in one
+    scratch column, so a large forecast costs few fresh pages.
+    """
     if len(arr) == 0:
         grid = Grid(0.0, 1.0, 0.0, 1.0, 1.0, 1.0, 1, 1, np.zeros((1, 1), bool))
         z = np.zeros(0)
         return Forecast(grid, z.astype(int), z, z, z, z, z)
-    lon_lo, lon_hi, lat_lo, lat_hi = arr[:, 0], arr[:, 1], arr[:, 2], arr[:, 3]
+    (lon_lo, lon_hi, lat_lo, lat_hi, depth_lo, depth_hi, mag_lo, mag_hi,
+     rate, flag) = arr.T
+    buf = np.empty(len(arr))
     # non-finite edges and sizes are stopped below, as typed errors
     with np.errstate(over="ignore", invalid="ignore"):
-        dxs, dys = lon_hi - lon_lo, lat_hi - lat_lo
-        dx, dy = dxs[0], dys[0]
-        if (np.any(np.abs(dxs - dx) > _EDGE_TOL)
-                or np.any(np.abs(dys - dy) > _EDGE_TOL)):
-            raise SchemaError("inconsistent pixel sizes across rows")
+        dx, dy = lon_hi[0] - lon_lo[0], lat_hi[0] - lat_lo[0]
+        for hi, lo, size in ((lon_hi, lon_lo, dx), (lat_hi, lat_lo, dy)):
+            np.subtract(hi, lo, out=buf)
+            if _beyond_tol(np.subtract(buf, size, out=buf)):
+                raise SchemaError("inconsistent pixel sizes across rows")
     if dx <= 0 or dy <= 0:
         raise SchemaError("pixel edges must have positive extent")
 
     # a NaN or infinite edge gets past the checks above; stop it before the
     # grid size's int(round(...))
-    finite = np.isfinite(arr[:, :4]).all(axis=1)
+    finite = np.isfinite(lon_lo)
+    for edge in (lon_hi, lat_lo, lat_hi):
+        finite &= np.isfinite(edge)
     if not finite.all():
         raise _RowFault("pixel edges must be finite", [np.argmin(finite)],
                         kind=SchemaError)
@@ -264,22 +287,30 @@ def _build(arr: np.ndarray) -> Forecast:
             message + "; its extreme rows are line {} (west), {} (east), {} "
             "(south) and {} (north)", SchemaError)
 
-    ix = np.round((lon_lo - lon_min) / dx).astype(int)
-    iy = np.round((lat_lo - lat_min) / dy).astype(int)
-    if (np.any(np.abs(lon_lo - (lon_min + ix * dx)) > _EDGE_TOL) or
-            np.any(np.abs(lat_lo - (lat_min + iy * dy)) > _EDGE_TOL)):
-        raise SchemaError("pixel edges do not lie on a common lattice")
+    # each row's lattice index round((lo - lo_min) / size), and its lower
+    # edge within _EDGE_TOL of lo_min + index * size
+    index = []
+    for lo, lo_min, size in ((lon_lo, lon_min, dx), (lat_lo, lat_min, dy)):
+        np.subtract(lo, lo_min, out=buf)
+        index.append(np.round(np.divide(buf, size, out=buf), out=buf)
+                     .astype(int))
+        np.add(np.multiply(index[-1], size, out=buf), lo_min, out=buf)
+        if _beyond_tol(np.subtract(lo, buf, out=buf)):
+            raise SchemaError("pixel edges do not lie on a common lattice")
+    ix, pixel = index
+    pixel *= n_x
+    pixel += ix                                 # iy * n_x + ix
 
-    mask_flag = arr[:, 9] != 0
-    active = np.zeros((n_y, n_x), dtype=bool)
-    active[iy[mask_flag], ix[mask_flag]] = True
+    active = np.zeros(n_y * n_x, dtype=bool)
+    active[pixel] = True
     # any masked-out row deactivates its pixel, regardless of other rows
-    active[iy[~mask_flag], ix[~mask_flag]] = False
+    active[pixel[flag == 0]] = False
 
     grid = Grid(float(lon_min), float(lon_max), float(lat_min), float(lat_max),
-                float(dx), float(dy), n_x, n_y, active)
-    return Forecast(grid, iy * n_x + ix, arr[:, 6].copy(), arr[:, 7].copy(),
-                    arr[:, 8].copy(), arr[:, 4].copy(), arr[:, 5].copy())
+                float(dx), float(dy), n_x, n_y, active.reshape(n_y, n_x))
+    # a column-major arr lends its columns; row-major rows are copied out
+    return Forecast(grid, pixel, *map(np.ascontiguousarray, (
+        mag_lo, mag_hi, rate, depth_lo, depth_hi)))
 
 
 def serialize_forecast(forecast: Forecast) -> str:

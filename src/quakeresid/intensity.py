@@ -46,11 +46,12 @@ def aggregate(forecast: Forecast, mag_min: float) -> IntensityField:
     """Sum rates of all bins with mag_lo >= mag_min per pixel, divided by
     pixel area."""
     grid = forecast.grid
-    rates = np.zeros((grid.n_y, grid.n_x))
     sel = forecast.mag_lo >= mag_min
-    ix, iy = grid.unflatten(forecast.pixel_index[sel])
-    np.add.at(rates, (iy, ix), forecast.rate[sel])
-    rates /= grid.pixel_area
+    # each pixel's bins are added in row order; with no bins selected
+    # bincount gives integer zeros, which the division makes float
+    totals = np.bincount(forecast.pixel_index[sel], weights=forecast.rate[sel],
+                         minlength=grid.n_y * grid.n_x)
+    rates = (totals / grid.pixel_area).reshape(grid.n_y, grid.n_x)
     rates[~grid.active_mask] = 0.0
     return IntensityField(grid, rates)
 
@@ -83,16 +84,23 @@ def evaluate(fld: IntensityField, lon, lat):
 
 def integrate(fld: IntensityField, pixel_subset=None) -> float:
     """Expected count over the requested active pixels (whole region by
-    default); exact closed-form sum."""
+    default); exact closed-form sum.  A count too large for a float is a
+    ValidationError."""
     grid = fld.grid
     if pixel_subset is None:
-        total = float(np.nansum(np.where(grid.active_mask, fld.rate_per_area, 0.0)))
-        return total * grid.pixel_area
-    pixel_subset = np.asarray(pixel_subset, dtype=int)
-    ix, iy = grid.unflatten(pixel_subset)
-    if not np.all(grid.active_mask[iy, ix]):
-        raise OutsideRegionError("pixel subset includes inactive pixels")
-    return float(fld.rate_per_area[iy, ix].sum()) * grid.pixel_area
+        rates = np.where(grid.active_mask, fld.rate_per_area, 0.0)
+    else:
+        pixel_subset = np.asarray(pixel_subset, dtype=int)
+        ix, iy = grid.unflatten(pixel_subset)
+        if not np.all(grid.active_mask[iy, ix]):
+            raise OutsideRegionError("pixel subset includes inactive pixels")
+        rates = fld.rate_per_area[iy, ix]
+    with np.errstate(over="ignore"):
+        total = float(np.nansum(rates)) * grid.pixel_area
+    if not np.isfinite(total):
+        raise ValidationError("expected count is not finite: the rates sum "
+                              "past the largest float")
+    return total
 
 
 def extremes(fld: IntensityField):

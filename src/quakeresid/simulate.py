@@ -94,9 +94,11 @@ def replicate_counts(fld: IntensityField, stream: SeededStream, n_sims: int):
     """
     lam = _pixel_means(fld)
     # a replicate's total is Poisson with the summed mean: keep it in range
-    if lam.sum() > MAX_POISSON_MEAN:
+    with np.errstate(over="ignore"):
+        total = float(lam.sum())
+    if total > MAX_POISSON_MEAN:
         raise ValidationError(
-            f"expected total count {float(lam.sum())!r} is above the largest "
+            f"expected total count {total!r} is above the largest "
             f"supported mean {MAX_POISSON_MEAN:g}")
     rows = max(1, _BLOCK_COUNTS // max(lam.size, 1))
     for first in range(0, n_sims, rows):

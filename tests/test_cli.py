@@ -391,6 +391,30 @@ def test_overflowing_rescale_exit_code(tmp_path, capsys, assess):
     assert "model rate integrates to inf" in out.stderr
 
 
+@pytest.mark.parametrize("command, message", [
+    (["ntest", "--analytic"], "expected count is not finite"),
+    (["k", "--weighted"], "expected count is not finite"),
+    (["ltest", "--sims", "10"], "expected total count inf is above"),
+    (["transform", "--kind", "superthin"], "expected count is not finite"),
+])
+def test_overflowing_expected_count_exit_code(tmp_path, command, message):
+    # each pixel's rate is finite, but their sum is not; numpy's overflow
+    # warning must not reach stderr either
+    (tmp_path / "fc.txt").write_text("0 1 0 1 0 30 3.95 4.05 1e308 1\n"
+                                     "1 2 0 1 0 30 3.95 4.05 1e308 1\n")
+    (tmp_path / "cat.csv").write_text("time,lon,lat,depth,mag\n"
+                                      "2007-01-01T00:00:00Z,0.5,0.5,5,4.0\n"
+                                      "2007-02-01T00:00:00Z,1.5,0.5,5,4.0\n")
+    before = sorted(os.listdir(tmp_path))
+    out = _run_cli(command + ["--forecast", "fc.txt", "--catalog", "cat.csv",
+                              "--out", "out"], tmp_path)
+    assert out.returncode == 3, out.stderr
+    assert "Traceback" not in out.stderr
+    assert "RuntimeWarning" not in out.stderr
+    assert message in out.stderr
+    assert sorted(os.listdir(tmp_path)) == before
+
+
 def test_report_directory(workspace):
     tmp, fc, cat = workspace
     outdir = tmp / "report"

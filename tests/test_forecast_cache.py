@@ -10,7 +10,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from quakeresid import cli, forecasts, parse_forecast
+from quakeresid import ValidationError, cli, forecasts, parse_forecast
 from quakeresid.manifest import TOOLKIT_VERSION
 
 ROW = "0 0.5 0 0.5 0 30 3.95 4.05 0.1 1"
@@ -25,7 +25,7 @@ def _cache_dir():
 
 def _entry(data: bytes) -> str:
     digest = hashlib.sha256(data).hexdigest()
-    return os.path.join(_cache_dir(), f"rows-{TOOLKIT_VERSION}-{digest}.npy")
+    return os.path.join(_cache_dir(), f"cols-{TOOLKIT_VERSION}-{digest}.npy")
 
 
 def _bits(value):
@@ -183,3 +183,85 @@ def test_eviction_keeps_the_cache_under_its_bound(monkeypatch):
         _parse(texts[3])
     _parse(texts[6])
     assert names() == sorted(os.path.basename(paths[k]) for k in (3, 5, 6))
+
+
+def _relm_like(n_x=12, n_y=9, n_mag=10, split=False):
+    """A grid of 0.1-degree pixels, one run of rising bins per pixel as RELM
+    files are written, with one pixel masked; split moves the upper half of
+    the first pixel's bins to the end of the file."""
+    rates = np.random.default_rng(5).lognormal(-9.0, 1.0, n_x * n_y * n_mag)
+    runs = []
+    for iy in range(n_y):
+        for ix in range(n_x):
+            head = "%.1f %.1f %.1f %.1f 0 30 " % (
+                -125 + ix / 10, -125 + (ix + 1) / 10, 32 + iy / 10,
+                32 + (iy + 1) / 10)
+            flag = 0 if (ix, iy) == (3, 2) else 1
+            k = (iy * n_x + ix) * n_mag
+            runs.append([head + "%.2f %.2f %.6e %d" % (
+                4.95 + m / 10, 5.05 + m / 10, rates[k + m], flag)
+                for m in range(n_mag)])
+    if split:
+        runs.append(runs[0][n_mag // 2:])
+        runs[0] = runs[0][:n_mag // 2]
+    return "".join(line + "\n" for run in runs for line in run)
+
+
+@pytest.mark.parametrize("split", [False, True], ids=["grouped", "split-run"])
+def test_hit_matches_a_fresh_parse_field_by_field(split, monkeypatch):
+    data = _relm_like(split=split).encode()
+    fresh = parse_forecast(data)
+    digest = hashlib.sha256(data).hexdigest()
+    cli.parse_forecast(data, digest)
+    entry = np.load(_entry(data))
+    assert entry.shape == (len(fresh.rate), 10)
+    assert entry.flags.f_contiguous and not entry.flags.c_contiguous
+    monkeypatch.setattr(cli, "read_rows", _no_read)
+    hit = cli.parse_forecast(data, digest)
+    assert _bits(hit) == _bits(fresh)
+
+
+def test_grouped_forecast_is_checked_without_a_key_sort(monkeypatch):
+    # each pixel's bins rise in file order, so the stable sort by pixel
+    # settles the duplicate check, on a miss and on a hit
+    calls = []
+    lexsort = np.lexsort
+    monkeypatch.setattr(np, "lexsort",
+                        lambda keys: calls.append(1) or lexsort(keys))
+    data = _relm_like().encode()
+    digest = hashlib.sha256(data).hexdigest()
+    for _ in range(2):
+        assert cli.parse_forecast(data, digest).n_bins == 12 * 9 * 10
+    assert os.path.exists(_entry(data)) and calls == []
+    # a pixel's bins split across the file, one of them repeated
+    text = _relm_like(split=True)
+    lines = text.splitlines()
+    data = (text + lines[0].replace("e-", "1e-", 1) + "\n").encode()
+    for _ in range(2):
+        with pytest.raises(ValidationError,
+                           match=rf"^line {len(lines) + 1}: duplicate \(pixel, "
+                                 r"magnitude-bin\) key \(first seen on line 1\)"):
+            cli.parse_forecast(data, hashlib.sha256(data).hexdigest())
+    assert calls == [1, 1]
+
+
+def test_row_major_entry_of_the_old_name_is_never_read(monkeypatch):
+    data = FORECAST.encode()
+    digest = hashlib.sha256(data).hexdigest()
+    fresh = _bits(parse_forecast(data))
+    # an entry in the layout and under the name of the row cache before
+    # column-major entries, here with other rates: read, it would show
+    old = pathlib.Path(_cache_dir(), f"rows-{TOOLKIT_VERSION}-{digest}.npy")
+    old.parent.mkdir(mode=0o700)
+    rows = forecasts.read_rows(data)
+    rows[:, 8] *= 2
+    np.save(old, rows)
+    os.utime(old, (0, 0))
+    assert _bits(cli.parse_forecast(data, digest)) == fresh
+    assert np.load(_entry(data)).tobytes() == forecasts.read_rows(data).tobytes()
+    # least recently used, the old entry is the first to go
+    size = os.path.getsize(_entry(data))
+    os.remove(_entry(data))
+    monkeypatch.setattr(cli, "CACHE_MAX_BYTES", size)
+    assert _bits(cli.parse_forecast(data, digest)) == fresh
+    assert os.listdir(_cache_dir()) == [os.path.basename(_entry(data))]

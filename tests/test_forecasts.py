@@ -145,6 +145,74 @@ def test_duplicate_keys_are_searched_once(monkeypatch):
     assert calls == [4, 5]
 
 
+def _row_loop_duplicate(pixel, mag_lo):
+    """The reference: the first row whose (pixel, round(mag_lo, 9)) key an
+    earlier row holds, and that earlier row."""
+    seen = {}
+    for i, key in enumerate(zip(pixel.tolist(),
+                                (round(lo, 9) for lo in mag_lo.tolist()))):
+        if key in seen:
+            return i, seen[key]
+        seen[key] = i
+    return None
+
+
+def _duplicate_case(seed):
+    """pixel and mag_lo columns of a seeded random forecast: runs of rising
+    bins per pixel, with some pixels' rows split across the file, bins
+    moved to within a few 1e-9 of another bin of their pixel, -inf edges,
+    falling or fully shuffled rows."""
+    rng = np.random.default_rng(seed)
+    n_pix, n_bins = int(rng.integers(1, 7)), int(rng.integers(1, 9))
+    pixel = np.repeat(rng.permutation(50)[:n_pix], n_bins)
+    mag_lo = np.tile(3.95 + 0.1 * np.arange(n_bins), n_pix)
+    for _ in range(int(rng.integers(0, 3))):
+        i, j = rng.integers(len(pixel), size=2)
+        j = i - i % n_bins + j % n_bins          # a bin of i's pixel
+        mag_lo[i] = mag_lo[j] + rng.choice(
+            [0.0, 1e-10, -4e-10, 5e-10, -1e-9, 1e-9, 1.5e-9, -2.5e-9, 3e-9])
+    for _ in range(int(rng.integers(0, 3)) * (rng.random() < 0.3)):
+        mag_lo[rng.integers(len(pixel))] = -np.inf
+    layout = rng.integers(4)
+    if layout == 1:                              # one pixel's run split
+        i = rng.integers(len(pixel))
+        k = i - i % n_bins + rng.integers(n_bins)
+        order = np.r_[np.delete(np.arange(len(pixel)), np.s_[k:i + 1]),
+                      np.arange(k, i + 1)] if k <= i else np.arange(len(pixel))
+    elif layout == 2:                            # bins falling in each run
+        order = (np.arange(len(pixel)).reshape(n_pix, n_bins)[:, ::-1]
+                 .ravel())
+    elif layout == 3:
+        order = rng.permutation(len(pixel))
+    else:
+        order = np.arange(len(pixel))
+    return pixel[order], mag_lo[order]
+
+
+@pytest.mark.parametrize("seed", range(300))
+def test_first_duplicate_matches_the_row_loop(seed):
+    pixel, mag_lo = _duplicate_case(seed)
+    assert forecasts._first_duplicate(pixel, mag_lo) == \
+        _row_loop_duplicate(pixel, mag_lo)
+
+
+def test_duplicate_cases_reach_each_stage():
+    def stage(pixel, mag_lo):
+        if _row_loop_duplicate(pixel, mag_lo) is not None:
+            return "duplicate"
+        for name, order in (
+                ("stable sort", np.argsort(pixel, kind="stable")),
+                ("key sort", np.lexsort((mag_lo, pixel)))):
+            if not forecasts._close_neighbours(pixel, mag_lo, order):
+                return name
+        return "row loop"
+
+    stages = [stage(*_duplicate_case(seed)) for seed in range(300)]
+    assert {name: stages.count(name) >= 30 for name in set(stages)} == {
+        "duplicate": True, "stable sort": True, "key sort": True,
+        "row loop": True}
+
+
 @pytest.mark.parametrize("bad_row, message", [
     ("0.5 1 0 0.5 0 30 3.95 4.05 -0.1 1", "line 6: negative rate -0.1"),
     ("0.5 1 0 0.5 0 30 4.05 4.05 0.1 1", "line 6: mag_lo >= mag_hi"),

@@ -43,6 +43,16 @@ def test_integrate_pixel_subset():
         integrate(IntensityField(g, np.ones((2, 2))), pixel_subset=[1])
 
 
+def test_integrate_rejects_an_overflowing_count():
+    g = Grid.regular(0, 2, 0, 1, 1.0, 1.0)
+    fld = IntensityField(g, np.full((1, 2), 1e308))
+    for subset in (None, [0, 1]):
+        with np.errstate(over="raise"), \
+                pytest.raises(ValidationError, match="not finite"):
+            integrate(fld, pixel_subset=subset)
+    assert integrate(fld, pixel_subset=[1]) == 1e308
+
+
 def test_evaluate_and_outside_error():
     fc = parse_forecast(FORECAST)
     fld = aggregate(fc, 3.95)
