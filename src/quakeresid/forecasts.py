@@ -220,7 +220,8 @@ def build_forecast(arr: np.ndarray, data: bytes) -> Forecast:
     pixels of one common size on one common lattice.  The geometry checks
     run first, then Forecast's bin checks.  The rows are checked as arrays;
     data is decoded and read again line by line only to name the lines of
-    a fault.
+    a fault.  The Forecast takes the columns of a column-major arr as they
+    are, without a copy, so arr must not change afterwards.
     """
     try:
         return _build(arr)
@@ -308,7 +309,7 @@ def _build(arr: np.ndarray) -> Forecast:
 
     grid = Grid(float(lon_min), float(lon_max), float(lat_min), float(lat_max),
                 float(dx), float(dy), n_x, n_y, active.reshape(n_y, n_x))
-    # a column-major arr lends its columns; row-major rows are copied out
+    # contiguous columns are kept as they are; strided ones are copied out
     return Forecast(grid, pixel, *map(np.ascontiguousarray, (
         mag_lo, mag_hi, rate, depth_lo, depth_hi)))
 

@@ -127,8 +127,8 @@ def _pin_forecast():
      "8b6428b73c9ab9993b9938dc9e24c8459ba32566708f7854ebb453a99ad4f95c"),
 ])
 def test_aggregate_field_is_pinned(mag_min, digest):
-    # taken with np.add.at; any summation that adds each pixel's bins in
-    # row order gives the same bits
+    # any summation that adds each pixel's bins in row order gives these
+    # bits
     fld = aggregate(_pin_forecast(), mag_min)
     rates = fld.rate_per_area
     assert hashlib.sha256(rates.dtype.str.encode() + repr(rates.shape).encode()
