@@ -129,18 +129,14 @@ def filter_catalog(catalog: Catalog, forecast: Forecast, mag_min: float,
     shallower than depth_max, and inside an active pixel carrying at least
     one forecast bin.  Drop counts are reported in the result's metadata.
     """
-    grid = forecast.grid
     start, end = utc64([forecast.window_start, forecast.window_end])
     # each event counts once, under the first check it fails, in this order
     # (a NaN magnitude or depth fails no check of its own)
+    pixel = forecast.grid.active_pixel(catalog.lon, catalog.lat)
     fails = {"magnitude": catalog.mag < mag_min,
              "window": ~((start <= catalog.time) & (catalog.time < end)),
-             "depth": catalog.depth > depth_max}
-    loc_ok = grid.contains(catalog.lon, catalog.lat)
-    if loc_ok.any():
-        ix, iy = grid.pixel_of(catalog.lon[loc_ok], catalog.lat[loc_ok])
-        loc_ok[loc_ok] = np.isin(grid.flat_index(ix, iy), forecast.pixel_index)
-    fails["location"] = ~loc_ok
+             "depth": catalog.depth > depth_max,
+             "location": ~np.isin(pixel, forecast.pixel_index)}
     dropped = {}
     remaining = np.ones(len(catalog), dtype=bool)
     for reason, fail in fails.items():

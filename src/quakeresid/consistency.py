@@ -59,13 +59,12 @@ class QuantileScore:
 
 
 def observed_counts(fld: IntensityField, catalog: Catalog) -> np.ndarray:
-    """Event count per active pixel, row-major active order."""
+    """Event count per active pixel, row-major active order; an event in no
+    active pixel is not counted."""
     grid = fld.grid
-    counts = np.zeros((grid.n_y, grid.n_x), dtype=np.int64)
-    if len(catalog):
-        ix, iy = grid.pixel_of(catalog.lon, catalog.lat)
-        np.add.at(counts, (iy, ix), 1)
-    return counts[grid.active_mask]
+    pix = grid.active_pixel(catalog.lon, catalog.lat)
+    counts = np.bincount(pix[pix >= 0], minlength=grid.n_y * grid.n_x)
+    return counts[grid.active_mask.ravel()]
 
 
 def _loglik_rows(lam: np.ndarray, counts: np.ndarray) -> np.ndarray:

@@ -92,18 +92,22 @@ class Grid:
         return (self.lon_min + (ix + 0.5) * self.dx,
                 self.lat_min + (iy + 0.5) * self.dy)
 
-    def contains(self, lon, lat):
-        """True where (lon, lat) lies inside an active pixel."""
+    def active_pixel(self, lon, lat):
+        """Flat index of the active pixel holding each (lon, lat), or -1
+        where no active pixel does (outside the box, masked, or NaN)."""
         lon = np.asarray(lon, dtype=float)
         lat = np.asarray(lat, dtype=float)
         inside = (lon >= self.lon_min) & (lon <= self.lon_max) & \
                  (lat >= self.lat_min) & (lat <= self.lat_max)
-        result = np.zeros(inside.shape, dtype=bool)
-        if np.any(inside):
-            ix, iy = self.pixel_of(np.where(inside, lon, self.lon_min),
-                                   np.where(inside, lat, self.lat_min))
-            result = inside & self.active_mask[iy, ix]
-        return result
+        # points off the box stand in at its corner before the integer cast
+        ix, iy = self.pixel_of(np.where(inside, lon, self.lon_min),
+                               np.where(inside, lat, self.lat_min))
+        return np.where(inside & self.active_mask[iy, ix],
+                        self.flat_index(ix, iy), -1)
+
+    def contains(self, lon, lat):
+        """True where (lon, lat) lies inside an active pixel."""
+        return self.active_pixel(lon, lat) >= 0
 
     def active_indices(self):
         """Flat indices of active pixels, row-major order."""

@@ -64,39 +64,31 @@ def scale_window(fld: IntensityField, fraction: float) -> IntensityField:
     return IntensityField(fld.grid, rates)
 
 
-def check_inside(grid: Grid, lon, lat) -> None:
-    """OutsideRegionError naming the first point not in an active pixel."""
-    inside = np.atleast_1d(grid.contains(lon, lat))
-    if not inside.all():
-        i = int(np.argmin(inside))
+def check_inside(grid: Grid, lon, lat) -> np.ndarray:
+    """Flat index of the active pixel holding each point (Grid.active_pixel);
+    OutsideRegionError naming the first point not in an active pixel."""
+    pix = grid.active_pixel(lon, lat)
+    outside = np.atleast_1d(pix < 0)
+    if outside.any():
+        i = int(np.argmax(outside))
         x, y = np.broadcast_arrays(np.atleast_1d(lon), np.atleast_1d(lat))
         raise OutsideRegionError(f"point at index {i} (lon {x[i]}, lat {y[i]}) "
                                  "is outside the active region")
+    return pix
 
 
 def evaluate(fld: IntensityField, lon, lat):
     """Rate per square degree at (lon, lat); OutsideRegionError if the point
     is not in an active pixel."""
-    check_inside(fld.grid, lon, lat)
-    ix, iy = fld.grid.pixel_of(lon, lat)
-    return fld.rate_per_area[iy, ix]
+    return fld.rate_per_area.ravel()[check_inside(fld.grid, lon, lat)]
 
 
-def integrate(fld: IntensityField, pixel_subset=None) -> float:
-    """Expected count over the requested active pixels (whole region by
-    default); exact closed-form sum.  A count too large for a float is a
-    ValidationError."""
-    grid = fld.grid
-    if pixel_subset is None:
-        rates = np.where(grid.active_mask, fld.rate_per_area, 0.0)
-    else:
-        pixel_subset = np.asarray(pixel_subset, dtype=int)
-        ix, iy = grid.unflatten(pixel_subset)
-        if not np.all(grid.active_mask[iy, ix]):
-            raise OutsideRegionError("pixel subset includes inactive pixels")
-        rates = fld.rate_per_area[iy, ix]
+def integrate(fld: IntensityField) -> float:
+    """Expected count over the active pixels; exact closed-form sum.  A
+    count too large for a float is a ValidationError."""
     with np.errstate(over="ignore"):
-        total = float(np.nansum(rates)) * grid.pixel_area
+        # inactive pixels hold NaN, which nansum skips
+        total = float(np.nansum(fld.rate_per_area)) * fld.grid.pixel_area
     if not np.isfinite(total):
         raise ValidationError("expected count is not finite: the rates sum "
                               "past the largest float")

@@ -77,10 +77,6 @@ class TransposedRegion:
         x0, x1, y0, y1 = self.inner.bbox
         return y0, y1, x0, x1
 
-    @property
-    def is_full_rectangle(self) -> bool:
-        return False
-
     def contains(self, x, y):
         return self.inner.contains(y, x)
 
@@ -115,20 +111,12 @@ class RowIntervalRegion:
         return 0.0, float(self.t_of_row.max(initial=0.0)), \
             float(self.y_edges[0]), float(self.y_edges[-1])
 
-    @property
-    def is_full_rectangle(self) -> bool:
-        return False
-
-    def row_of(self, y):
-        y_arr = np.asarray(y, dtype=float)
-        idx = np.searchsorted(self.y_edges, y_arr, side="right") - 1
-        return np.clip(idx, 0, len(self.t_of_row) - 1)
-
     def contains(self, x, y):
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         in_band = (y >= self.y_edges[0]) & (y <= self.y_edges[-1])
-        row = self.row_of(np.clip(y, self.y_edges[0], self.y_edges[-1]))
+        row = np.searchsorted(self.y_edges, y, side="right") - 1
+        row = np.clip(row, 0, len(self.t_of_row) - 1)
         return in_band & (x >= 0) & (x <= self.t_of_row[row])
 
     sample = _sample_by_rejection

@@ -27,12 +27,6 @@ class PixelResidualMap:
     values: np.ndarray = field(repr=False)       # +-inf marks sentinels
     skipped_pixels: tuple = ()     # (pixel_index, reason) pairs
 
-    def value_at(self, pixel_index: int) -> float:
-        pos = np.searchsorted(self.pixel_index, pixel_index)
-        if pos >= len(self.pixel_index) or self.pixel_index[pos] != pixel_index:
-            raise KeyError(f"pixel {pixel_index} not in residual map")
-        return float(self.values[pos])
-
     def to_csv(self) -> str:
         """CSV: pixel_index, lon_center, lat_center, value, flag."""
         skipped = {p for p, _ in self.skipped_pixels}
@@ -95,31 +89,20 @@ def deviance_residuals(field_1: IntensityField, field_2: IntensityField,
         raise ValidationError("deviance requires a shared grid layout")
     g1, g2 = field_1.grid, field_2.grid
     shared_mask = g1.active_mask & g2.active_mask
-    dropped = []
-    if not np.array_equal(g1.active_mask, g2.active_mask):
-        iy, ix = np.nonzero(g1.active_mask ^ g2.active_mask)
-        dropped = [(int(p), "inactive in one model")
-                   for p in g1.flat_index(ix, iy)]
+    dropped = [(int(p), "inactive in one model")
+               for p in np.flatnonzero(g1.active_mask ^ g2.active_mask)]
     grid = Grid(g1.lon_min, g1.lon_max, g1.lat_min, g1.lat_max,
                 g1.dx, g1.dy, g1.n_x, g1.n_y, shared_mask)
     area = grid.pixel_area
+    counts = observed_counts(field_1, catalog)[shared_mask[g1.active_mask]]
+    v1 = field_1.rate_per_area[shared_mask]
+    v2 = field_2.rate_per_area[shared_mask]
 
-    counts = np.zeros((grid.n_y, grid.n_x), dtype=np.int64)
-    if len(catalog):
-        inside = grid.contains(catalog.lon, catalog.lat)
-        ix, iy = grid.pixel_of(catalog.lon[inside], catalog.lat[inside])
-        np.add.at(counts, (iy, ix), 1)
-    counts = counts[grid.active_mask]
-
-    v1 = field_1.rate_per_area[grid.active_mask]
-    v2 = field_2.rate_per_area[grid.active_mask]
-
+    # events on a zero rate give log(0): -inf for that model's term
     with np.errstate(divide="ignore", invalid="ignore"):
         term1 = np.where(counts > 0, counts * np.log(v1), 0.0) - v1 * area
         term2 = np.where(counts > 0, counts * np.log(v2), 0.0) - v2 * area
         values = term1 - term2
-    # events on a zero rate give log(0): -inf for that model's term
-    values = np.where(np.isnan(values), np.nan, values)
     return PixelResidualMap(grid, "deviance", grid.active_indices(), values,
                             tuple(dropped))
 

@@ -42,6 +42,10 @@ MAX_RADII = 10_000
 # Most values one simulation envelope holds, replicates times radii: 80 MB
 # of float64, enough for the default 1000 replicates at MAX_RADII radii.
 MAX_ENVELOPE_VALUES = 10_000_000
+# Coverage of every confidence band: the analytic bands take the normal
+# quantile at 0.5 + BAND_LEVEL / 2, the envelopes the order statistics at
+# (1 - BAND_LEVEL) / 2 from either end, both computed from this value.
+BAND_LEVEL = 0.95
 
 # Floor on a circle's inside fraction: one pair's edge weight is at most 720.
 _MIN_ARC_FRACTION = 1.0 / 720
@@ -436,18 +440,14 @@ def weighted_k_constant(points, null_rate: float, region, radii,
 # ---------------------------------------------------------------------------
 # bands
 
-def wk_confidence_bands(radii, area: float, total_intensity: float,
-                        level: float = 0.95):
-    """Normal-approximation bands for the weighted K under the null:
-    mean pi r^2, variance 2 pi r^2 A / (integral of null intensity)^2."""
+def wk_confidence_bands(radii, area: float, total_intensity: float):
+    """Normal-approximation BAND_LEVEL bands for the weighted K under the
+    null: mean pi r^2, variance 2 pi r^2 A / (integral of null intensity)^2."""
     radii = radii_grid(radii)
     if total_intensity <= 0:
         raise ValidationError("total intensity must be positive")
-    p = 0.5 + level / 2.0   # rounds to 1 for the largest level below 1
-    if not (0.0 <= level and p < 1.0):
-        raise ValidationError("level must lie in [0, 1)")
     from statistics import NormalDist  # loaded only by the analytic bands
-    z = NormalDist().inv_cdf(p)
+    z = NormalDist().inv_cdf(0.5 + BAND_LEVEL / 2.0)
     mean = np.pi * radii ** 2
     half = z * np.sqrt(2.0 * np.pi * radii ** 2 * area) / total_intensity
     return mean - half, mean + half
@@ -465,9 +465,8 @@ def check_envelope_size(n_sims: int, n_radii: int) -> None:
 
 
 def envelope_bands(region, rate: float, radii, n_sims: int,
-                   stream: SeededStream, level: float = 0.95,
-                   edge_correction: str = "none"):
-    """Middle-(level) empirical range of the K that weighted_k_constant
+                   stream: SeededStream, edge_correction: str = "none"):
+    """Middle-BAND_LEVEL empirical range of the K that weighted_k_constant
     computes at this rate, over homogeneous Poisson simulations on the
     region: same weights, prefactor, region and edge correction.  Returns
     (lower, upper) order statistics in K units."""
@@ -478,7 +477,7 @@ def envelope_bands(region, rate: float, radii, n_sims: int,
         xs, ys = simulate_homogeneous(region, rate, stream.substream(j))
         sims[j] = _constant_rate_k(np.column_stack([xs, ys]), rate, region,
                                    radii, edge_correction)
-    alpha = 1.0 - level
+    alpha = 1.0 - BAND_LEVEL
     sims.sort(axis=0)
     lo_idx = int(np.floor(alpha / 2.0 * n_sims))
     hi_idx = int(np.ceil((1.0 - alpha / 2.0) * n_sims)) - 1

@@ -21,8 +21,9 @@ from .intensity import (IntensityField, check_inside, evaluate, extremes,
                         integrate)
 from .regions import GridRegion, RowIntervalRegion, TransposedRegion
 from .rng import SeededStream
-from .secondorder import (KCurve, default_radii, envelope_bands, radii_grid,
-                          weighted_k_constant, wk_confidence_bands)
+from .secondorder import (BAND_LEVEL, KCurve, default_radii, envelope_bands,
+                          radii_grid, weighted_k_constant,
+                          wk_confidence_bands)
 from .simulate import simulate_cox_complement
 
 
@@ -48,18 +49,6 @@ class ResidualSet:
     @property
     def n_points(self) -> int:
         return len(self.points)
-
-    @property
-    def simulated_fraction(self) -> float:
-        if self.n_points == 0:
-            return 0.0
-        return float(self.simulated.mean())
-
-    def retained_points(self) -> np.ndarray:
-        return self.points[~self.simulated]
-
-    def simulated_points(self) -> np.ndarray:
-        return self.points[self.simulated]
 
     def to_csv(self) -> str:
         """CSV: x, y, label, transform, seed."""
@@ -95,8 +84,7 @@ def rescale(catalog: Catalog, fld: IntensityField,
     grid = fld.grid
     rates = np.where(grid.active_mask, fld.rate_per_area, 0.0)
     pts = catalog.points()
-    check_inside(grid, pts[:, 0], pts[:, 1])
-    ix, iy = grid.pixel_of(pts[:, 0], pts[:, 1])
+    iy, ix = divmod(check_inside(grid, pts[:, 0], pts[:, 1]), grid.n_x)
     (x0, dx), (y0, dy) = (grid.lon_min, grid.dx), (grid.lat_min, grid.dy)
     if axis == "vertical":
         # the horizontal stretch of the transposed layout; cumsum along
@@ -195,25 +183,20 @@ def thin_approx(catalog: Catalog, fld: IntensityField, k_count: float,
                                keep=(probs, stream))
 
 
-def superpose(catalog: Catalog, fld: IntensityField, stream: SeededStream,
-              level: float | None = None) -> ResidualSet:
-    """Add simulated points from the complement rate (level - rate).
+def superpose(catalog: Catalog, fld: IntensityField,
+              stream: SeededStream) -> ResidualSet:
+    """Add simulated points from the complement rate sup(rate) - rate.
 
     The union of observed and simulated points is homogeneous with rate
-    equal to level, which defaults to sup(rate) and must not be below it.
+    sup(rate).
     """
     sup = extremes(fld)[1]
-    if level is None:
-        level = sup
     if sup == 0:
         raise ValidationError("rate supremum is zero; nothing to superpose onto")
     pts = catalog.points()
     check_inside(fld.grid, pts[:, 0], pts[:, 1])
-    if level < sup:
-        raise ValidationError(
-            f"superpose level {level} is below the field supremum {sup}")
-    return _thin_and_superpose(fld, pts, level, "superpose", {"level": level},
-                               add=(level, stream))
+    return _thin_and_superpose(fld, pts, sup, "superpose", {"level": sup},
+                               add=(sup, stream))
 
 
 def super_thin(catalog: Catalog, fld: IntensityField,
@@ -242,11 +225,11 @@ def super_thin(catalog: Catalog, fld: IntensityField,
 def assess_homogeneity(rset: ResidualSet, radii=None,
                        bands: str = "analytic", n_sims: int = 1000,
                        stream: SeededStream | None = None,
-                       edge_correction: str = "none",
-                       level: float = 0.95) -> KCurve:
+                       edge_correction: str = "none") -> KCurve:
     """Weighted K of a residual set against its homogeneous null, with
-    confidence bands: "analytic" normal-approximation bands, or "envelope"
-    from the same estimator on homogeneous simulations on the same region."""
+    BAND_LEVEL confidence bands: "analytic" normal-approximation bands, or
+    "envelope" from the same estimator on homogeneous simulations on the
+    same region."""
     radii = default_radii() if radii is None else radii_grid(radii)
     if rset.n_points < 2:
         raise ValidationError(
@@ -259,15 +242,14 @@ def assess_homogeneity(rset: ResidualSet, radii=None,
                 "analytic bands assume a grid region; use envelope bands "
                 "for rescaled residuals")
         lo, hi = wk_confidence_bands(radii, rset.region.area,
-                                     rset.null_rate * rset.region.area, level)
+                                     rset.null_rate * rset.region.area)
     elif bands == "envelope":
         if stream is None:
             raise ValidationError("envelope bands need a seeded stream")
         lo, hi = envelope_bands(rset.region, rset.null_rate, radii, n_sims,
-                                stream, level,
-                                edge_correction=edge_correction)
+                                stream, edge_correction=edge_correction)
     else:
         raise ValidationError(f"unknown band method {bands!r}")
     meta = dict(curve.meta)
-    meta.update({"bands": bands, "level": level, "transform": rset.transform})
+    meta.update({"bands": bands, "level": BAND_LEVEL, "transform": rset.transform})
     return replace(curve, bands=(lo, hi), meta=meta)

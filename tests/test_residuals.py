@@ -29,9 +29,9 @@ def test_pearson_residuals_skip_zero_rate():
     fld = IntensityField(_grid(), np.array([[4.0, 8.0], [0.0, 12.0]]))
     cat = _catalog([(0.25, 0.25)])
     rmap = pearson_residuals(fld, cat)
-    assert rmap.value_at(0) == pytest.approx(1 / 2.0 - 2.0 * 0.25)
+    assert rmap.values[0] == pytest.approx(1 / 2.0 - 2.0 * 0.25)
     assert rmap.skipped_pixels == ((2, "zero-rate pixel"),)
-    assert np.isnan(rmap.value_at(2))
+    assert np.isnan(rmap.values[2])
 
 
 def test_deviance_sum_equals_likelihood_difference():
@@ -54,7 +54,7 @@ def test_deviance_infinity_sentinel():
     f2 = IntensityField(_grid(), np.full((2, 2), 3.0))
     cat = _catalog([(0.25, 0.25)])
     dmap = deviance_residuals(f1, f2, cat)
-    assert np.isneginf(dmap.value_at(0))
+    assert np.isneginf(dmap.values[0])
     with pytest.raises(ValidationError):
         lr_score(dmap)
 

@@ -455,7 +455,7 @@ def test_wk_confidence_bands_text_unchanged_from_ndtri():
     total = sum(float("%.6f" % (r * share)) for r in rates[active]
                 for share in (0.7, 0.3))
     for total_intensity in (total, 6.0 * area):
-        got = wk_confidence_bands(radii, area, total_intensity, 0.95)
+        got = wk_confidence_bands(radii, area, total_intensity)
         half = ndtri(0.975) * np.sqrt(2.0 * np.pi * radii ** 2 * area) \
             / total_intensity
         want = (np.pi * radii ** 2 - half, np.pi * radii ** 2 + half)
@@ -464,15 +464,6 @@ def test_wk_confidence_bands_text_unchanged_from_ndtri():
             assert ["%.12g" % v for v in g] == ["%.12g" % v for v in w]
         assert (KCurve(radii, k, "weighted", bands=got).to_csv()
                 == KCurve(radii, k, "weighted", bands=want).to_csv())
-
-
-def test_wk_confidence_bands_level_validation():
-    radii = radii_grid([0.1, 0.2])
-    lo, hi = wk_confidence_bands(radii, 1.0, 50.0, level=0.0)
-    assert np.array_equal(lo, hi)
-    for level in (-0.1, 1.0, np.nextafter(1.0, 0.0), float("nan")):
-        with pytest.raises(ValidationError):
-            wk_confidence_bands(radii, 1.0, 50.0, level=level)
 
 
 def test_envelope_bands_min_max_for_two_sims():

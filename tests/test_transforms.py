@@ -190,7 +190,7 @@ def test_superpose_uniform_at_sup_adds_nothing():
     cat = _catalog([(0.3, 0.3), (0.8, 0.8)])
     rset = superpose(cat, fld, SeededStream(6, 0))
     assert rset.n_points == 2
-    assert rset.simulated_fraction == 0.0
+    assert not rset.simulated.any()
     assert rset.null_rate == 4.0
 
 
@@ -208,15 +208,9 @@ def test_superpose_labels_partition():
     cat = _catalog([(0.3, 0.3)])
     rset = superpose(cat, fld, SeededStream(8, 0))
     assert (~rset.simulated).sum() == 1
-    assert np.array_equal(rset.retained_points()[0], [0.3, 0.3])
-    assert np.all(fld.grid.contains(rset.simulated_points()[:, 0],
-                                    rset.simulated_points()[:, 1]))
-
-
-def test_superpose_level_below_sup_rejected():
-    fld = IntensityField(_grid(), np.array([[8.0, 1.0], [1.0, 1.0]]))
-    with pytest.raises(ValidationError, match="below the field supremum"):
-        superpose(_catalog([(0.3, 0.3)]), fld, SeededStream(21, 0), level=7.9)
+    assert np.array_equal(rset.points[~rset.simulated][0], [0.3, 0.3])
+    sim = rset.points[rset.simulated]
+    assert np.all(fld.grid.contains(sim[:, 0], sim[:, 1]))
 
 
 # --- super-thinning ----------------------------------------------------
