@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -21,7 +22,7 @@ import numpy as np
 
 from .catalogs import filter_catalog, parse_catalog, serialize_catalog
 from .consistency import l_test, log_likelihood, n_test
-from .errors import QuakeResidError
+from .errors import QuakeResidError, ValidationError
 from .forecasts import Forecast, build_forecast, decode_utf8, read_rows
 from .intensity import aggregate, integrate, scale_window
 from .manifest import TOOLKIT_VERSION, build_manifest
@@ -44,9 +45,10 @@ DEFAULT_SIMS = 1000
 CACHE_MAX_BYTES = 256 * 2 ** 20
 
 # argparse destinations that are not run parameters: file paths and the
-# seed have their own manifest fields, and --k only ever ends in an error
+# seed have their own manifest fields, --k only ever ends in an error, and
+# run is the subcommand's function
 _NOT_PARAMETERS = {"command", "seed", "forecast", "forecast_a", "forecast_b",
-                   "catalog", "out", "svg", "k_ambiguous"}
+                   "catalog", "out", "svg", "k_ambiguous", "run"}
 
 
 def _read_bytes(path: str) -> tuple[bytes, str]:
@@ -234,11 +236,8 @@ def cmd_ltest(args) -> int:
     return 0
 
 
-def cmd_resid(args, parser) -> int:
+def cmd_resid(args) -> int:
     if args.kind == "deviance":
-        if not (args.forecast_a and args.forecast_b):
-            parser.error("--kind deviance requires --forecast-a and "
-                         "--forecast-b")
         _, catalog, fld_a, inputs = _load_pair(args, args.forecast_a)
         forecast_b, inputs[args.forecast_b] = _load_forecast(args.forecast_b)
         fld_b = _intensity(forecast_b, args)
@@ -248,8 +247,6 @@ def cmd_resid(args, parser) -> int:
         except QuakeResidError:
             footer = {"lr_score": None, "lr_score_defined": False}
     else:
-        if not args.forecast:
-            parser.error(f"--kind {args.kind} requires --forecast")
         _, catalog, fld, inputs = _load_pair(args)
         rmap = raw_residuals(fld, catalog) if args.kind == "raw" \
             else pearson_residuals(fld, catalog)
@@ -298,19 +295,8 @@ def _region_csv(region) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_transform(args, parser) -> int:
-    if args.k_ambiguous is not None:
-        parser.error("--k is ambiguous: use --k-count (expected retained "
-                     "count) or --k-rate (points per square degree)")
-    if args.kind == "thin-approx" and args.k_count is None:
-        parser.error("--kind thin-approx requires --k-count")
+def cmd_transform(args) -> int:
     radii = default_radii(args.rmax, args.dr) if args.assess else None
-    bands = "envelope" if args.kind == "rescale" else "analytic"
-    if args.assess and bands == "envelope":
-        check_envelope_size(args.sims, len(radii))
-    for name in ("k_count", "k_rate"):
-        if getattr(args, name) is not None:
-            check_finite_positive(name, getattr(args, name))
     _, catalog, fld, inputs = _load_pair(args)
     stream = SeededStream(args.seed, 0)
     if args.kind == "rescale":
@@ -323,6 +309,13 @@ def cmd_transform(args, parser) -> int:
         rset = superpose(catalog, fld, stream)
     else:
         rset = super_thin(catalog, fld, stream, args.k_rate)
+    # the assessment can fail, so it runs before any output is written
+    curve = None
+    if args.assess:
+        curve = assess_homogeneity(
+            rset, radii, n_sims=args.sims, stream=SeededStream(args.seed, 1),
+            bands="envelope" if args.kind == "rescale" else "analytic",
+            edge_correction=args.edge)
     _write(args.out, rset.to_csv())
     if args.kind == "rescale":
         region_text = _region_csv(rset.region)
@@ -332,10 +325,7 @@ def cmd_transform(args, parser) -> int:
             _write(_derived_path(args.out, "_region"), region_text)
     if args.svg:
         _write(args.svg, point_map_svg(rset, f"{args.kind} residuals"))
-    if args.assess:
-        curve = assess_homogeneity(
-            rset, radii, bands=bands, n_sims=args.sims,
-            stream=SeededStream(args.seed, 1), edge_correction=args.edge)
+    if curve is not None:
         if args.out is None:
             sys.stdout.write(curve.to_csv())
         else:
@@ -361,10 +351,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_report(args) -> int:
     radii = default_radii(args.rmax, args.dr)
-    if args.k_rate is not None:
-        check_finite_positive("k_rate", args.k_rate)
-    os.makedirs(args.out, exist_ok=True)
     _, catalog, fld, inputs = _load_pair(args)
+    os.makedirs(args.out, exist_ok=True)
     out = lambda name: os.path.join(args.out, name)
 
     n_score = n_test(fld, catalog, args.sims, SeededStream(args.seed, 0))
@@ -423,11 +411,13 @@ def build_parser() -> argparse.ArgumentParser:
     _common_flags(p)
     p.add_argument("--sims", type=int, default=DEFAULT_SIMS)
     p.add_argument("--analytic", action="store_true")
+    p.set_defaults(run=cmd_ntest)
 
     p = subs.add_parser("ltest", help="likelihood test (gamma quantile)")
     p.add_argument("--forecast", required=True)
     _common_flags(p)
     p.add_argument("--sims", type=int, default=DEFAULT_SIMS)
+    p.set_defaults(run=cmd_ltest)
 
     p = subs.add_parser("resid", help="per-pixel residual maps")
     p.add_argument("--forecast", default=None)
@@ -437,6 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=("raw", "pearson", "deviance"),
                    required=True)
     p.add_argument("--svg", default=None)
+    p.set_defaults(run=cmd_resid)
 
     p = subs.add_parser("k", help="second-order K statistics")
     p.add_argument("--forecast", required=True)
@@ -444,6 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weighted", action="store_true")
     _k_flags(p)
     p.add_argument("--svg", default=None)
+    p.set_defaults(run=cmd_k)
 
     p = subs.add_parser("transform", help="residual point processes")
     p.add_argument("--forecast", required=True)
@@ -461,6 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sims", type=int, default=DEFAULT_SIMS)
     _k_flags(p)
     p.add_argument("--svg", default=None)
+    p.set_defaults(run=cmd_transform)
 
     p = subs.add_parser("simulate", help="draw a synthetic catalog")
     p.add_argument("--forecast", required=True)
@@ -468,6 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window-fraction", type=float, default=1.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
+    p.set_defaults(run=cmd_simulate)
 
     p = subs.add_parser("report", help="full diagnostic suite into one "
                                        "directory")
@@ -476,36 +470,61 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sims", type=int, default=DEFAULT_SIMS)
     p.add_argument("--k-rate", type=float, default=None)
     _k_flags(p)
+    p.set_defaults(run=cmd_report)
 
     return parser
+
+
+def _check_args(args, parser) -> None:
+    """Every check that needs no input file, run before any is read, so a
+    bad flag leaves no output behind.  A usage error exits 2 through
+    parser.error; a bad value raises ValidationError (exit 3)."""
+    command, kind = args.command, getattr(args, "kind", None)
+    if command == "resid":
+        if kind == "deviance" and not (args.forecast_a and args.forecast_b):
+            parser.error("--kind deviance requires --forecast-a and "
+                         "--forecast-b")
+        if kind != "deviance" and not args.forecast:
+            parser.error(f"--kind {kind} requires --forecast")
+    if command == "transform":
+        if args.k_ambiguous is not None:
+            parser.error("--k is ambiguous: use --k-count (expected retained "
+                         "count) or --k-rate (points per square degree)")
+        if kind == "thin-approx" and args.k_count is None:
+            parser.error("--kind thin-approx requires --k-count")
+        if args.assess and kind == "rescale":
+            if args.edge == "isotropic":
+                raise ValidationError(
+                    "--edge isotropic is only defined for grid regions, and "
+                    "rescaled residuals lie on a row-interval region")
+            check_envelope_size(args.sims,
+                                len(default_radii(args.rmax, args.dr)))
+    for name in ("k_count", "k_rate"):
+        if getattr(args, name, None) is not None:
+            check_finite_positive(name, getattr(args, name))
+    for name in ("mag_min", "depth_max"):
+        if math.isnan(getattr(args, name, 0.0)):
+            raise ValidationError(f"--{name.replace('_', '-')} must be a "
+                                  "number, not nan")
+    if not 0.0 < args.window_fraction <= 1.0:
+        raise ValidationError("--window-fraction must be in (0, 1]")
+    if command in ("ntest", "ltest", "report") and args.sims < 1 \
+            and not getattr(args, "analytic", False):
+        raise ValidationError("--sims must be at least 1")
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "ntest":
-            return cmd_ntest(args)
-        if args.command == "ltest":
-            return cmd_ltest(args)
-        if args.command == "resid":
-            return cmd_resid(args, parser)
-        if args.command == "k":
-            return cmd_k(args)
-        if args.command == "transform":
-            return cmd_transform(args, parser)
-        if args.command == "simulate":
-            return cmd_simulate(args)
-        if args.command == "report":
-            return cmd_report(args)
-        parser.error(f"unknown command {args.command!r}")
+        _check_args(args, parser)
+        return args.run(args)
     except QuakeResidError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:
         print(f"file error: {exc}", file=sys.stderr)
         return 3
-    return 0
 
 
 if __name__ == "__main__":

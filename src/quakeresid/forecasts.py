@@ -46,10 +46,17 @@ class Forecast:
     window_end: datetime = DEFAULT_WINDOW_END
 
     def __post_init__(self):
-        """The bin checks: each bin has a finite, non-negative rate and
-        mag_lo < mag_hi, and no two bins share a key."""
+        """The bin checks: each bin lies in a pixel of the grid, has a
+        finite, non-negative rate and mag_lo < mag_hi, and no two bins share
+        a key."""
         if self.window_start >= self.window_end:
             raise ValidationError("window_start must precede window_end")
+        pix, n_pixels = self.pixel_index, self.grid.n_x * self.grid.n_y
+        on_grid = (pix >= 0) & (pix < n_pixels)
+        if not on_grid.all():
+            i = int(np.argmin(on_grid))
+            raise _RowFault(f"pixel index {int(pix[i])} is outside the "
+                            f"grid's {n_pixels} pixels", [i])
         rate, lo, hi = self.rate, self.mag_lo, self.mag_hi
         ok = (rate >= 0) & (rate < np.inf) & (lo < hi)
         if not ok.all():

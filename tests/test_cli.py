@@ -585,3 +585,99 @@ def test_thin_approx_without_k_count_fails_before_reading(tmp_path, capsys):
               "--kind", "thin-approx"])
     assert exc.value.code == 2
     assert "--kind thin-approx requires --k-count" in capsys.readouterr().err
+
+
+def test_every_subcommand_has_a_runner():
+    import argparse
+    parser = cli.build_parser()
+    subs, = [a for a in parser._actions
+             if isinstance(a, argparse._SubParsersAction)]
+    for name, sub in subs.choices.items():
+        assert sub.get_default("run") is getattr(cli, "cmd_" + name), name
+
+
+_COMMANDS = {"ntest": ["ntest", "--analytic"], "k": ["k"],
+             "transform": ["transform", "--kind", "superthin"],
+             "simulate": ["simulate"], "report": ["report"]}
+
+
+@pytest.mark.parametrize("command, flag, message", [
+    (command, flag, message)
+    for flag, message in [
+        ("--mag-min=nan", "--mag-min must be a number"),
+        ("--depth-max=nan", "--depth-max must be a number"),
+        ("--window-fraction=0", "--window-fraction must be in (0, 1]"),
+        ("--window-fraction=1.5", "--window-fraction must be in (0, 1]"),
+        ("--window-fraction=nan", "--window-fraction must be in (0, 1]")]
+    for command in _COMMANDS
+    if not (command == "simulate" and flag.startswith("--depth-max"))])
+def test_bad_selection_flags_fail_before_reading(tmp_path, capsys, command,
+                                                 flag, message):
+    # the inputs do not exist: the flag is rejected before either is opened
+    rc = main([*_COMMANDS[command], "--forecast", str(tmp_path / "fc.txt"),
+               *(["--catalog", str(tmp_path / "cat.csv")]
+                 if command != "simulate" else []),
+               flag, "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert "Traceback" not in err
+    assert message in err
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("flag", ["--mag-min=-inf", "--mag-min=inf",
+                                  "--depth-max=-inf", "--depth-max=inf"])
+def test_infinite_selection_flags_stay_valid(workspace, capsys, flag):
+    tmp, fc, cat = workspace
+    assert main(["ntest", "--analytic", "--forecast", str(fc),
+                 "--catalog", str(cat), flag]) == 0
+    record = json.loads(capsys.readouterr().out)
+    kept = flag in ("--mag-min=-inf", "--depth-max=inf")
+    assert (record["observed_stat"] > 0) == kept
+
+
+@pytest.mark.parametrize("command", [["ntest"], ["ltest"], ["report"]])
+def test_zero_sims_fail_before_reading(tmp_path, capsys, command):
+    rc = main([*command, "--forecast", str(tmp_path / "fc.txt"),
+               "--catalog", str(tmp_path / "cat.csv"), "--sims", "0",
+               "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert "--sims must be at least 1" in err
+    assert os.listdir(tmp_path) == []
+
+
+def test_analytic_ntest_ignores_sims(workspace):
+    tmp, fc, cat = workspace
+    assert main(["ntest", "--analytic", "--sims", "0", "--forecast", str(fc),
+                 "--catalog", str(cat), "--out", str(tmp / "s.json")]) == 0
+
+
+@pytest.mark.parametrize("forecast", ["fc.txt", "missing.txt"])
+def test_failed_report_leaves_no_directory(workspace, capsys, forecast):
+    tmp, fc, cat = workspace
+    before = sorted(os.listdir(tmp))
+    sims = ["--sims", "0"] if forecast == "fc.txt" else []
+    rc = main(["report", "--forecast", str(tmp / forecast),
+               "--catalog", str(cat), *sims, "--out", str(tmp / "report")])
+    assert rc == 3
+    assert "Traceback" not in capsys.readouterr().err
+    assert sorted(os.listdir(tmp)) == before
+
+
+def test_transform_failures_write_no_output(workspace, capsys):
+    tmp, fc, cat = workspace
+    one = tmp / "one.csv"
+    one.write_text("".join(cat.read_text().splitlines(True)[:2]))
+    before = sorted(os.listdir(tmp))
+    for kind, catalog, edge, message in [
+            ("rescale", cat, "isotropic", "--edge isotropic is only defined"),
+            ("thin", one, "none", "needs at least two residual points")]:
+        rc = main(["transform", "--kind", kind, "--assess", "--edge", edge,
+                   "--forecast", str(fc), "--catalog", str(catalog),
+                   "--out", str(tmp / "t.csv"), "--svg", str(tmp / "t.svg")])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert "Traceback" not in err
+        assert message in err
+        assert sorted(os.listdir(tmp)) == before

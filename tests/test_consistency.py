@@ -49,6 +49,16 @@ def test_observed_counts_order():
     assert observed_counts(fld, cat).tolist() == [1, 1, 0, 2]
 
 
+def test_observed_counts_skip_events_in_no_active_pixel():
+    g = Grid.regular(0, 1, 0, 1, 0.5, 0.5,
+                     active_mask=np.array([[False, True], [True, True]]))
+    fld = IntensityField.constant(g, 2.0)
+    # a masked pixel, two points off the box and one in pixel 3
+    cat = _catalog([(0.25, 0.25), (5.0, 5.0), (-1.0, 0.5), (0.75, 0.75)])
+    assert observed_counts(fld, cat).tolist() == [0, 0, 1]
+    assert observed_counts(fld, _catalog([])).tolist() == [0, 0, 0]
+
+
 def test_n_test_analytic_values():
     from scipy import stats
     fld = _uniform_field(2.0)   # total expectation 2.0

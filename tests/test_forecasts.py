@@ -327,6 +327,19 @@ def test_forecast_reports_first_duplicate_in_row_order():
                            np.ones(5), np.zeros(5), np.ones(5))
 
 
+@pytest.mark.parametrize("bad", [-1, 4])
+def test_forecast_rejects_pixel_index_off_the_grid(bad):
+    fc = parse_forecast(SIMPLE)     # a 2 x 2 grid: pixels 0 to 3
+    pixel = np.array([0, bad, 3])
+    with pytest.raises(ValidationError,
+                       match=rf"^pixel index {bad} is outside the grid's 4 "
+                             r"pixels$"):
+        forecasts.Forecast(fc.grid, pixel, np.full(3, 4.0), np.full(3, 4.1),
+                           np.ones(3), np.zeros(3), np.ones(3))
+    forecasts.Forecast(fc.grid, np.array([0, 3]), np.full(2, 4.0),
+                       np.full(2, 4.1), np.ones(2), np.zeros(2), np.ones(2))
+
+
 def test_unicode_minus_and_comments():
     text = "−0.5 0 0 0.5 0 30 3.95 4.05 0.1 1  # trailing comment\n"
     fc = parse_forecast(text)

@@ -55,3 +55,17 @@ def test_pixel_center():
     g = Grid.regular(0, 1, 10, 11, 0.5, 0.5)
     cx, cy = g.pixel_center(3)
     assert (cx, cy) == (0.75, 10.75)
+
+
+def test_active_pixel_index_or_minus_one():
+    mask = np.ones((2, 2), bool)
+    mask[0, 0] = False
+    g = Grid.regular(0, 1, 0, 1, 0.5, 0.5, active_mask=mask)
+    lon = [0.25, 0.5, 1.0, 0.75, 1.5, np.nan, np.inf, -np.inf]
+    lat = [0.25, 0.25, 1.0, np.nan, 0.5, 0.5, 0.5, 0.5]
+    # masked, shared edge goes high, outer corner closed; then points with
+    # a NaN or off the box: no cast of them may warn
+    assert g.active_pixel(lon, lat).tolist() == [-1, 1, 3, -1, -1, -1, -1, -1]
+    assert int(g.active_pixel(0.75, 0.75)) == 3
+    assert g.active_pixel([], []).tolist() == []
+    assert g.contains(lon, lat).tolist() == [False, True, True] + [False] * 5
