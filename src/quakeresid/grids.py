@@ -99,7 +99,8 @@ class Grid:
         lat = np.asarray(lat, dtype=float)
         inside = (lon >= self.lon_min) & (lon <= self.lon_max) & \
                  (lat >= self.lat_min) & (lat <= self.lat_max)
-        # points off the box stand in at its corner before the integer cast
+        # points off the box (NaN and inf too) stand in at its corner, so
+        # the integer cast in pixel_of never sees them
         ix, iy = self.pixel_of(np.where(inside, lon, self.lon_min),
                                np.where(inside, lat, self.lat_min))
         return np.where(inside & self.active_mask[iy, ix],
