@@ -352,7 +352,6 @@ def cmd_simulate(args) -> int:
 def cmd_report(args) -> int:
     radii = default_radii(args.rmax, args.dr)
     _, catalog, fld, inputs = _load_pair(args)
-    os.makedirs(args.out, exist_ok=True)
     out = lambda name: os.path.join(args.out, name)
 
     n_score = n_test(fld, catalog, args.sims, SeededStream(args.seed, 0))
@@ -364,6 +363,9 @@ def cmd_report(args) -> int:
         "observed_count": len(catalog),
         "log_likelihood": log_likelihood(fld, catalog),
     }
+    # made once the inputs load and the tests, which reject a forecast
+    # whose rates overflow, have run
+    os.makedirs(args.out, exist_ok=True)
     _write(out("scores.json"),
            json.dumps(summary, indent=2, sort_keys=True) + "\n")
 

@@ -42,9 +42,9 @@ MAX_RADII = 10_000
 # Most values one simulation envelope holds, replicates times radii: 80 MB
 # of float64, enough for the default 1000 replicates at MAX_RADII radii.
 MAX_ENVELOPE_VALUES = 10_000_000
-# Coverage of every confidence band: the analytic bands take the normal
-# quantile at 0.5 + BAND_LEVEL / 2, the envelopes the order statistics at
-# (1 - BAND_LEVEL) / 2 from either end, both computed from this value.
+# Coverage of every confidence band.  The bands compute their quantiles
+# from it (0.5 + BAND_LEVEL / 2, and (1 - BAND_LEVEL) / 2 from either end
+# of an envelope); literals would differ, as 1 - 0.95 is not 0.05.
 BAND_LEVEL = 0.95
 
 # Floor on a circle's inside fraction: one pair's edge weight is at most 720.

@@ -653,15 +653,23 @@ def test_analytic_ntest_ignores_sims(workspace):
                  "--catalog", str(cat), "--out", str(tmp / "s.json")]) == 0
 
 
-@pytest.mark.parametrize("forecast", ["fc.txt", "missing.txt"])
-def test_failed_report_leaves_no_directory(workspace, capsys, forecast):
+@pytest.mark.parametrize("forecast, flags, message", [
+    ("fc.txt", ["--sims", "0"], "--sims must be at least 1"),
+    ("missing.txt", [], "file error"),
+    ("huge.txt", ["--sims", "10"], "expected total count inf is above")])
+def test_failed_report_leaves_no_directory(workspace, capsys, forecast,
+                                           flags, message):
     tmp, fc, cat = workspace
+    # finite rates whose sum is not: the N-test stops it after the load
+    (tmp / "huge.txt").write_text("0 1 0 1 0 30 3.95 4.05 1e308 1\n"
+                                  "1 2 0 1 0 30 3.95 4.05 1e308 1\n")
     before = sorted(os.listdir(tmp))
-    sims = ["--sims", "0"] if forecast == "fc.txt" else []
     rc = main(["report", "--forecast", str(tmp / forecast),
-               "--catalog", str(cat), *sims, "--out", str(tmp / "report")])
+               "--catalog", str(cat), *flags, "--out", str(tmp / "report")])
+    err = capsys.readouterr().err
     assert rc == 3
-    assert "Traceback" not in capsys.readouterr().err
+    assert "Traceback" not in err
+    assert message in err
     assert sorted(os.listdir(tmp)) == before
 
 
