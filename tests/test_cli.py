@@ -654,7 +654,6 @@ def test_analytic_ntest_ignores_sims(workspace):
 
 
 @pytest.mark.parametrize("forecast, flags, message", [
-    ("fc.txt", ["--sims", "0"], "--sims must be at least 1"),
     ("missing.txt", [], "file error"),
     ("huge.txt", ["--sims", "10"], "expected total count inf is above")])
 def test_failed_report_leaves_no_directory(workspace, capsys, forecast,
