@@ -19,7 +19,7 @@ from .grids import Grid
 from .intensity import (IntensityField, aggregate, evaluate, extremes,
                         integrate, scale_window)
 from .manifest import TOOLKIT_VERSION, RunManifest, build_manifest
-from .regions import GridRegion, RowIntervalRegion, TransposedRegion
+from .regions import RowIntervalRegion, TransposedRegion
 from .residuals import (PixelResidualMap, deviance_residuals, lr_score,
                         pearson_residuals, raw_residuals)
 from .rng import SeededStream, poisson

@@ -10,7 +10,7 @@ from datetime import datetime, timedelta, timezone
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .forecasts import Forecast
+from .forecasts import DEFAULT_WINDOW_END, DEFAULT_WINDOW_START, Forecast
 
 HEADER = ["time", "lon", "lat", "depth", "mag"]
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
@@ -129,7 +129,7 @@ def filter_catalog(catalog: Catalog, forecast: Forecast, mag_min: float,
     shallower than depth_max, and inside an active pixel carrying at least
     one forecast bin.  Drop counts are reported in the result's metadata.
     """
-    start, end = utc64([forecast.window_start, forecast.window_end])
+    start, end = utc64([DEFAULT_WINDOW_START, DEFAULT_WINDOW_END])
     # each event counts once, under the first check it fails, in this order
     # (a NaN magnitude or depth fails no check of its own)
     pixel = forecast.grid.active_pixel(catalog.lon, catalog.lat)

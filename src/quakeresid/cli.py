@@ -342,7 +342,6 @@ def cmd_simulate(args) -> int:
     forecast, digest = _load_forecast(args.forecast)
     fld = _intensity(forecast, args)
     catalog = simulate_catalog(fld, SeededStream(args.seed, 0),
-                               forecast.window_start, forecast.window_end,
                                magnitude=args.mag_min)
     _write(args.out, serialize_catalog(catalog))
     _sidecar(args, {args.forecast: digest}, args.seed)
@@ -352,7 +351,6 @@ def cmd_simulate(args) -> int:
 def cmd_report(args) -> int:
     radii = default_radii(args.rmax, args.dr)
     _, catalog, fld, inputs = _load_pair(args)
-    out = lambda name: os.path.join(args.out, name)
 
     n_score = n_test(fld, catalog, args.sims, SeededStream(args.seed, 0))
     l_score = l_test(fld, catalog, args.sims, SeededStream(args.seed, 1))
@@ -363,40 +361,40 @@ def cmd_report(args) -> int:
         "observed_count": len(catalog),
         "log_likelihood": log_likelihood(fld, catalog),
     }
-    # made once the inputs load and the tests, which reject a forecast
-    # whose rates overflow, have run
-    os.makedirs(args.out, exist_ok=True)
-    _write(out("scores.json"),
-           json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    files = {"scores.json":
+             json.dumps(summary, indent=2, sort_keys=True) + "\n"}
 
     events = catalog.points()
     raw = raw_residuals(fld, catalog)
     pear = pearson_residuals(fld, catalog)
-    _write(out("residuals_raw.csv"), raw.to_csv())
-    _write(out("residuals_pearson.csv"), pear.to_csv())
-    _write(out("residuals_raw.svg"),
-           residual_map_svg(raw, "raw residuals", events=events))
-    _write(out("residuals_pearson.svg"),
-           residual_map_svg(pear, "pearson residuals", events=events))
+    files["residuals_raw.csv"] = raw.to_csv()
+    files["residuals_pearson.csv"] = pear.to_csv()
+    files["residuals_raw.svg"] = residual_map_svg(raw, "raw residuals",
+                                                  events=events)
+    files["residuals_pearson.svg"] = residual_map_svg(
+        pear, "pearson residuals", events=events)
 
     if len(catalog) >= 2:
         curve = _weighted_k_with_bands(events, fld, radii, args.edge)
-        _write(out("weighted_k.csv"), curve.to_csv())
-        _write(out("weighted_k.svg"),
-               k_curve_svg(curve, "weighted K (centered L)"))
+        files["weighted_k.csv"] = curve.to_csv()
+        files["weighted_k.svg"] = k_curve_svg(curve,
+                                              "weighted K (centered L)")
 
     rset = super_thin(catalog, fld, SeededStream(args.seed, 2), args.k_rate)
-    _write(out("superthin.csv"), rset.to_csv())
-    _write(out("superthin.svg"), point_map_svg(rset, "superthin residuals"))
+    files["superthin.csv"] = rset.to_csv()
+    files["superthin.svg"] = point_map_svg(rset, "superthin residuals")
     if rset.n_points >= 2:
         assess = assess_homogeneity(rset, radii, bands="analytic",
                                     edge_correction=args.edge)
-        _write(out("superthin_assess.csv"), assess.to_csv())
-        _write(out("superthin_assess.svg"),
-               k_curve_svg(assess, "superthin homogeneity assessment"))
+        files["superthin_assess.csv"] = assess.to_csv()
+        files["superthin_assess.svg"] = k_curve_svg(
+            assess, "superthin homogeneity assessment")
+    files["manifest.json"] = _manifest(args, inputs, args.seed).to_json()
 
-    manifest = _manifest(args, inputs, args.seed)
-    _write(out("manifest.json"), manifest.to_json())
+    # made once every result above, any of which can fail, is computed
+    os.makedirs(args.out, exist_ok=True)
+    for name, text in files.items():
+        _write(os.path.join(args.out, name), text)
     return 0
 
 

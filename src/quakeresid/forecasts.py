@@ -42,15 +42,11 @@ class Forecast:
     rate: np.ndarray = field(repr=False)
     depth_lo: np.ndarray = field(repr=False)
     depth_hi: np.ndarray = field(repr=False)
-    window_start: datetime = DEFAULT_WINDOW_START
-    window_end: datetime = DEFAULT_WINDOW_END
 
     def __post_init__(self):
         """The bin checks: each bin lies in a pixel of the grid, has a
         finite, non-negative rate and mag_lo < mag_hi, and no two bins share
         a key."""
-        if self.window_start >= self.window_end:
-            raise ValidationError("window_start must precede window_end")
         pix, n_pixels = self.pixel_index, self.grid.n_x * self.grid.n_y
         on_grid = (pix >= 0) & (pix < n_pixels)
         if not on_grid.all():

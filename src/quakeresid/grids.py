@@ -1,7 +1,9 @@
 """Rectangular lon/lat pixel grids with an active-pixel mask.
 
 Pixel membership is half-open [lo, hi) on both axes; the last row and
-column are closed so the grid partitions its bounding box.
+column are closed so the grid partitions its bounding box.  A Grid is also
+an observation region (the union of its active pixels): it has the area,
+bbox, contains and sample members every region has.
 """
 
 from __future__ import annotations
@@ -11,6 +13,27 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import OutsideRegionError, ValidationError
+
+
+def _sample_by_rejection(region, rng, n: int):
+    """n uniform points of the region via rejection against its bounding
+    box, drawn in batches sized to the expected acceptance."""
+    if region.area <= 0:
+        raise ValidationError("region has zero area")
+    x_min, x_max, y_min, y_max = region.bbox
+    box_area = (x_max - x_min) * (y_max - y_min)
+    xs, ys = [np.zeros(0)], [np.zeros(0)]
+    remaining = n
+    while remaining > 0:
+        m = max(32, int(remaining * box_area / region.area) + 16)
+        cx = x_min + (x_max - x_min) * rng.random(m)
+        cy = y_min + (y_max - y_min) * rng.random(m)
+        ok = region.contains(cx, cy)
+        cx, cy = cx[ok][:remaining], cy[ok][:remaining]
+        xs.append(cx)
+        ys.append(cy)
+        remaining -= len(cx)
+    return np.concatenate(xs), np.concatenate(ys)
 
 
 @dataclass(frozen=True)
@@ -59,6 +82,10 @@ class Grid:
     def area(self) -> float:
         """Area of the observation region: active pixels times pixel area."""
         return self.n_active * self.pixel_area
+
+    @property
+    def bbox(self):
+        return self.lon_min, self.lon_max, self.lat_min, self.lat_max
 
     def pixel_of(self, lon, lat):
         """Return (ix, iy) of the pixel owning (lon, lat).
@@ -109,6 +136,8 @@ class Grid:
     def contains(self, lon, lat):
         """True where (lon, lat) lies inside an active pixel."""
         return self.active_pixel(lon, lat) >= 0
+
+    sample = _sample_by_rejection
 
     def active_indices(self):
         """Flat indices of active pixels, row-major order."""

@@ -1,7 +1,10 @@
-"""Observation-region geometry shared by the simulator and the K-functions.
+"""The regions produced by rescaling, for the simulator and the K-functions.
 
-Two region shapes exist: the active-pixel union of a Grid, and the per-row
-interval region produced by rescaling (x in [0, T(y)] within each y band).
+A region has an area, a bounding box (x_min, x_max, y_min, y_max), a
+vectorised contains(x, y) and a sample(rng, n) of uniform points.  Two
+shapes exist: a Grid (the union of its active pixels) and the per-row
+interval region produced by rescaling (x in [0, T(y)] within each y band),
+possibly seen with its axes swapped.
 """
 
 from __future__ import annotations
@@ -11,51 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .grids import Grid
-
-
-def _sample_by_rejection(region, rng, n: int):
-    """n uniform points of the region via rejection against its bounding
-    box, drawn in batches sized to the expected acceptance."""
-    if region.area <= 0:
-        raise ValidationError("region has zero area")
-    x_min, x_max, y_min, y_max = region.bbox
-    box_area = (x_max - x_min) * (y_max - y_min)
-    xs, ys = [np.zeros(0)], [np.zeros(0)]
-    remaining = n
-    while remaining > 0:
-        m = max(32, int(remaining * box_area / region.area) + 16)
-        cx = x_min + (x_max - x_min) * rng.random(m)
-        cy = y_min + (y_max - y_min) * rng.random(m)
-        ok = region.contains(cx, cy)
-        cx, cy = cx[ok][:remaining], cy[ok][:remaining]
-        xs.append(cx)
-        ys.append(cy)
-        remaining -= len(cx)
-    return np.concatenate(xs), np.concatenate(ys)
-
-
-@dataclass(frozen=True)
-class GridRegion:
-    grid: Grid
-
-    @property
-    def area(self) -> float:
-        return self.grid.area
-
-    @property
-    def bbox(self):
-        g = self.grid
-        return g.lon_min, g.lon_max, g.lat_min, g.lat_max
-
-    @property
-    def is_full_rectangle(self) -> bool:
-        return bool(self.grid.active_mask.all())
-
-    def contains(self, x, y):
-        return self.grid.contains(x, y)
-
-    sample = _sample_by_rejection
+from .grids import _sample_by_rejection
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,6 @@ import numpy as np
 from .errors import ValidationError
 from .grids import Grid
 from .intensity import IntensityField, evaluate, extremes, integrate
-from .regions import GridRegion
 from .rng import SeededStream
 from .simulate import simulate_homogeneous
 
@@ -252,6 +251,9 @@ def _cut_fractions(cx, cy, t, grid: Grid, t_max: float):
     mid = ang[:, :-1] + 0.5 * arc
     px = x + r * np.cos(mid)
     py = y + r * np.sin(mid)
+    # the pixel test stays inline: grid.contains gives the same flags but
+    # made circle_fraction_mask a quarter to a half slower on a RELM-scale
+    # masked grid (69k pairs)
     inside = (px >= grid.lon_min) & (px <= grid.lon_max) & \
              (py >= grid.lat_min) & (py <= grid.lat_max)
     # truncation is floor wherever inside holds
@@ -299,10 +301,7 @@ def circle_fraction_mask(cx, cy, t, grid: Grid):
                           & (cx <= grid.lon_max) & (cy >= grid.lat_min)
                           & (cy <= grid.lat_max))
     k = np.minimum(t[near] / d, grid.n_x + grid.n_y).astype(np.intp) + 1
-    ix = np.minimum(((cx[near] - grid.lon_min) / grid.dx).astype(np.intp),
-                    grid.n_x - 1)
-    iy = np.minimum(((cy[near] - grid.lat_min) / grid.dy).astype(np.intp),
-                    grid.n_y - 1)
+    ix, iy = grid.pixel_of(cx[near], cy[near])
     fits = (t[near] < k * d) & (ix >= k) & (ix + k < grid.n_x) \
         & (iy >= k) & (iy + k < grid.n_y)
     near, k, ix, iy = near[fits], k[fits], ix[fits], iy[fits]
@@ -322,23 +321,16 @@ def circle_fraction_mask(cx, cy, t, grid: Grid):
 
 def _correction_weights(region, centers, dists):
     """Per-pair weight s = 1 / (circle fraction inside the region)."""
-    if isinstance(region, GridRegion) and region.is_full_rectangle:
-        x0, x1, y0, y1 = region.bbox
-        frac = circle_fraction_rect(centers[:, 0], centers[:, 1], dists,
-                                    x0, x1, y0, y1)
-    elif isinstance(region, GridRegion):
-        frac = circle_fraction_mask(centers[:, 0], centers[:, 1], dists,
-                                    region.grid)
-    else:
+    if not isinstance(region, Grid):
         raise ValidationError(
             "isotropic correction is only defined for grid regions")
+    if region.active_mask.all():
+        frac = circle_fraction_rect(centers[:, 0], centers[:, 1], dists,
+                                    *region.bbox)
+    else:
+        frac = circle_fraction_mask(centers[:, 0], centers[:, 1], dists,
+                                    region)
     return 1.0 / np.maximum(frac, _MIN_ARC_FRACTION)
-
-
-def _as_region(region) -> GridRegion:
-    if isinstance(region, Grid):
-        return GridRegion(region)
-    return region
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +375,6 @@ def ripley_k(points, region, radii, edge_correction: str = "none") -> KCurve:
     pair's correction weight."""
     pts = np.asarray(points, dtype=float)
     radii = radii_grid(radii)
-    region = _as_region(region)
     n = len(pts)
     if n < 2:
         raise ValidationError("Ripley's K needs at least two points")
@@ -413,8 +404,7 @@ def weighted_k(points, null_field: IntensityField, radii,
     if total <= 0:
         raise ValidationError("null field integrates to zero")
     k = _weighted_k_from_weights(pts, 1.0 / lam, b / total,
-                                 GridRegion(null_field.grid), radii,
-                                 edge_correction)
+                                 null_field.grid, radii, edge_correction)
     return KCurve(radii, k, "weighted",
                   meta={"pair_convention": _PAIR_CONVENTION,
                         "edge_correction": edge_correction,
@@ -429,8 +419,7 @@ def weighted_k_constant(points, null_rate: float, region, radii,
     radii = radii_grid(radii)
     if len(pts) < 2:
         raise ValidationError("weighted K needs at least two points")
-    k = _constant_rate_k(pts, null_rate, _as_region(region), radii,
-                         edge_correction)
+    k = _constant_rate_k(pts, null_rate, region, radii, edge_correction)
     return KCurve(radii, k, "weighted",
                   meta={"pair_convention": _PAIR_CONVENTION,
                         "edge_correction": edge_correction,

@@ -57,20 +57,18 @@ def _poisson_points(rng, grid, means):
 
 
 def simulate_catalog(fld: IntensityField, stream: SeededStream,
-                     window_start=DEFAULT_WINDOW_START,
-                     window_end=DEFAULT_WINDOW_END,
                      magnitude: float = 0.0) -> Catalog:
     """Synthetic catalog: per-pixel Poisson counts with uniform placement.
 
-    Times are uniform over the window and carried for serialization only;
-    magnitudes and depths are not modeled, every event gets the constant
-    magnitude argument and depth zero.
+    Times are uniform over the forecast window and carried for
+    serialization only; magnitudes and depths are not modeled, every event
+    gets the constant magnitude argument and depth zero.
     """
     rng = stream.generator()
     xs, ys = _poisson_points(rng, fld.grid, _pixel_means(fld))
-    span = (window_end - window_start).total_seconds()
+    span = (DEFAULT_WINDOW_END - DEFAULT_WINDOW_START).total_seconds()
     offsets = np.sort(rng.random(len(xs))) * span
-    times = utc64([window_start + timedelta(seconds=dt)
+    times = utc64([DEFAULT_WINDOW_START + timedelta(seconds=dt)
                    for dt in offsets.tolist()])
     return Catalog(times, xs, ys, np.zeros(len(xs)),
                    np.full(len(xs), magnitude, dtype=float))
@@ -118,15 +116,27 @@ def simulate_cox_complement(fld: IntensityField, level: float,
 
 
 def simulate_homogeneous(region, rate: float, stream: SeededStream):
-    """Homogeneous Poisson draw over a region (GridRegion or
-    RowIntervalRegion): Poisson(rate * area) total, uniform placement by
+    """Homogeneous Poisson draw over a region (a Grid or a rescaled
+    row-interval region): Poisson(rate * area) total, uniform placement by
     rejection sampling.  Returns (x, y) arrays.
+
+    The sampler draws about rate * (bounding-box area) candidates, so that
+    count, like the expected point count, must not exceed
+    MAX_SIMULATED_POINTS; both are checked before anything is drawn.
     """
     if rate < 0:
         raise ValidationError("rate must be non-negative")
     if region.area <= 0:
         raise ValidationError("region has zero area")
     _check_point_means(rate * region.area)
+    x_min, x_max, y_min, y_max = region.bbox
+    box_area = (x_max - x_min) * (y_max - y_min)
+    if rate * box_area > MAX_SIMULATED_POINTS:
+        raise ValidationError(
+            f"the region fills {region.area / box_area:.3g} of its bounding "
+            f"box, so its expected {rate * region.area:.6g} points take "
+            f"{rate * box_area:.6g} candidates to draw, above the supported "
+            f"{MAX_SIMULATED_POINTS:g}")
     rng = stream.generator()
     n = int(poisson(rng, rate * region.area))
     return region.sample(rng, n)

@@ -17,9 +17,10 @@ import numpy as np
 
 from .catalogs import Catalog
 from .errors import DegenerateInfimumError, ValidationError
+from .grids import Grid
 from .intensity import (IntensityField, check_inside, evaluate, extremes,
                         integrate)
-from .regions import GridRegion, RowIntervalRegion, TransposedRegion
+from .regions import RowIntervalRegion, TransposedRegion
 from .rng import SeededStream
 from .secondorder import (BAND_LEVEL, KCurve, default_radii, envelope_bands,
                           radii_grid, weighted_k_constant,
@@ -32,7 +33,9 @@ class ResidualSet:
     points: np.ndarray = field(repr=False)     # (n, 2)
     simulated: np.ndarray = field(repr=False)  # bool, True for added points
     null_rate: float                           # homogeneous rate under H0
-    region: object                             # GridRegion / RowIntervalRegion
+    # the grid transforms' region is the Grid itself; rescale's is a
+    # RowIntervalRegion, transposed for the vertical axis
+    region: object
     transform: str                             # "rescale"|"thin"|...
     seed: int | None = None
     meta: dict = field(default_factory=dict, compare=False)
@@ -134,7 +137,7 @@ def _thin_and_superpose(fld: IntensityField, pts: np.ndarray,
     seed = (keep or add)[1].seed
     return ResidualSet(np.concatenate([pts, sim_pts]),
                        np.repeat([False, True], [len(pts), len(sim_pts)]),
-                       null_rate, GridRegion(fld.grid), transform, seed=seed,
+                       null_rate, fld.grid, transform, seed=seed,
                        meta={**meta, "n_input": n_input,
                              "n_retained": len(pts),
                              "n_simulated": len(sim_pts)})
@@ -237,7 +240,7 @@ def assess_homogeneity(rset: ResidualSet, radii=None,
     curve = weighted_k_constant(rset.points, rset.null_rate, rset.region,
                                 radii, edge_correction)
     if bands == "analytic":
-        if not isinstance(rset.region, GridRegion):
+        if not isinstance(rset.region, Grid):
             raise ValidationError(
                 "analytic bands assume a grid region; use envelope bands "
                 "for rescaled residuals")

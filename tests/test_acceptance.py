@@ -10,7 +10,7 @@ import os
 import numpy as np
 import pytest
 
-from quakeresid import (Grid, GridRegion, IntensityField, SeededStream,
+from quakeresid import (Grid, IntensityField, SeededStream,
                         assess_homogeneity, deviance_residuals,
                         filter_catalog, integrate, log_likelihood, lr_score,
                         n_test, parse_catalog, parse_forecast, rescale,
@@ -73,7 +73,7 @@ def test_criterion_2_super_thin_count_identity():
 
 def test_criterion_3_weighted_k_calibration():
     g = Grid.regular(0, 1, 0, 1, 0.1, 0.1)
-    region = GridRegion(g)
+    region = g
     rate = 100.0
     radii = radii_grid([0.1, 0.2, 0.3])
     vals = []
@@ -180,7 +180,7 @@ def test_criterion_6_brute_force_oracle_equivalence():
         pts = rng.random((n, 2)) * side
         radii = np.sort(rng.uniform(0.01, side, 4))
         edge = "isotropic" if trial % 2 else "none"
-        region = GridRegion(g)
+        region = g
 
         fast_p = ripley_k(pts, g, radii, edge).k_values
         fast_w = weighted_k(pts, fld, radii, edge).k_values

@@ -4,7 +4,8 @@ from datetime import datetime, timedelta, timezone
 import numpy as np
 import pytest
 
-from quakeresid import (Catalog, ParseError, ValidationError, filter_catalog,
+from quakeresid import (DEFAULT_WINDOW_END, DEFAULT_WINDOW_START, Catalog,
+                        ParseError, ValidationError, filter_catalog,
                         format_time, parse_catalog, parse_forecast, parse_time,
                         serialize_catalog)
 from quakeresid.catalogs import HEADER
@@ -159,7 +160,7 @@ def _filter_by_event(catalog, forecast, mag_min, depth_max):
         time = time.replace(tzinfo=timezone.utc)
         if mag < mag_min:
             dropped["magnitude"] += 1
-        elif not (forecast.window_start <= time < forecast.window_end):
+        elif not (DEFAULT_WINDOW_START <= time < DEFAULT_WINDOW_END):
             dropped["window"] += 1
         elif depth > depth_max:
             dropped["depth"] += 1
@@ -177,7 +178,7 @@ def test_filter_catalog_matches_scalar_reference():
     fc = parse_forecast(FORECAST.replace("0.3 1", "0.3 0")
                         .replace("0.1 1", "0.1 0"))
     nan, inf = float("nan"), float("inf")
-    start, end = fc.window_start, fc.window_end
+    start, end = DEFAULT_WINDOW_START, DEFAULT_WINDOW_END
     times = [start, end, start - timedelta(microseconds=1),
              end - timedelta(microseconds=1)]
     mags = [3.95, 3.9499999, 5.0, nan, inf, -inf]

@@ -369,6 +369,36 @@ def test_envelope_beyond_memory_exit_code(workspace):
     assert sorted(os.listdir(tmp)) == before
 
 
+@pytest.mark.parametrize("axis", ["horizontal", "vertical"])
+def test_sparse_rescaled_region_exit_code(tmp_path, axis):
+    # two pixels 350 degrees apart across the stretched axis: the rescaled
+    # region fills 0.057% of its bounding box, so rejection sampling its
+    # 1e6 expected points would draw 1.75e9 candidates (13 GiB) in one go;
+    # the child's address space is capped at 1 GiB
+    far = ["0 0.1 349.9 350", "349.9 350 0 0.1"][axis == "vertical"]
+    fc = tmp_path / "fc.txt"
+    fc.write_text(f"0 0.1 0 0.1 0 30 3.95 4.05 5e5 1\n"
+                  f"{far} 0 30 3.95 4.05 5e5 1\n")
+    cat = tmp_path / "cat.csv"
+    x0, y0 = map(float, far.split()[::2])
+    cat.write_text("time,lon,lat,depth,mag\n" + "".join(
+        f"2007-0{i + 1}-01T00:00:00Z,{x:.2f},{y:.2f},5,4.0\n" for i, (x, y) in
+        enumerate([(0.05, 0.05)] * 3 + [(x0 + 0.05, y0 + 0.05)] * 3)))
+    before = sorted(os.listdir(tmp_path))
+    code = ("import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from quakeresid.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n")
+    out = _run_cli(["transform", "--kind", "rescale", "--axis", axis,
+                    "--assess", "--sims", "2", "--rmax", "0.1", "--dr",
+                    "0.05", "--forecast", str(fc), "--catalog", str(cat),
+                    "--out", str(tmp_path / "rs.csv")], tmp_path, code)
+    assert out.returncode == 3, out.stderr
+    assert "Traceback" not in out.stderr
+    assert "the region fills 0.000571 of its bounding box" in out.stderr
+    assert sorted(os.listdir(tmp_path)) == before
+
+
 @pytest.mark.parametrize("assess", [[], ["--assess", "--sims", "19"]])
 def test_overflowing_rescale_exit_code(tmp_path, capsys, assess):
     # each pixel's rate is finite, but the integral along the row is not
@@ -655,13 +685,17 @@ def test_analytic_ntest_ignores_sims(workspace):
 
 @pytest.mark.parametrize("forecast, flags, message", [
     ("missing.txt", [], "file error"),
-    ("huge.txt", ["--sims", "10"], "expected total count inf is above")])
+    ("huge.txt", ["--sims", "10"], "expected total count inf is above"),
+    ("zero.txt", ["--sims", "5"], "is in a zero-rate pixel")])
 def test_failed_report_leaves_no_directory(workspace, capsys, forecast,
                                            flags, message):
     tmp, fc, cat = workspace
     # finite rates whose sum is not: the N-test stops it after the load
     (tmp / "huge.txt").write_text("0 1 0 1 0 30 3.95 4.05 1e308 1\n"
                                   "1 2 0 1 0 30 3.95 4.05 1e308 1\n")
+    # events in a zero-rate pixel: the tests and residual maps run, then
+    # the weighted K stops it
+    (tmp / "zero.txt").write_text(FORECAST.replace("4.05 2.0", "4.05 0.0"))
     before = sorted(os.listdir(tmp))
     rc = main(["report", "--forecast", str(tmp / forecast),
                "--catalog", str(cat), *flags, "--out", str(tmp / "report")])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from quakeresid import (Grid, GridRegion, RowIntervalRegion, SeededStream,
+from quakeresid import (Grid, RowIntervalRegion, SeededStream,
                         TransposedRegion, ValidationError)
 
 
@@ -9,10 +9,9 @@ def test_grid_region_area_and_bbox():
     mask = np.ones((2, 2), bool)
     mask[1, 1] = False
     g = Grid.regular(0, 1, 0, 1, 0.5, 0.5, active_mask=mask)
-    region = GridRegion(g)
+    region = g
     assert region.area == pytest.approx(0.75)
     assert region.bbox == (0, 1, 0, 1)
-    assert not region.is_full_rectangle
 
 
 def test_grid_region_sampling_respects_mask():
@@ -20,7 +19,7 @@ def test_grid_region_sampling_respects_mask():
     mask[1, 1] = False
     g = Grid.regular(0, 1, 0, 1, 0.5, 0.5, active_mask=mask)
     rng = SeededStream(1, 0).generator()
-    xs, ys = GridRegion(g).sample(rng, 500)
+    xs, ys = g.sample(rng, 500)
     assert len(xs) == 500
     assert not np.any((xs > 0.5) & (ys > 0.5))
 

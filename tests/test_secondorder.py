@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from quakeresid import (Grid, GridRegion, IntensityField,
+from quakeresid import (Grid, IntensityField,
                         OutsideRegionError, SeededStream,
                         ValidationError, default_radii,
                         envelope_bands, pairs_within, radii_grid, ripley_k,
@@ -290,7 +290,7 @@ def test_enclosing_circle_takes_the_weight_floor():
     assert np.array_equal(
         circle_fraction_mask(centres[:, 0], centres[:, 1], dists, g),
         np.zeros(3))
-    weights = secondorder._correction_weights(GridRegion(g), centres, dists)
+    weights = secondorder._correction_weights(g, centres, dists)
     assert np.array_equal(weights,
                           np.full(3, 1.0 / secondorder._MIN_ARC_FRACTION))
 
@@ -468,7 +468,7 @@ def test_wk_confidence_bands_text_unchanged_from_ndtri():
 
 def test_envelope_bands_min_max_for_two_sims():
     g = Grid.regular(0, 1, 0, 1, 0.5, 0.5)
-    region = GridRegion(g)
+    region = g
     radii = radii_grid([0.2, 0.4])
     lo, hi = envelope_bands(region, 30.0, radii, 2, SeededStream(5, 0))
     assert np.all(lo <= hi)
@@ -483,7 +483,7 @@ def test_envelope_size_cap_stops_before_simulating(monkeypatch):
     # five replicates at two radii are ten values, one above a cap of 9;
     # a stream that is never read shows nothing was drawn
     monkeypatch.setattr(secondorder, "MAX_ENVELOPE_VALUES", 9)
-    region = GridRegion(Grid.regular(0, 1, 0, 1, 0.5, 0.5))
+    region = Grid.regular(0, 1, 0, 1, 0.5, 0.5)
     radii = radii_grid([0.2, 0.4])
     with pytest.raises(ValidationError, match="^5 simulations at 2 radii are "
                        "above the supported 9 envelope values$"):
@@ -499,7 +499,7 @@ def test_weighted_k_constant_matches_inhomogeneous_on_uniform_field():
     pts = rng.random((40, 2))
     radii = radii_grid([0.1, 0.2, 0.3])
     a = weighted_k(pts, fld, radii, "none").k_values
-    b = weighted_k_constant(pts, 7.0, GridRegion(g), radii, "none").k_values
+    b = weighted_k_constant(pts, 7.0, g, radii, "none").k_values
     assert np.allclose(a, b, rtol=1e-12)
 
 

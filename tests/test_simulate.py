@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from quakeresid import (Grid, GridRegion, IntensityField, RowIntervalRegion,
+from quakeresid import (Grid, IntensityField, RowIntervalRegion,
                         SeededStream, ValidationError, integrate,
                         serialize_catalog, simulate_catalog,
                         simulate_cox_complement, simulate_homogeneous,
@@ -100,7 +100,7 @@ def test_homogeneous_zero_area_rejected():
     g = Grid.regular(0, 1, 0, 1, 1.0, 1.0,
                      active_mask=np.zeros((1, 1), bool))
     with pytest.raises(ValidationError):
-        simulate_homogeneous(GridRegion(g), 1.0, SeededStream(0, 0))
+        simulate_homogeneous(g, 1.0, SeededStream(0, 0))
 
 
 def test_expected_points_above_cap_rejected_before_drawing():
@@ -111,15 +111,26 @@ def test_expected_points_above_cap_rejected_before_drawing():
     for draw in (lambda: simulate_catalog(fld, SeededStream(0, 0)),
                  lambda: simulate_cox_complement(fld, 4e11,
                                                  SeededStream(0, 0)),
-                 lambda: simulate_homogeneous(GridRegion(g), 4e11,
-                                              SeededStream(0, 0))):
+                 lambda: simulate_homogeneous(g, 4e11, SeededStream(0, 0))):
         with pytest.raises(ValidationError, match="simulated points"):
             draw()
 
 
+def test_homogeneous_candidates_above_cap_rejected_before_drawing():
+    # 2e3 expected points in one pixel of a 100 x 100 box: rejection
+    # sampling would draw 2e7 candidates
+    mask = np.zeros((100, 100), bool)
+    mask[0, 0] = True
+    g = Grid.regular(0, 100, 0, 100, 1.0, 1.0, active_mask=mask)
+    with pytest.raises(ValidationError,
+                       match="fills 0.0001 of its bounding box"):
+        simulate_homogeneous(g, 2e3, SeededStream(0, 0))
+    assert len(simulate_homogeneous(g, 100.0, SeededStream(0, 0))[0]) > 0
+
+
 def test_homogeneous_count_distribution():
     g = Grid.regular(0, 3, 0, 3, 1.0, 1.0)
-    region = GridRegion(g)
+    region = g
     mu = 5.0 * region.area
     totals = [len(simulate_homogeneous(region, 5.0, SeededStream(8, j))[0])
               for j in range(300)]

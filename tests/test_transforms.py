@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from quakeresid import (DegenerateInfimumError, Grid, GridRegion,
+from quakeresid import (DegenerateInfimumError, Grid,
                         IntensityField, OutsideRegionError, ResidualSet,
                         RowIntervalRegion, SeededStream, TransposedRegion,
                         ValidationError, assess_homogeneity, integrate,
@@ -275,7 +275,7 @@ def test_assess_envelope_for_rescaled():
 
 
 @pytest.mark.parametrize("region", [
-    GridRegion(Grid.regular(0, 1, 0, 1, 0.25, 0.25)),
+    Grid.regular(0, 1, 0, 1, 0.25, 0.25),
     RowIntervalRegion(np.linspace(0.0, 1.0, 5),
                       np.array([1.6, 0.4, 1.2, 0.8])),
 ], ids=["unit-square", "row-intervals"])
@@ -310,7 +310,7 @@ def test_assess_needs_points():
 def test_residual_set_needs_finite_positive_null_rate(rate):
     with pytest.raises(ValidationError, match="null rate must be finite"):
         ResidualSet(np.zeros((0, 2)), np.zeros(0, bool), rate,
-                    GridRegion(_grid()), "null")
+                    _grid(), "null")
 
 
 def test_residual_set_csv():
