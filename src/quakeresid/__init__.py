@@ -13,8 +13,7 @@ from .consistency import (QuantileScore, l_test, log_likelihood, n_test,
 from .errors import (DegenerateInfimumError, OutsideRegionError, ParseError,
                      QuakeResidError, SchemaError, ValidationError)
 from .forecasts import (DEFAULT_WINDOW_END, DEFAULT_WINDOW_START, Forecast,
-                        gr_extrapolate, parse_forecast, seismic_moment,
-                        serialize_forecast, tapered_gr_survivor)
+                        parse_forecast)
 from .grids import Grid
 from .intensity import (IntensityField, aggregate, evaluate, extremes,
                         integrate, scale_window)

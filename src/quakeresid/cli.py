@@ -3,7 +3,8 @@ render SVG figures.
 
 Exit codes: 0 success, 2 usage error, 3 data or validation error.  Every
 command is a pure function of (input files, flags, seed); outputs written
-with --out get a manifest sidecar at <out>.manifest.json.  Parsed forecast
+with --out get a manifest sidecar at <out>.manifest.json.  Every command
+writes all of its outputs or none, and stdout comes last.  Parsed forecast
 rows are cached per user, keyed by the sha256 of the file's bytes (see
 parse_forecast); the cache never changes an output.
 """
@@ -11,10 +12,12 @@ parse_forecast); the cache never changes an output.
 from __future__ import annotations
 
 import argparse
+import errno
 import hashlib
 import json
 import math
 import os
+import shutil
 import sys
 from dataclasses import replace
 
@@ -147,12 +150,53 @@ def _load_forecast(path: str) -> tuple[Forecast, str]:
     return parse_forecast(data, digest), digest
 
 
-def _write(path, text: str):
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+def _write_outputs(outputs) -> None:
+    """Write a command's outputs, all of them or none.
+
+    outputs is an ordered list of (path, text): a path of None is stdout,
+    and a text of None is a directory to make with its missing parents.
+    Each file is written to <file>.<pid>.tmp beside the file its path
+    names, and the temporary files are moved into place only once every
+    one is written; a target that is an existing directory is refused
+    before that.  A failure removes the temporary files and any directory
+    made here, and names the target the user gave.  stdout is written last.
+    """
+    # keyed by the file each path names, so a symlink is written through and
+    # a later output to the same file replaces an earlier one
+    files = {os.path.realpath(path): (path, text) for path, text in outputs
+             if path is not None and text is not None}
+    made, staged, target = None, [], None
+    try:
+        for path, text in outputs:
+            if text is None:
+                top = os.path.abspath(path)
+                while not os.path.lexists(os.path.dirname(top)):
+                    top = os.path.dirname(top)
+                if not os.path.lexists(top):
+                    made = top
+                os.makedirs(path, exist_ok=True)
+        for real, (target, _) in files.items():
+            if os.path.isdir(real):
+                raise IsADirectoryError(errno.EISDIR,
+                                        os.strerror(errno.EISDIR), target)
+        for real, (target, text) in files.items():
+            staged.append(f"{real}.{os.getpid()}.tmp")
+            with open(staged[-1], "w", encoding="utf-8") as fh:
+                fh.write(text)
+        for (real, (target, _)), tmp in zip(files.items(), staged):
+            os.replace(tmp, real)
+    except BaseException as exc:
+        for tmp in staged:
+            if os.path.exists(tmp):
+                os.remove(tmp)
+        if made is not None:
+            shutil.rmtree(made, ignore_errors=True)
+        if isinstance(exc, OSError) and target is not None:
+            raise type(exc)(exc.errno, exc.strerror, target) from None
+        raise
+    for path, text in outputs:
+        if path is None:
+            sys.stdout.write(text)
 
 
 def _manifest(args, inputs, seed):
@@ -163,15 +207,20 @@ def _manifest(args, inputs, seed):
     return build_manifest(args.command, inputs, seed, parameters)
 
 
-def _sidecar(args, inputs, seed):
-    if args.out is not None:
-        _write(str(args.out) + ".manifest.json",
-               _manifest(args, inputs, seed).to_json())
+def _sidecar(args, inputs, seed) -> list:
+    """The --out manifest sidecar as an output list; empty without --out."""
+    if args.out is None:
+        return []
+    return [(str(args.out) + ".manifest.json",
+             _manifest(args, inputs, seed).to_json())]
 
 
-def _derived_path(out_path, suffix: str):
-    stem, ext = os.path.splitext(out_path)
-    return stem + suffix + (ext or ".csv")
+def _derived_path(path, suffix: str, default_ext: str = ".csv"):
+    """path with suffix before its extension; None (stdout) stays None."""
+    if path is None:
+        return None
+    stem, ext = os.path.splitext(path)
+    return stem + suffix + (ext or default_ext)
 
 
 def _intensity(forecast, args):
@@ -216,27 +265,24 @@ def _k_flags(sub):
     sub.add_argument("--edge", choices=("none", "isotropic"), default="none")
 
 
-def cmd_ntest(args) -> int:
+def cmd_ntest(args) -> list:
     _, catalog, fld, inputs = _load_pair(args)
     if args.analytic:
         score = n_test(fld, catalog, method="analytic")
     else:
         score = n_test(fld, catalog, args.sims, SeededStream(args.seed, 0))
-    _write(args.out, _score_json("ntest", score,
-                                 {"expected_count": integrate(fld)}))
-    _sidecar(args, inputs, args.seed)
-    return 0
+    text = _score_json("ntest", score, {"expected_count": integrate(fld)})
+    return [(args.out, text)] + _sidecar(args, inputs, args.seed)
 
 
-def cmd_ltest(args) -> int:
+def cmd_ltest(args) -> list:
     _, catalog, fld, inputs = _load_pair(args)
     score = l_test(fld, catalog, args.sims, SeededStream(args.seed, 0))
-    _write(args.out, _score_json("ltest", score))
-    _sidecar(args, inputs, args.seed)
-    return 0
+    text = _score_json("ltest", score)
+    return [(args.out, text)] + _sidecar(args, inputs, args.seed)
 
 
-def cmd_resid(args) -> int:
+def cmd_resid(args) -> list:
     if args.kind == "deviance":
         _, catalog, fld_a, inputs = _load_pair(args, args.forecast_a)
         forecast_b, inputs[args.forecast_b] = _load_forecast(args.forecast_b)
@@ -251,14 +297,13 @@ def cmd_resid(args) -> int:
         rmap = raw_residuals(fld, catalog) if args.kind == "raw" \
             else pearson_residuals(fld, catalog)
         footer = None
-    _write(args.out, rmap.to_csv())
+    outputs = [(args.out, rmap.to_csv())]
     if footer is not None:
-        sys.stdout.write(json.dumps(footer, sort_keys=True) + "\n")
+        outputs.append((None, json.dumps(footer, sort_keys=True) + "\n"))
     if args.svg:
-        _write(args.svg, residual_map_svg(
-            rmap, f"{args.kind} residuals", events=catalog.points()))
-    _sidecar(args, inputs, None)
-    return 0
+        outputs.append((args.svg, residual_map_svg(
+            rmap, f"{args.kind} residuals", events=catalog.points())))
+    return outputs + _sidecar(args, inputs, None)
 
 
 def _weighted_k_with_bands(events, fld, radii, edge):
@@ -268,7 +313,7 @@ def _weighted_k_with_bands(events, fld, radii, edge):
         radii, fld.grid.area, integrate(fld)))
 
 
-def cmd_k(args) -> int:
+def cmd_k(args) -> list:
     radii = default_radii(args.rmax, args.dr)
     _, catalog, fld, inputs = _load_pair(args)
     pts = catalog.points()
@@ -278,11 +323,10 @@ def cmd_k(args) -> int:
     else:
         curve = ripley_k(pts, fld.grid, radii, args.edge)
         title = "Ripley K (centered L)"
-    _write(args.out, curve.to_csv())
+    outputs = [(args.out, curve.to_csv())]
     if args.svg:
-        _write(args.svg, k_curve_svg(curve, title))
-    _sidecar(args, inputs, None)
-    return 0
+        outputs.append((args.svg, k_curve_svg(curve, title)))
+    return outputs + _sidecar(args, inputs, None)
 
 
 def _region_csv(region) -> str:
@@ -295,7 +339,7 @@ def _region_csv(region) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_transform(args) -> int:
+def cmd_transform(args) -> list:
     radii = default_radii(args.rmax, args.dr) if args.assess else None
     _, catalog, fld, inputs = _load_pair(args)
     stream = SeededStream(args.seed, 0)
@@ -309,46 +353,37 @@ def cmd_transform(args) -> int:
         rset = superpose(catalog, fld, stream)
     else:
         rset = super_thin(catalog, fld, stream, args.k_rate)
-    # the assessment can fail, so it runs before any output is written
-    curve = None
+    outputs = [(args.out, rset.to_csv())]
+    if args.kind == "rescale":
+        outputs.append((_derived_path(args.out, "_region"),
+                        _region_csv(rset.region)))
+    if args.svg:
+        outputs.append((args.svg,
+                        point_map_svg(rset, f"{args.kind} residuals")))
     if args.assess:
         curve = assess_homogeneity(
             rset, radii, n_sims=args.sims, stream=SeededStream(args.seed, 1),
             bands="envelope" if args.kind == "rescale" else "analytic",
             edge_correction=args.edge)
-    _write(args.out, rset.to_csv())
-    if args.kind == "rescale":
-        region_text = _region_csv(rset.region)
-        if args.out is None:
-            sys.stdout.write(region_text)
-        else:
-            _write(_derived_path(args.out, "_region"), region_text)
-    if args.svg:
-        _write(args.svg, point_map_svg(rset, f"{args.kind} residuals"))
-    if curve is not None:
-        if args.out is None:
-            sys.stdout.write(curve.to_csv())
-        else:
-            _write(_derived_path(args.out, "_assess"), curve.to_csv())
+        outputs.append((_derived_path(args.out, "_assess"), curve.to_csv()))
         if args.svg:
-            stem, ext = os.path.splitext(args.svg)
-            _write(stem + "_assess" + (ext or ".svg"),
-                   k_curve_svg(curve, f"{args.kind} homogeneity assessment"))
-    _sidecar(args, inputs, args.seed)
-    return 0
+            outputs.append((
+                _derived_path(args.svg, "_assess", ".svg"),
+                k_curve_svg(curve, f"{args.kind} homogeneity assessment")))
+    return outputs + _sidecar(args, inputs, args.seed)
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> list:
     forecast, digest = _load_forecast(args.forecast)
     fld = _intensity(forecast, args)
     catalog = simulate_catalog(fld, SeededStream(args.seed, 0),
                                magnitude=args.mag_min)
-    _write(args.out, serialize_catalog(catalog))
-    _sidecar(args, {args.forecast: digest}, args.seed)
-    return 0
+    text = serialize_catalog(catalog)
+    return [(args.out, text)] + _sidecar(args, {args.forecast: digest},
+                                         args.seed)
 
 
-def cmd_report(args) -> int:
+def cmd_report(args) -> list:
     radii = default_radii(args.rmax, args.dr)
     _, catalog, fld, inputs = _load_pair(args)
 
@@ -390,12 +425,8 @@ def cmd_report(args) -> int:
         files["superthin_assess.svg"] = k_curve_svg(
             assess, "superthin homogeneity assessment")
     files["manifest.json"] = _manifest(args, inputs, args.seed).to_json()
-
-    # made once every result above, any of which can fail, is computed
-    os.makedirs(args.out, exist_ok=True)
-    for name, text in files.items():
-        _write(os.path.join(args.out, name), text)
-    return 0
+    return [(args.out, None)] + [(os.path.join(args.out, name), text)
+                                 for name, text in files.items()]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -518,13 +549,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _check_args(args, parser)
-        return args.run(args)
+        _write_outputs(args.run(args))
     except QuakeResidError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:
         print(f"file error: {exc}", file=sys.stderr)
         return 3
+    return 0
 
 
 if __name__ == "__main__":

@@ -1,4 +1,4 @@
-"""Forecast grids: parsing, serialization, and magnitude extrapolation.
+"""Forecast grids: parsing and validation.
 
 Forecast files are UTF-8 text with ten whitespace-separated columns per row:
 
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import io
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
 import numpy as np
@@ -316,91 +316,3 @@ def _build(arr: np.ndarray) -> Forecast:
     return Forecast(grid, pixel, *map(np.ascontiguousarray, (
         mag_lo, mag_hi, rate, depth_lo, depth_hi)))
 
-
-def serialize_forecast(forecast: Forecast) -> str:
-    """Write a Forecast back to the ten-column row format."""
-    grid = forecast.grid
-    ix, iy = grid.unflatten(forecast.pixel_index)
-    cols = np.column_stack([
-        grid.lon_min + ix * grid.dx, grid.lon_min + (ix + 1) * grid.dx,
-        grid.lat_min + iy * grid.dy, grid.lat_min + (iy + 1) * grid.dy,
-        forecast.depth_lo, forecast.depth_hi, forecast.mag_lo,
-        forecast.mag_hi, forecast.rate])
-    flags = grid.active_mask[iy, ix]
-    row_format = "%.12g " * 9 + "%d\n"
-    return "".join(row_format % (*row, flag)
-                   for row, flag in zip(cols.tolist(), flags.tolist()))
-
-
-def seismic_moment(magnitude):
-    """Moment from magnitude, log10 M = 1.5 m + 9.05."""
-    return 10.0 ** (1.5 * np.asarray(magnitude, dtype=float) + 9.05)
-
-
-def tapered_gr_survivor(magnitude, b_value, corner_mag, ref_mag):
-    """Relative survivor function of the tapered magnitude law.
-
-    Normalized to 1 at ref_mag; the taper is exponential in seismic moment
-    with corner moment at corner_mag, and the power-law index is (2/3) b.
-    """
-    beta = (2.0 / 3.0) * b_value
-    m = seismic_moment(magnitude)
-    m_ref = seismic_moment(ref_mag)
-    m_c = seismic_moment(corner_mag)
-    return (m_ref / m) ** beta * np.exp((m_ref - m) / m_c)
-
-
-def gr_extrapolate(forecast: Forecast, new_mag_min: float, b_value: float,
-                   corner_mag: float, special_regions=None,
-                   mag_step: float = 0.1) -> Forecast:
-    """Prepend magnitude bins from new_mag_min up to the forecast's lower bound.
-
-    Per pixel, the new-bin rates follow the tapered magnitude distribution
-    scaled so the total rate above the old bound is unchanged.  Pixels whose
-    centers fall in a special region use that region's b-value.
-
-    special_regions: list of ((lon_lo, lon_hi, lat_lo, lat_hi), b_value).
-    """
-    if b_value <= 0:
-        raise ValidationError("b_value must be positive")
-    if forecast.n_bins == 0:
-        warnings.warn("gr_extrapolate on an empty forecast is a no-op")
-        return forecast
-    old_lo = forecast.mag_min
-    if new_mag_min >= old_lo:
-        warnings.warn(
-            f"new_mag_min {new_mag_min} is not below the forecast bound "
-            f"{old_lo}; extrapolation skipped")
-        return forecast
-
-    n_new = int(round((old_lo - new_mag_min) / mag_step))
-    if abs(old_lo - new_mag_min - n_new * mag_step) > 1e-9:
-        raise ValidationError(
-            "extrapolation range must be a whole number of magnitude steps")
-    edges = np.linspace(new_mag_min, old_lo, n_new + 1)
-
-    # per-pixel totals, added in row order; pixels in ascending order
-    pixels, slot = np.unique(forecast.pixel_index, return_inverse=True)
-    total = np.bincount(slot, weights=forecast.rate)
-    # k for pixels centred in special region k (from 1), 0 for the rest;
-    # regions are applied last to first, so the first match wins
-    regions = special_regions or []
-    which = np.zeros(len(pixels), dtype=int)
-    cx, cy = forecast.grid.pixel_center(pixels)
-    for k in range(len(regions), 0, -1):
-        (x0, x1, y0, y1), _ = regions[k - 1]
-        which[(x0 <= cx) & (cx <= x1) & (y0 <= cy) & (cy <= y1)] = k
-    # one survivor per b-value, each from a scalar b: numpy's power rounds
-    # some exponents (2/3 b of 0.5, 2 or -1) differently when broadcast
-    surv = np.array([tapered_gr_survivor(edges, b, corner_mag, old_lo)
-                     for b in [b_value] + [b for _, b in regions]])
-    bin_mass = surv[:, :-1] - surv[:, 1:]  # survivor at old_lo is 1
-    new_rate = (total[:, None] * bin_mass[which]).ravel()
-    new = {"pixel_index": np.repeat(pixels, n_new),
-           "mag_lo": np.tile(edges[:-1], len(pixels)),
-           "mag_hi": np.tile(edges[1:], len(pixels)), "rate": new_rate,
-           "depth_lo": np.full(len(new_rate), forecast.depth_lo.min()),
-           "depth_hi": np.full(len(new_rate), forecast.depth_hi.max())}
-    return replace(forecast, **{
-        name: np.concatenate([bins, getattr(forecast, name)])
-        for name, bins in new.items()})

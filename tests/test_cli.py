@@ -722,3 +722,135 @@ def test_transform_failures_write_no_output(workspace, capsys):
         assert "Traceback" not in err
         assert message in err
         assert sorted(os.listdir(tmp)) == before
+
+
+def _snapshot(root):
+    """Every name under root, with a file's bytes and None for a directory."""
+    found = {}
+    for dirpath, dirnames, filenames in os.walk(root):
+        for name in dirnames:
+            found[os.path.relpath(os.path.join(dirpath, name), root)] = None
+        for name in filenames:
+            path = os.path.join(dirpath, name)
+            with open(path, "rb") as fh:
+                found[os.path.relpath(path, root)] = fh.read()
+    return found
+
+
+# command lines with {fc}, {cat} and {tmp} the forecast, catalog and
+# workspace, and the output whose write each one finds blocked: a sidecar
+# or report manifest pre-made as a directory, or an SVG in a missing one
+_K = "--rmax 0.4 --dr 0.1"
+_RESCALE = "transform --kind rescale --assess --sims 19 " + _K
+_DEVIANCE = "resid --kind deviance --forecast-a {fc} --forecast-b {fc}"
+_BLOCKED_OUTPUTS = {
+    "ntest-analytic": ("ntest --analytic --out {tmp}/s.json",
+                       "s.json.manifest.json"),
+    "ltest": ("ltest --sims 20 --out {tmp}/l.json", "l.json.manifest.json"),
+    "resid-raw": ("resid --kind raw --out {tmp}/r.csv --svg {tmp}/r.svg",
+                  "r.csv.manifest.json"),
+    "resid-raw-svg-nodir": (
+        "resid --kind raw --out {tmp}/r.csv --svg {tmp}/nodir/r.svg",
+        "nodir/r.svg"),
+    "resid-deviance": (_DEVIANCE + " --out {tmp}/d.csv --svg {tmp}/d.svg",
+                       "d.csv.manifest.json"),
+    "resid-deviance-svg-nodir": (
+        _DEVIANCE + " --out {tmp}/d.csv --svg {tmp}/nodir/d.svg",
+        "nodir/d.svg"),
+    "k": ("k --weighted " + _K + " --out {tmp}/k.csv --svg {tmp}/k.svg",
+          "k.csv.manifest.json"),
+    "k-svg-nodir": (
+        "k --weighted " + _K + " --out {tmp}/k.csv --svg {tmp}/nodir/k.svg",
+        "nodir/k.svg"),
+    "transform-rescale-assess": (
+        _RESCALE + " --out {tmp}/t.csv --svg {tmp}/t.svg",
+        "t.csv.manifest.json"),
+    "transform-rescale-assess-svg-nodir": (
+        _RESCALE + " --out {tmp}/t.csv --svg {tmp}/nodir/t.svg",
+        "nodir/t.svg"),
+    "simulate": ("simulate --out {tmp}/c.csv", "c.csv.manifest.json"),
+    "report": ("report --sims 20 " + _K + " --out {tmp}/rep",
+               "rep/manifest.json"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BLOCKED_OUTPUTS))
+def test_blocked_last_output_leaves_nothing_behind(workspace, capsys, case):
+    tmp, fc, cat = workspace
+    line, blocked = _BLOCKED_OUTPUTS[case]
+    argv = [a.format(fc=fc, cat=cat, tmp=tmp) for a in line.split()]
+    if argv[0] != "simulate":
+        argv += ["--catalog", str(cat)]
+    if "--forecast-a" not in argv:
+        argv += ["--forecast", str(fc)]
+    if "nodir" not in blocked:
+        os.makedirs(tmp / blocked)
+    before = _snapshot(tmp)
+    rc = main(argv)
+    out, err = capsys.readouterr()
+    assert rc == 3
+    assert "Traceback" not in err
+    # the message names the path the user gave, not a temporary file
+    assert f"file error: [Errno {21 if 'nodir' not in blocked else 2}] " \
+        in err
+    assert f"'{tmp / blocked}'" in err and ".tmp" not in err
+    assert out == ""
+    after = _snapshot(tmp)
+    assert after == before
+    assert not [name for name in after if name.endswith(".tmp")]
+
+
+@pytest.mark.parametrize("existing, step", [
+    (False, "replace"), (False, "open"), (True, "open")])
+def test_failed_report_write_leaves_its_directory_as_it_was(
+        workspace, capsys, monkeypatch, existing, step):
+    tmp, fc, cat = workspace
+    if existing:
+        outdir = tmp / "rep"
+        outdir.mkdir()
+        (outdir / "scores.json").write_text("old scores\n")
+        (outdir / "notes.txt").write_text("kept\n")
+    else:
+        outdir = tmp / "nested" / "rep"
+    before = _snapshot(tmp)
+
+    # the manifest, written last, fails once every other output is staged
+    # (open) or moved into place (replace)
+    def failing(real):
+        def call(path, *args, **kwargs):
+            if os.path.basename(path).startswith("manifest.json."):
+                raise OSError(28, "No space left on device", path)
+            return real(path, *args, **kwargs)
+        return call
+
+    if step == "replace":
+        monkeypatch.setattr(cli.os, "replace", failing(os.replace))
+    else:
+        monkeypatch.setattr(cli, "open", failing(open), raising=False)
+    rc = main(["report", "--forecast", str(fc), "--catalog", str(cat),
+               "--sims", "20", "--rmax", "0.4", "--dr", "0.1",
+               "--out", str(outdir)])
+    out, err = capsys.readouterr()
+    assert rc == 3
+    assert "Traceback" not in err
+    assert "file error: [Errno 28] No space left on device: " \
+        f"'{outdir / 'manifest.json'}'" in err
+    assert out == ""
+    assert _snapshot(tmp) == before
+
+
+def test_outputs_go_through_links_and_the_last_to_one_file_wins(workspace):
+    tmp, fc, cat = workspace
+    link = tmp / "link.csv"
+    link.symlink_to(tmp / "r.csv")
+    resid = ["resid", "--kind", "raw", "--forecast", str(fc),
+             "--catalog", str(cat), "--out", str(link)]
+    assert main(resid + ["--svg", str(tmp / "r.svg")]) == 0
+    assert link.is_symlink()
+    assert (tmp / "r.csv").read_text().startswith("pixel_index,")
+    # the SVG, written after the CSV, replaces it in the file both name
+    assert main(resid + ["--svg", str(tmp / "r.csv")]) == 0
+    assert link.is_symlink()
+    xml.dom.minidom.parseString((tmp / "r.csv").read_text())
+    assert json.loads((tmp / "link.csv.manifest.json").read_text())["version"]
+    assert not [p for p in os.listdir(tmp) if p.endswith(".tmp")]

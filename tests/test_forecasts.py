@@ -1,4 +1,3 @@
-import hashlib
 import os
 import subprocess
 import sys
@@ -7,9 +6,7 @@ import numpy as np
 import pytest
 
 from quakeresid import forecasts
-from quakeresid import (ParseError, SchemaError, ValidationError,
-                        gr_extrapolate, parse_forecast, seismic_moment,
-                        serialize_forecast, tapered_gr_survivor)
+from quakeresid import ParseError, SchemaError, ValidationError, parse_forecast
 
 SIMPLE = """\
 # toy forecast
@@ -388,140 +385,3 @@ def test_empty_input_gives_empty_forecast():
     fc = parse_forecast("# nothing here\n")
     assert fc.n_bins == 0
     assert fc.grid.n_active == 0
-
-
-def test_serialize_round_trip():
-    fc = parse_forecast(SIMPLE)
-    fc2 = parse_forecast(serialize_forecast(fc))
-    assert np.array_equal(fc.pixel_index, fc2.pixel_index)
-    assert np.array_equal(fc.rate, fc2.rate)
-    assert np.array_equal(fc.mag_lo, fc2.mag_lo)
-    assert fc.grid.same_layout(fc2.grid)
-
-
-def test_seismic_moment_reference_value():
-    # log10 M = 1.5 m + 9.05
-    assert seismic_moment(6.0) == pytest.approx(10.0 ** 18.05)
-
-
-def test_survivor_normalized_at_reference():
-    assert tapered_gr_survivor(3.95, 1.0, 8.0, 3.95) == pytest.approx(1.0)
-    # decreasing in magnitude
-    vals = tapered_gr_survivor(np.linspace(3.95, 7.0, 20), 1.0, 8.0, 3.95)
-    assert np.all(np.diff(vals) < 0)
-
-
-def test_survivor_pure_power_law_below_corner():
-    # far below the corner the taper factor is ~1, leaving the
-    # Gutenberg-Richter slope: one magnitude unit drops the survivor 10^-b
-    b = 0.9
-    ratio = tapered_gr_survivor(4.95, b, 12.0, 3.95)
-    assert ratio == pytest.approx(10.0 ** (-b), rel=1e-6)
-
-
-def test_gr_extrapolate_preserves_old_bins():
-    fc = parse_forecast(SIMPLE)
-    ext = gr_extrapolate(fc, 3.45, b_value=1.0, corner_mag=8.0,
-                         mag_step=0.1)
-    assert ext.n_bins == fc.n_bins + 4 * 5
-    # old rows unchanged, at the tail
-    assert np.array_equal(ext.rate[-fc.n_bins:], fc.rate)
-    assert ext.mag_min == pytest.approx(3.45)
-
-
-def test_gr_extrapolate_rate_grows_with_b():
-    # lowering the threshold adds more events the steeper the magnitude
-    # distribution, so the added rate increases with b
-    fc = parse_forecast(SIMPLE)
-    added = []
-    for b in (0.6, 0.9, 1.2):
-        ext = gr_extrapolate(fc, 3.45, b_value=b, corner_mag=8.0)
-        added.append(ext.rate[:-fc.n_bins].sum())
-    assert added[0] < added[1] < added[2]
-
-
-def test_gr_extrapolate_special_region_overrides_b():
-    fc = parse_forecast(SIMPLE)
-    plain = gr_extrapolate(fc, 3.45, b_value=1.0, corner_mag=8.0)
-    special = gr_extrapolate(fc, 3.45, b_value=1.0, corner_mag=8.0,
-                             special_regions=[((0.0, 0.5, 0.0, 0.5), 1.94)])
-    # only pixel 0 (center 0.25, 0.25) changes, and its rate increases
-    new_plain = plain.rate[:20]
-    new_special = special.rate[:20]
-    pix = plain.pixel_index[:20]
-    assert new_special[pix == 0].sum() > new_plain[pix == 0].sum()
-    assert np.allclose(new_plain[pix != 0], new_special[pix != 0])
-
-
-def test_gr_extrapolate_noop_warns_when_not_below():
-    fc = parse_forecast(SIMPLE)
-    with pytest.warns(UserWarning):
-        out = gr_extrapolate(fc, 4.5, b_value=1.0, corner_mag=8.0)
-    assert out is fc
-
-
-def test_gr_extrapolate_bin_masses_follow_survivor():
-    fc = parse_forecast(SIMPLE)
-    ext = gr_extrapolate(fc, 3.85, b_value=1.0, corner_mag=8.0)
-    # one added bin per pixel with mass total * (S(3.85) - S(3.95))
-    mass = tapered_gr_survivor(3.85, 1.0, 8.0, 3.95) - 1.0
-    new = ext.rate[: len(ext.rate) - fc.n_bins]
-    pix_tot = fc.rate  # one old bin per pixel in SIMPLE
-    assert np.allclose(np.sort(new), np.sort(pix_tot * mass), rtol=1e-12)
-
-
-def _pin_forecast():
-    """A 6 x 5 grid of 0.1-degree pixels at -118, 34 with three magnitude
-    bins each, rows out of pixel order, one pixel masked out, one never
-    mentioned and one with a second depth range."""
-    rng = np.random.default_rng(17)
-    rows = []
-    for pix in rng.permutation(30):
-        ix, iy = pix % 6, pix // 6
-        if (ix, iy) == (4, 3):
-            continue
-        flag = 0 if (ix, iy) == (1, 2) else 1
-        depth = "0 20" if (ix, iy) == (2, 4) else "0 30"
-        for m in rng.permutation(3):
-            rows.append("%.1f %.1f %.1f %.1f %s %.2f %.2f %.9e %d" % (
-                -118 + ix / 10, -118 + (ix + 1) / 10, 34 + iy / 10,
-                34 + (iy + 1) / 10, depth, 4.95 + m / 10, 5.05 + m / 10,
-                rng.lognormal(-7.0, 1.5), flag))
-    return parse_forecast("\n".join(rows) + "\n")
-
-
-def _digest(*arrays):
-    h = hashlib.sha256()
-    for a in arrays:
-        h.update(a.dtype.str.encode() + repr(a.shape).encode() + a.tobytes())
-    return h.hexdigest()
-
-
-# Two overlapping special regions: pixels in both take the first one's b,
-# and some pixel centres lie within rounding of a region edge, on either
-# side (edges are inclusive).
-_PIN_REGIONS = [((-117.95, -117.65, 34.05, 34.25), 1.3),
-                ((-117.75, -117.45, 34.15, 34.45), 0.7)]
-
-
-@pytest.mark.parametrize("regions, digest", [
-    (None,
-     "57157ee7b65e5db4dcfee192b57ba6fa6f21661523d6c4f9002169331d5494d6"),
-    (_PIN_REGIONS,
-     "aeced7ac67ba498e4577b2d8310185d91ba3c320ac0fa849349f2b8e700e2d32"),
-], ids=["plain", "overlapping-special-regions"])
-def test_gr_extrapolate_arrays_are_pinned(regions, digest):
-    ext = gr_extrapolate(_pin_forecast(), 4.45, b_value=0.95, corner_mag=8.0,
-                         special_regions=regions)
-    assert _digest(ext.pixel_index, ext.mag_lo, ext.mag_hi, ext.rate,
-                   ext.depth_lo, ext.depth_hi,
-                   ext.grid.active_mask) == digest
-
-
-def test_serialize_forecast_text_is_pinned():
-    fc = _pin_forecast()
-    ext = gr_extrapolate(fc, 4.45, b_value=0.95, corner_mag=8.0,
-                         special_regions=_PIN_REGIONS)
-    text = serialize_forecast(fc) + serialize_forecast(ext)
-    assert hashlib.sha256(text.encode()).hexdigest() == \
-        "ab4f0f40080272d8589d868ab2abc2af8409613425b022b97012f9701075b263"
