@@ -18,6 +18,7 @@ import json
 import math
 import os
 import shutil
+import stat
 import sys
 from dataclasses import replace
 
@@ -156,15 +157,25 @@ def _write_outputs(outputs) -> None:
     outputs is an ordered list of (path, text): a path of None is stdout,
     and a text of None is a directory to make with its missing parents.
     Each file is written to <file>.<pid>.tmp beside the file its path
-    names, and the temporary files are moved into place only once every
-    one is written; a target that is an existing directory is refused
-    before that.  A failure removes the temporary files and any directory
-    made here, and names the target the user gave.  stdout is written last.
+    names, takes the mode of the file it replaces, and the temporary files
+    are moved into place only once every one is written; a target that is
+    an existing directory is refused before that.  A failure removes the
+    temporary files and any directory made here, and names the target the
+    user gave.  A path that names an existing device or pipe (/dev/null, a
+    FIFO) cannot be staged, so it is written in place after the files are
+    moved, as stdout is; stdout is written last.
     """
     # keyed by the file each path names, so a symlink is written through and
     # a later output to the same file replaces an earlier one
-    files = {os.path.realpath(path): (path, text) for path, text in outputs
-             if path is not None and text is not None}
+    files, streams = {}, []
+    for path, text in outputs:
+        if path is None or text is None:
+            continue
+        if os.path.exists(path) and not os.path.isfile(path) \
+                and not os.path.isdir(path):
+            streams.append((path, text))
+        else:
+            files[os.path.realpath(path)] = (path, text)
     made, staged, target = None, [], None
     try:
         for path, text in outputs:
@@ -183,6 +194,8 @@ def _write_outputs(outputs) -> None:
             staged.append(f"{real}.{os.getpid()}.tmp")
             with open(staged[-1], "w", encoding="utf-8") as fh:
                 fh.write(text)
+            if os.path.isfile(real):
+                os.chmod(staged[-1], stat.S_IMODE(os.stat(real).st_mode))
         for (real, (target, _)), tmp in zip(files.items(), staged):
             os.replace(tmp, real)
     except BaseException as exc:
@@ -194,6 +207,9 @@ def _write_outputs(outputs) -> None:
         if isinstance(exc, OSError) and target is not None:
             raise type(exc)(exc.errno, exc.strerror, target) from None
         raise
+    for path, text in streams:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
     for path, text in outputs:
         if path is None:
             sys.stdout.write(text)

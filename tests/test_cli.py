@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import stat
 import subprocess
 import sys
 import xml.dom.minidom
@@ -854,3 +855,43 @@ def test_outputs_go_through_links_and_the_last_to_one_file_wins(workspace):
     xml.dom.minidom.parseString((tmp / "r.csv").read_text())
     assert json.loads((tmp / "link.csv.manifest.json").read_text())["version"]
     assert not [p for p in os.listdir(tmp) if p.endswith(".tmp")]
+
+
+def test_a_pipe_output_is_written_in_place(workspace):
+    tmp, fc, cat = workspace
+    fifo = tmp / "r.svg"
+    os.mkfifo(fifo)
+    # a reader that does not block, so the command's open for writing does
+    # not wait; the small SVG fits in the pipe's buffer
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        rc = main(["resid", "--kind", "raw", "--forecast", str(fc),
+                   "--catalog", str(cat), "--out", str(tmp / "r.csv"),
+                   "--svg", str(fifo)])
+        chunks = []
+        while True:
+            try:
+                chunk = os.read(reader, 1 << 16)
+            except BlockingIOError:
+                break
+            if not chunk:
+                break
+            chunks.append(chunk)
+    finally:
+        os.close(reader)
+    assert rc == 0
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    xml.dom.minidom.parseString(b"".join(chunks))
+    assert (tmp / "r.csv").read_text().startswith("pixel_index,")
+    assert not [p for p in os.listdir(tmp) if p.endswith(".tmp")]
+
+
+def test_a_rewritten_output_keeps_its_mode(workspace):
+    tmp, fc, cat = workspace
+    out = tmp / "r.csv"
+    out.write_text("old\n")
+    out.chmod(0o604)
+    assert main(["resid", "--kind", "raw", "--forecast", str(fc),
+                 "--catalog", str(cat), "--out", str(out)]) == 0
+    assert out.read_text().startswith("pixel_index,")
+    assert stat.S_IMODE(out.stat().st_mode) == 0o604
