@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,25 @@ def test_mean_count_matches_integral():
               for j in range(400)]
     se = np.sqrt(mu / 400)
     assert abs(np.mean(totals) - mu) < 3 * se
+
+
+def test_point_placement_pinned_on_a_decimal_grid():
+    # 0.1-degree pixels are not dyadic, so a change in how a point's
+    # coordinate is computed shows in its last bit; 0.5-degree pixels hide it
+    rng = np.random.default_rng(2012)
+    mask = rng.random((60, 40)) < 0.7
+    g = Grid.regular(-124.0, -120.0, 32.0, 38.0, 0.1, 0.1, active_mask=mask)
+    fld = IntensityField(g, rng.uniform(0.0, 200.0, (60, 40)))
+    catalogs, complements = hashlib.sha256(), hashlib.sha256()
+    for j in range(20):
+        cat = simulate_catalog(fld, SeededStream(24, j))
+        catalogs.update(cat.lon.tobytes() + cat.lat.tobytes())
+        xs, ys = simulate_cox_complement(fld, 250.0, SeededStream(24, j))
+        complements.update(xs.tobytes() + ys.tobytes())
+    assert catalogs.hexdigest() == \
+        "b230a956f23e295ee7c044b7b2e7dc3d6d30c53d1e582efa044a115fee2b4f64"
+    assert complements.hexdigest() == \
+        "4b8dda39d7fc6712589fd0101b5d9d65cc99d6fe5f16040fe3b7c2da4f191b8c"
 
 
 def test_determinism_byte_identical():
