@@ -53,6 +53,7 @@ CACHE_MAX_BYTES = 256 * 2 ** 20
 # run is the subcommand's function
 _NOT_PARAMETERS = {"command", "seed", "forecast", "forecast_a", "forecast_b",
                    "catalog", "out", "svg", "k_ambiguous", "run"}
+_REMOVE = object()  # an output text: remove the file its path names
 
 
 def _read_bytes(path: str) -> tuple[bytes, str]:
@@ -155,7 +156,8 @@ def _write_outputs(outputs) -> None:
     """Write a command's outputs, all of them or none.
 
     outputs is an ordered list of (path, text): a path of None is stdout,
-    and a text of None is a directory to make with its missing parents.
+    a text of None is a directory to make with its missing parents, and
+    _REMOVE a file to remove, if there is one, once the others are in place.
     Each file is written to <file>.<pid>.tmp beside the file its path
     names, takes the mode of the file it replaces, and the temporary files
     are moved into place only once every one is written; a target that is
@@ -167,11 +169,13 @@ def _write_outputs(outputs) -> None:
     """
     # keyed by the file each path names, so a symlink is written through and
     # a later output to the same file replaces an earlier one
-    files, streams = {}, []
+    files, streams, stale = {}, [], []
     for path, text in outputs:
         if path is None or text is None:
             continue
-        if os.path.exists(path) and not os.path.isfile(path) \
+        if text is _REMOVE:
+            stale.append(path)
+        elif os.path.exists(path) and not os.path.isfile(path) \
                 and not os.path.isdir(path):
             streams.append((path, text))
         else:
@@ -198,6 +202,8 @@ def _write_outputs(outputs) -> None:
                 os.chmod(staged[-1], stat.S_IMODE(os.stat(real).st_mode))
         for (real, (target, _)), tmp in zip(files.items(), staged):
             os.replace(tmp, real)
+        for target in filter(os.path.isfile, stale):
+            os.remove(target)
     except BaseException as exc:
         for tmp in staged:
             if os.path.exists(tmp):
@@ -260,9 +266,7 @@ def _load_pair(args, forecast_path=None):
 
 
 def _score_json(name: str, score, extra=None) -> str:
-    record = {"test": name}
-    record.update(score.to_record())
-    record.update(extra or {})
+    record = {"test": name, **score.to_record(), **(extra or {})}
     return json.dumps(record, indent=2, sort_keys=True) + "\n"
 
 
@@ -412,8 +416,10 @@ def cmd_report(args) -> list:
         "observed_count": len(catalog),
         "log_likelihood": log_likelihood(fld, catalog),
     }
-    files = {"scores.json":
-             json.dumps(summary, indent=2, sort_keys=True) + "\n"}
+    # an earlier run's optional file goes if this run does not write it
+    files = {stem + ext: _REMOVE for stem in ("weighted_k", "superthin_assess")
+             for ext in (".csv", ".svg")}
+    files["scores.json"] = json.dumps(summary, indent=2, sort_keys=True) + "\n"
 
     events = catalog.points()
     raw = raw_residuals(fld, catalog)

@@ -3,7 +3,7 @@
 Pixel membership is half-open [lo, hi) on both axes; the last row and
 column are closed so the grid partitions its bounding box.  A Grid is also
 an observation region (the union of its active pixels): it has the area,
-bbox, contains and sample members every region has.
+bbox, contains, cells and sample members every region has.
 """
 
 from __future__ import annotations
@@ -13,27 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import OutsideRegionError, ValidationError
-
-
-def _sample_by_rejection(region, rng, n: int):
-    """n uniform points of the region via rejection against its bounding
-    box, drawn in batches sized to the expected acceptance."""
-    if region.area <= 0:
-        raise ValidationError("region has zero area")
-    x_min, x_max, y_min, y_max = region.bbox
-    box_area = (x_max - x_min) * (y_max - y_min)
-    xs, ys = [np.zeros(0)], [np.zeros(0)]
-    remaining = n
-    while remaining > 0:
-        m = max(32, int(remaining * box_area / region.area) + 16)
-        cx = x_min + (x_max - x_min) * rng.random(m)
-        cy = y_min + (y_max - y_min) * rng.random(m)
-        ok = region.contains(cx, cy)
-        cx, cy = cx[ok][:remaining], cy[ok][:remaining]
-        xs.append(cx)
-        ys.append(cy)
-        remaining -= len(cx)
-    return np.concatenate(xs), np.concatenate(ys)
+from .regions import sample_uniform
 
 
 @dataclass(frozen=True)
@@ -137,7 +117,13 @@ class Grid:
         """True where (lon, lat) lies inside an active pixel."""
         return self.active_pixel(lon, lat) >= 0
 
-    sample = _sample_by_rejection
+    def cells(self):
+        """The active pixels as region cells, in np.nonzero order."""
+        iy, ix = np.nonzero(self.active_mask)
+        return ((self.lon_min, ix, self.dx), (self.lat_min, iy, self.dy),
+                np.full(ix.size, self.pixel_area))
+
+    sample = sample_uniform
 
     def active_indices(self):
         """Flat indices of active pixels, row-major order."""

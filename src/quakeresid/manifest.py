@@ -11,7 +11,7 @@ import json
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
-TOOLKIT_VERSION = "0.3.0"
+TOOLKIT_VERSION = "0.4.0"
 
 
 @dataclass(frozen=True)

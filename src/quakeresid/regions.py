@@ -1,8 +1,9 @@
-"""The regions produced by rescaling, for the simulator and the K-functions.
+"""Observation regions as unions of rectangular cells, and their sampler.
 
 A region has an area, a bounding box (x_min, x_max, y_min, y_max), a
-vectorised contains(x, y) and a sample(rng, n) of uniform points.  Two
-shapes exist: a Grid (the union of its active pixels) and the per-row
+vectorised contains(x, y), its cells() and a sample(rng, n) of uniform
+points, placed in their cells by place() whatever share of the box the
+region fills.  Two shapes exist: a Grid (its active pixels) and the per-row
 interval region produced by rescaling (x in [0, T(y)] within each y band),
 possibly seen with its axes swapped.
 """
@@ -14,7 +15,32 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .grids import _sample_by_rejection
+
+
+def place(rng, counts, x, y):
+    """counts[i] uniform points in cell i, which spans [origin + index *
+    step, origin + (index + 1) * step) on each axis, for x and y the per-axis
+    (origin, index, step), each a scalar or one entry per cell.  Every x
+    uniform is drawn before any y uniform.  Returns (x, y) arrays."""
+    def coordinate(origin, index, step):
+        origin, index, step = (v if np.ndim(v) == 0 else np.repeat(v, counts)
+                               for v in (origin, index, step))
+        return origin + (index + rng.random(int(np.sum(counts)))) * step
+
+    return coordinate(*x), coordinate(*y)
+
+
+def sample_uniform(region, rng, n: int):
+    """n uniform points of the region: each point's cell is drawn by area,
+    then place() puts it in that cell, in O(n + cells)."""
+    if region.area <= 0:
+        raise ValidationError("region has zero area")
+    x, y, areas = region.cells()
+    cum = np.cumsum(areas)
+    pick = np.searchsorted(cum, rng.random(n) * cum[-1], side="right")
+    # a subnormal total can round the top uniform up to it: clamp the pick
+    pick = np.minimum(pick, np.flatnonzero(areas)[-1])
+    return place(rng, np.bincount(pick, minlength=cum.size), x, y)
 
 
 @dataclass(frozen=True)
@@ -39,9 +65,11 @@ class TransposedRegion:
     def contains(self, x, y):
         return self.inner.contains(y, x)
 
-    def sample(self, rng, n: int):
-        xs, ys = self.inner.sample(rng, n)
-        return ys, xs
+    def cells(self):
+        x, y, areas = self.inner.cells()
+        return y, x, areas
+
+    sample = sample_uniform
 
 
 @dataclass(frozen=True)
@@ -71,11 +99,15 @@ class RowIntervalRegion:
             float(self.y_edges[0]), float(self.y_edges[-1])
 
     def contains(self, x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
         in_band = (y >= self.y_edges[0]) & (y <= self.y_edges[-1])
         row = np.searchsorted(self.y_edges, y, side="right") - 1
         row = np.clip(row, 0, len(self.t_of_row) - 1)
         return in_band & (x >= 0) & (x <= self.t_of_row[row])
 
-    sample = _sample_by_rejection
+    def cells(self):
+        heights = np.diff(self.y_edges)
+        return ((0.0, 0, self.t_of_row), (self.y_edges[:-1], 0, heights),
+                self.t_of_row * heights)
+
+    sample = sample_uniform

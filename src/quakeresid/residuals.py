@@ -65,17 +65,13 @@ def pearson_residuals(fld: IntensityField, catalog: Catalog) -> PixelResidualMap
     grid = fld.grid
     counts = observed_counts(fld, catalog)
     rates = fld.active_rates()
-    values = np.zeros(len(rates))
-    skipped = []
     pix = grid.active_indices()
-    zero = rates == 0
-    nz = ~zero
+    nz = rates > 0
+    values = np.full(len(rates), np.nan)
     values[nz] = counts[nz] / np.sqrt(rates[nz]) \
         - np.sqrt(rates[nz]) * grid.pixel_area
-    for p in pix[zero]:
-        skipped.append((int(p), "zero-rate pixel"))
-    values[zero] = np.nan
-    return PixelResidualMap(grid, "pearson", pix, values, tuple(skipped))
+    skipped = tuple((int(p), "zero-rate pixel") for p in pix[~nz])
+    return PixelResidualMap(grid, "pearson", pix, values, skipped)
 
 
 def deviance_residuals(field_1: IntensityField, field_2: IntensityField,

@@ -14,6 +14,7 @@ from .catalogs import Catalog, utc64
 from .errors import ValidationError
 from .forecasts import DEFAULT_WINDOW_END, DEFAULT_WINDOW_START
 from .intensity import IntensityField
+from .regions import place
 from .rng import (MAX_POISSON_MEAN, SeededStream, _check_means, poisson,
                   poisson_rows)
 
@@ -46,14 +47,7 @@ def _poisson_points(rng, grid, means):
     """Poisson(means[i]) points placed uniformly in the i-th active pixel;
     the means are checked before anything is drawn."""
     _check_point_means(means)
-    counts = poisson(rng, means)
-    iy, ix = np.nonzero(grid.active_mask)
-    total = int(counts.sum())
-    rep_ix = np.repeat(ix, counts)
-    rep_iy = np.repeat(iy, counts)
-    xs = grid.lon_min + (rep_ix + rng.random(total)) * grid.dx
-    ys = grid.lat_min + (rep_iy + rng.random(total)) * grid.dy
-    return xs, ys
+    return place(rng, poisson(rng, means), *grid.cells()[:2])
 
 
 def simulate_catalog(fld: IntensityField, stream: SeededStream,
@@ -117,26 +111,12 @@ def simulate_cox_complement(fld: IntensityField, level: float,
 
 def simulate_homogeneous(region, rate: float, stream: SeededStream):
     """Homogeneous Poisson draw over a region (a Grid or a rescaled
-    row-interval region): Poisson(rate * area) total, uniform placement by
-    rejection sampling.  Returns (x, y) arrays.
-
-    The sampler draws about rate * (bounding-box area) candidates, so that
-    count, like the expected point count, must not exceed
-    MAX_SIMULATED_POINTS; both are checked before anything is drawn.
+    row-interval region): Poisson(rate * area) total, each point placed
+    uniformly in a cell drawn by area.  Returns (x, y) arrays.  The
+    expected count is checked against MAX_SIMULATED_POINTS before drawing.
     """
     if rate < 0:
         raise ValidationError("rate must be non-negative")
-    if region.area <= 0:
-        raise ValidationError("region has zero area")
     _check_point_means(rate * region.area)
-    x_min, x_max, y_min, y_max = region.bbox
-    box_area = (x_max - x_min) * (y_max - y_min)
-    if rate * box_area > MAX_SIMULATED_POINTS:
-        raise ValidationError(
-            f"the region fills {region.area / box_area:.3g} of its bounding "
-            f"box, so its expected {rate * region.area:.6g} points take "
-            f"{rate * box_area:.6g} candidates to draw, above the supported "
-            f"{MAX_SIMULATED_POINTS:g}")
     rng = stream.generator()
-    n = int(poisson(rng, rate * region.area))
-    return region.sample(rng, n)
+    return region.sample(rng, int(poisson(rng, rate * region.area)))

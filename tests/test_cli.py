@@ -371,11 +371,11 @@ def test_envelope_beyond_memory_exit_code(workspace):
 
 
 @pytest.mark.parametrize("axis", ["horizontal", "vertical"])
-def test_sparse_rescaled_region_exit_code(tmp_path, axis):
+def test_sparse_rescaled_region_assessed_in_bounded_memory(tmp_path, axis):
     # two pixels 350 degrees apart across the stretched axis: the rescaled
-    # region fills 0.057% of its bounding box, so rejection sampling its
-    # 1e6 expected points would draw 1.75e9 candidates (13 GiB) in one go;
-    # the child's address space is capped at 1 GiB
+    # region fills 0.057% of its bounding box, where drawing candidates from
+    # the box would take 13 GiB for its 1e6 expected points; placing each
+    # point in its cell fits the child's address space, capped at 1 GiB
     far = ["0 0.1 349.9 350", "349.9 350 0 0.1"][axis == "vertical"]
     fc = tmp_path / "fc.txt"
     fc.write_text(f"0 0.1 0 0.1 0 30 3.95 4.05 5e5 1\n"
@@ -385,7 +385,6 @@ def test_sparse_rescaled_region_exit_code(tmp_path, axis):
     cat.write_text("time,lon,lat,depth,mag\n" + "".join(
         f"2007-0{i + 1}-01T00:00:00Z,{x:.2f},{y:.2f},5,4.0\n" for i, (x, y) in
         enumerate([(0.05, 0.05)] * 3 + [(x0 + 0.05, y0 + 0.05)] * 3)))
-    before = sorted(os.listdir(tmp_path))
     code = ("import resource, sys\n"
             "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
             "from quakeresid.cli import main\n"
@@ -394,10 +393,12 @@ def test_sparse_rescaled_region_exit_code(tmp_path, axis):
                     "--assess", "--sims", "2", "--rmax", "0.1", "--dr",
                     "0.05", "--forecast", str(fc), "--catalog", str(cat),
                     "--out", str(tmp_path / "rs.csv")], tmp_path, code)
-    assert out.returncode == 3, out.stderr
-    assert "Traceback" not in out.stderr
-    assert "the region fills 0.000571 of its bounding box" in out.stderr
-    assert sorted(os.listdir(tmp_path)) == before
+    assert out.returncode == 0, out.stderr
+    assert out.stderr == ""
+    assert sorted(os.listdir(tmp_path)) == [
+        "cat.csv", "fc.txt", "rs.csv", "rs.csv.manifest.json",
+        "rs_assess.csv", "rs_region.csv"]
+    assert len((tmp_path / "rs_assess.csv").read_text().splitlines()) == 3
 
 
 @pytest.mark.parametrize("assess", [[], ["--assess", "--sims", "19"]])
@@ -460,6 +461,30 @@ def test_report_directory(workspace):
     assert "ntest" in scores and "ltest" in scores
     manifest = json.loads((outdir / "manifest.json").read_text())
     assert manifest["version"]
+
+
+def test_report_into_an_earlier_report_keeps_no_stale_file(workspace):
+    # one event has no weighted K: the first run's weighted_k files go, a
+    # file under another name stays
+    tmp, fc, cat = workspace
+    one = tmp / "one.csv"
+    one.write_text("".join(cat.read_text().splitlines(True)[:2]))
+    reused, fresh = tmp / "reused", tmp / "fresh"
+    flags = ["--forecast", str(fc), "--sims", "20", "--rmax", "0.4", "--dr",
+             "0.1"]
+    assert main(["report", *flags, "--catalog", str(cat),
+                 "--out", str(reused)]) == 0
+    assert (reused / "weighted_k.csv").exists()
+    (reused / "notes.txt").write_text("kept\n")
+    for out in (reused, fresh):
+        assert main(["report", *flags, "--catalog", str(one),
+                     "--out", str(out)]) == 0
+    assert sorted(os.listdir(reused)) == sorted(os.listdir(fresh) +
+                                                ["notes.txt"])
+    assert "weighted_k.csv" not in os.listdir(fresh)
+    assert (reused / "notes.txt").read_text() == "kept\n"
+    assert json.loads((reused / "scores.json").read_text())[
+        "observed_count"] == 1
 
 
 def _scipy_modules_after(commands):

@@ -142,21 +142,21 @@ CASES = {
 
 GOLDEN = {'k-plain': {'<stdout>': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
                      'k.csv': '59843562bf3691e972dfd00c9134712b43f8ad6f423982d15b6f85cbde1acf71',
-                     'k.csv.manifest.json': 'a91ce958f7b67c8c0a94a4b4b94fc0eaaa0b34134e06e4b6a7546d0ddde60de1',
+                     'k.csv.manifest.json': '000451e09d9fba65f14aaa9b5f2a703a4a694a3dce1950df43d9719380057294',
                      'k.svg': 'dd550ba72f8f0a31177d66566742ffc0d8979eabafc969f93d3e9e922daf383b'},
          'k-weighted-isotropic': {'<stdout>': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
                                   'k.csv': '0ca127c73d215c1e288cdcf5991653ff6a2f6867e09eec2a17e9775d7619b81d',
-                                  'k.csv.manifest.json': '695caa85820cd0c95114f22d1f7d1b9e33b76af73d83575fa71ff44d56cfe1fc',
+                                  'k.csv.manifest.json': '321314d197ba58dbaa9f0c2c04b631796464238675a87014d515da98dc430324',
                                   'k.svg': 'be96db2266ee0d8c2eda7d927b5f04ab24012f821ba1702b444c11cbd39d3218'},
          'ltest': {'<stdout>': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
                    'score.json': '19cad154a1de1270c2c030be4a8e9783da971dd78a97e4c4638a1fba81d0151d',
-                   'score.json.manifest.json': 'b8cc7b83bd69363387be123758f7eda36103a67ad0717b235db8a90e87441141'},
+                   'score.json.manifest.json': '6425e790fbd9f037af64df4140d8516a32e2d41533216ac95f40b70f90e156d7'},
          'ntest-analytic': {'<stdout>': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
                             'score.json': 'ca75c87c3c84559c7082fc9fe94fe315b387f7a93eba83018c5b6a4f212ce601',
-                            'score.json.manifest.json': '96d9c9ee51746d6ffda5a8811cd5a9508be3954ee24e2e63bda97adb11fccd2b'},
+                            'score.json.manifest.json': '78483877602508c4dd72f22484734aba395460d6f15839a18fb8c372f58cb6cd'},
          'ntest-sims': {'<stdout>': 'b6c3e2f23efbd8ccb0cd5d151ed67fb08c2111254d50299348ca4974bbe42509'},
          'report': {'<stdout>': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
-                    'rep/manifest.json': 'd772ab1938de205ee9f9870f0d1af6bd1c9dec6983f71acc84dd83910413128e',
+                    'rep/manifest.json': '5e7dce74c3af7fd0740f8d70730641e699e74c1782cc90d39d9ff65d1b4ae043',
                     'rep/residuals_pearson.csv': 'ebd42d714de6dd702cdb8895b581ee459f2e3e96632f47978881e8755faf8e41',
                     'rep/residuals_pearson.svg': '2f2de37ecae206094baaa5a6ca55da8286b2250525a05284b6c1e9a5163b6153',
                     'rep/residuals_raw.csv': 'ad2420f7163bfcd5f76871ba6605dafcd665be89e52e71d3c4fe8eacd1b4b696',
@@ -170,54 +170,54 @@ GOLDEN = {'k-plain': {'<stdout>': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b9
                     'rep/weighted_k.svg': 'aeeee366dc23e8416f20f741626f5a3754e43f86147af50293db603abe71505e'},
          'resid-deviance': {'<stdout>': 'fb37aa1ea584cf0f2456ef33cb27011da79a84e191bdfe8bafd0b31abdbdefae',
                             'r.csv': 'a43b57fec1e4a24ec1753d0bae053582ad853fdaf544d7933554e35d7b9eb758',
-                            'r.csv.manifest.json': 'e563682087588c7cbe6e42908d89e9cf074f8068b93754f6b942c97ff95a6ca9',
+                            'r.csv.manifest.json': 'e886a936cd3e42b6e65a5266f14852efef66a012b027c2fe4ea817b7b1d570c8',
                             'r.svg': 'b56d9ae00f0ce969499ebb324e65129535a3097705a4acd10396558c890e8768'},
          'resid-pearson': {'<stdout>': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
                            'r.csv': 'ebd42d714de6dd702cdb8895b581ee459f2e3e96632f47978881e8755faf8e41',
-                           'r.csv.manifest.json': '15488e06e8a015ff897785b7000aa23a64a6e0f37db965ebd303aa34ede5f899',
+                           'r.csv.manifest.json': '18a39ba926ae06d77f3d38eb681feb9d0903a049b46d8b226b92c0cbafc016af',
                            'r.svg': '2f2de37ecae206094baaa5a6ca55da8286b2250525a05284b6c1e9a5163b6153'},
          'resid-raw': {'<stdout>': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
                        'r.csv': 'ad2420f7163bfcd5f76871ba6605dafcd665be89e52e71d3c4fe8eacd1b4b696',
-                       'r.csv.manifest.json': '89f8ab35fea3939fabe70392b47290dbb976d61c8cc2ff78fd442cd2baad8dba',
+                       'r.csv.manifest.json': '30ea65ae3ff787bfb89424164f5d5ff9e2f00e6622a71afda087f157ef550fa2',
                        'r.svg': 'dc06e703ad365e4dd492381c8ad73c42b3c57f883636e4bdfce4f31800a612a3'},
          'simulate': {'<stdout>': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
                       'sim.csv': '87000c2210085ae2f1f89ffc051d628702906c45d9a635de5ded506d53cdfd47',
-                      'sim.csv.manifest.json': 'c274e9d407d3f631319a84d3780866f3769011f80235bac7f665a38649a9fbac'},
+                      'sim.csv.manifest.json': 'f73dbef2358c04bd034c7f8bc30ce7e6ebcd8e1df96141851cf37a096953220e'},
          'simulate-stdout': {'<stdout>': 'b9b18f8b18fd3382ef6d0cebafe8a3ae374c5578c6050588a7dad4cb63489114'},
          'transform-rescale-horizontal': {'<stdout>': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
                                           't.csv': '9925b64642c23c8496cc0c15dd90b230950fc32c3bc0df18619f4e2553b65da8',
-                                          't.csv.manifest.json': '88a38069d98224773d586d84c91bbeef269b2518152aa255744bf1d989106cb9',
+                                          't.csv.manifest.json': 'e494306df666292960082e90746a71e8f2622662256f09977bc9cec94268f55d',
                                           't.svg': '29ecf8bb532141b135774428178d5a7f5409e4ae0bd2ae37e7736361d93b8bb8',
-                                          't_assess.csv': 'f49b6d408d4942de2d25ee39f87b85e2c06d9aebaa79dc05b6e22b0510654b35',
-                                          't_assess.svg': 'c208c46165307ed7d9ee68adf8e8d3a0b749e6e58660930453b4599164e0d4c7',
+                                          't_assess.csv': '2da02a3a4c2479b8a2009ce382d60585ca303828466cf46b7119585fc5fb852e',
+                                          't_assess.svg': '51e28c3b38d419b19961182418bbd1eb6394a8fd2e5b42381614a460a2b00e68',
                                           't_region.csv': '019510a01a857982d8d14ee9a5cf5fd70784716885c5de43009e4669a2de85a1'},
          'transform-rescale-stdout': {'<stdout>': 'c42fd82fa4bd023848a5d341057cab9f4ec75be28a04ce74e08f798034767a4f'},
          'transform-rescale-vertical': {'<stdout>': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
                                         't.csv': '788ab34c392e5197bb44706c267aeb1aa76dccbc76dd98223c6edd854149f8c8',
-                                        't.csv.manifest.json': 'e60c42f9d4896b29f97e2fcd0adbc2da27e8e106ca98fbebb7fe5d403cc9cd8b',
+                                        't.csv.manifest.json': 'c2fdce4e81ac9259e2aa928d76143ef18ca55cb6c1928a025aef6946627be947',
                                         't.svg': '1daeb698ef209b495b7b87738b8ac73a2b44ef8dbc34a503b8122113fad78197',
-                                        't_assess.csv': 'b877d6aa1803359799fb8a4c23b810d3d4bb445c9c80882c37d345307048820d',
-                                        't_assess.svg': '0f768c66279b1f5ef0958bfd9d779d4456bf900ed23835d2373724ac06822da0',
+                                        't_assess.csv': '6066df0c12704fdb760d6fc5c6ac0341b83c78af6eec83e8840b3fe9d37021fb',
+                                        't_assess.svg': 'c3e4ca8192e3f6a95b9b9a250c96c942cb5b4bdeac7ff377b6ed72ce3cf38564',
                                         't_region.csv': '73a3c5a1c77f435337c2750660f8b9104ad562d48f938da6e39bcf955c807ba8'},
          'transform-superpose': {'<stdout>': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
                                  't.csv': 'ba6914e145041707f908aa6bc685efac70530edfbc976f018b632d022e61f516',
-                                 't.csv.manifest.json': '103577df557a9ed98ef9e05b3314cffbba6fc26fef83892925392777ef7019fb',
+                                 't.csv.manifest.json': '2999a1351d254e4e89ac88e15b98186976e006d88e1f6f973cf807dadf53a3c9',
                                  't_assess.csv': 'e1bd34cb386e68cbb0aa57ac1fee066144c94ae4087f643627c0e8b38048e72a'},
          'transform-superthin': {'<stdout>': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
                                  't.csv': 'e3e0930471ff978cec4e8f4d17ee0ada1cdb30c5323913aabc841ec71bdd7d10',
-                                 't.csv.manifest.json': '8faeabada79e5b9df35117c26a84ff65dd6cde0d651acad071e5ccabf13c30ff',
+                                 't.csv.manifest.json': 'f9f77d43038d9c487e710d69373654a470e903a9ff367428390c487e21ac6cb6',
                                  't.svg': '5fe157ed3df08ea61103f8b36f7c200c1715f66e77d0c6c551c94de222fea3ad',
                                  't_assess.csv': '03f56c33beba1296ed0efa736a7d86fecee3b9d1f48c0a6527111632b1608512',
                                  't_assess.svg': 'cda582f49ee57273bd09759cdb4038eb1fb730a42f7d0b306fc526f15d502fb6'},
          'transform-thin': {'<stdout>': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
                             't.csv': '599dfed03640f2b6bf4f78ff6465af197ba4a76dd7dc5a0ddbd229aa94a9684b',
-                            't.csv.manifest.json': '42343d8ff6db91e97376f7248a5d89eb3b631462545946a5884a408cd38e63c7',
+                            't.csv.manifest.json': 'e5fd4b6a9c2739eab5d98a4d2b8f8296f2b823fae0221864fab930b8e346770f',
                             't.svg': 'ef7b81eaf0c432f75a8650e6ef29672df0c847d16c3e26d94b0cffa13b8a6fa6',
                             't_assess.csv': 'e86d4652e033021ef43b7368922e8b20ef9ce15a3639fde4d82e7caa825f400a',
                             't_assess.svg': 'e2829118c53602d1ea324d186583988f93c90885b8bf4a6c0316ac973a6e2fb5'},
          'transform-thin-approx': {'<stdout>': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
                                    't.csv': '83bf82be2b110318d02b4ed4a716c75e3e56790801e41aadf011463f90a1628d',
-                                   't.csv.manifest.json': 'e1ff2a6fd3259f3a2de0fdd1c1c16396683808f294de8df90226b031dc27c1ad'}}
+                                   't.csv.manifest.json': 'ab6360e2eaf00d4caeda77b9d87c95fd5898d3654df98be7d0e11819ad8acafd'}}
 
 
 def _manifest_key(data: bytes) -> bytes:

@@ -137,18 +137,6 @@ def test_expected_points_above_cap_rejected_before_drawing():
             draw()
 
 
-def test_homogeneous_candidates_above_cap_rejected_before_drawing():
-    # 2e3 expected points in one pixel of a 100 x 100 box: rejection
-    # sampling would draw 2e7 candidates
-    mask = np.zeros((100, 100), bool)
-    mask[0, 0] = True
-    g = Grid.regular(0, 100, 0, 100, 1.0, 1.0, active_mask=mask)
-    with pytest.raises(ValidationError,
-                       match="fills 0.0001 of its bounding box"):
-        simulate_homogeneous(g, 2e3, SeededStream(0, 0))
-    assert len(simulate_homogeneous(g, 100.0, SeededStream(0, 0))[0]) > 0
-
-
 def test_homogeneous_count_distribution():
     g = Grid.regular(0, 3, 0, 3, 1.0, 1.0)
     region = g
