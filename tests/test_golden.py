@@ -18,9 +18,13 @@ from quakeresid import cli
 from quakeresid.cli import main
 
 # 4x4 half-degree pixels over [0, 2]^2, two magnitude bins per pixel; pixel
-# (ix 3, iy 0) is masked out of A, and B masks (ix 0, iy 3) instead
+# (ix 3, iy 0) is masked out of A, and B masks (ix 0, iy 3) instead.  C is
+# A at 50 times its rates; its cases run at a quarter of the window, so
+# their pixel means of 7.5-37.5 lie on both sides of the sampler's
+# inversion/PTRS cutoff at 10
 _RATES_A = np.linspace(0.6, 3.0, 16).reshape(4, 4)
 _RATES_B = _RATES_A[::-1, ::-1] * 1.1
+_RATES_C = _RATES_A * 50
 _MASKED_A = (3, 0)
 _MASKED_B = (0, 3)
 
@@ -73,13 +77,37 @@ def _catalog_text():
     return "time,lon,lat,depth,mag\n" + "\n".join(rows) + "\n"
 
 
+def _dense_catalog_text():
+    """Events for C at a quarter of the window: each pixel's count spread
+    about its mean like a Poisson count, so the simulated N- and L-test
+    scores of C lie inside (0, 1) and move with the simulated counts."""
+    rng = np.random.default_rng(20122)
+    rows = []
+    for iy in range(4):
+        for ix in range(4):
+            if (ix, iy) == _MASKED_A:
+                continue
+            mean = 0.25 * _RATES_C[iy, ix]
+            n = max(0, round(mean + mean ** 0.5 * rng.standard_normal()))
+            for _ in range(n):
+                x, y = 0.5 * (np.array([ix, iy]) + rng.random(2))
+                rows.append("%d-%02d-%02dT%02d:%02d:00Z,%.6f,%.6f,5,4.0" % (
+                    2006 + rng.integers(0, 5), rng.integers(1, 13),
+                    rng.integers(1, 29), rng.integers(0, 24),
+                    rng.integers(0, 60), x, y))
+    return "time,lon,lat,depth,mag\n" + "\n".join(rows) + "\n"
+
+
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory):
     d = tmp_path_factory.mktemp("golden_inputs")
-    paths = {"fa": d / "fa.txt", "fb": d / "fb.txt", "cat": d / "cat.csv"}
+    paths = {"fa": d / "fa.txt", "fb": d / "fb.txt", "fc": d / "fc.txt",
+             "cat": d / "cat.csv", "catc": d / "catc.csv"}
     paths["fa"].write_text(_forecast_text(_RATES_A, _MASKED_A))
     paths["fb"].write_text(_forecast_text(_RATES_B, _MASKED_B))
+    paths["fc"].write_text(_forecast_text(_RATES_C, _MASKED_A))
     paths["cat"].write_text(_catalog_text())
+    paths["catc"].write_text(_dense_catalog_text())
     return {k: str(v) for k, v in paths.items()}
 
 
@@ -89,8 +117,13 @@ CASES = {
                        "--analytic", "--out", "{out}/score.json"],
     "ntest-sims": ["ntest", "--forecast", "{fa}", "--catalog", "{cat}",
                    "--sims", "60", "--seed", "3", "--window-fraction", "0.5"],
+    "ntest-sims-ptrs": ["ntest", "--forecast", "{fc}", "--catalog", "{catc}",
+                        "--sims", "60", "--seed", "14",
+                        "--window-fraction", "0.25"],
     "ltest": ["ltest", "--forecast", "{fa}", "--catalog", "{cat}",
               "--sims", "60", "--seed", "4", "--out", "{out}/score.json"],
+    "ltest-ptrs": ["ltest", "--forecast", "{fc}", "--catalog", "{catc}",
+                   "--sims", "60", "--seed", "15", "--window-fraction", "0.25"],
     "resid-raw": ["resid", "--forecast", "{fa}", "--catalog", "{cat}",
                   "--kind", "raw", "--out", "{out}/r.csv",
                   "--svg", "{out}/r.svg"],
@@ -134,6 +167,8 @@ CASES = {
         *K, "--out", "{out}/t.csv", "--svg", "{out}/t.svg"],
     "simulate": ["simulate", "--forecast", "{fa}", "--seed", "11",
                  "--out", "{out}/sim.csv"],
+    "simulate-ptrs": ["simulate", "--forecast", "{fc}", "--seed", "16",
+                      "--window-fraction", "0.25"],
     "simulate-stdout": ["simulate", "--forecast", "{fb}", "--seed", "12",
                         "--mag-min", "4.05", "--window-fraction", "0.25"],
     "report": ["report", "--forecast", "{fa}", "--catalog", "{cat}",
@@ -151,10 +186,12 @@ GOLDEN = {'k-plain': {'<stdout>': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b9
          'ltest': {'<stdout>': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
                    'score.json': '19cad154a1de1270c2c030be4a8e9783da971dd78a97e4c4638a1fba81d0151d',
                    'score.json.manifest.json': '6425e790fbd9f037af64df4140d8516a32e2d41533216ac95f40b70f90e156d7'},
+         'ltest-ptrs': {'<stdout>': '8eda0f3d9587d493780549a8e2efc129728f721c2879fb6300a69512f03a02d6'},
          'ntest-analytic': {'<stdout>': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
                             'score.json': 'ca75c87c3c84559c7082fc9fe94fe315b387f7a93eba83018c5b6a4f212ce601',
                             'score.json.manifest.json': '78483877602508c4dd72f22484734aba395460d6f15839a18fb8c372f58cb6cd'},
          'ntest-sims': {'<stdout>': 'b6c3e2f23efbd8ccb0cd5d151ed67fb08c2111254d50299348ca4974bbe42509'},
+         'ntest-sims-ptrs': {'<stdout>': '0a7019f046ece175f2dba6b6ad994e728cee86d684fbc8893eaf09bab339ee4c'},
          'report': {'<stdout>': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
                     'rep/manifest.json': '5e7dce74c3af7fd0740f8d70730641e699e74c1782cc90d39d9ff65d1b4ae043',
                     'rep/residuals_pearson.csv': 'ebd42d714de6dd702cdb8895b581ee459f2e3e96632f47978881e8755faf8e41',
@@ -183,6 +220,7 @@ GOLDEN = {'k-plain': {'<stdout>': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b9
          'simulate': {'<stdout>': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
                       'sim.csv': '87000c2210085ae2f1f89ffc051d628702906c45d9a635de5ded506d53cdfd47',
                       'sim.csv.manifest.json': 'f73dbef2358c04bd034c7f8bc30ce7e6ebcd8e1df96141851cf37a096953220e'},
+         'simulate-ptrs': {'<stdout>': '56d59ff3f5d0d6d3a50fb1ebd69c4372087528daf52e5133b1d0d84ceafb65bc'},
          'simulate-stdout': {'<stdout>': 'b9b18f8b18fd3382ef6d0cebafe8a3ae374c5578c6050588a7dad4cb63489114'},
          'transform-rescale-horizontal': {'<stdout>': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
                                           't.csv': '9925b64642c23c8496cc0c15dd90b230950fc32c3bc0df18619f4e2553b65da8',
