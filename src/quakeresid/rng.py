@@ -6,8 +6,9 @@ replicates can run in any order.  Poisson variates use a fixed method
 (CDF inversion below mean 10, Hormann's PTRS transformed rejection above)
 so outputs stay bit-reproducible across library versions.  One engine,
 poisson_rows, draws one replicate per generator, many at once; poisson is
-its one-row case.  Each generator ends where drawing its row alone would
-leave it, and no draw needs scipy.
+its one-row case.  PTRS runs in rounds: each round tests one pair for every
+unfinished mean of every row at once.  Each generator ends where drawing
+its row alone would leave it, and no draw needs scipy.
 """
 
 from __future__ import annotations
@@ -64,8 +65,9 @@ def poisson_rows(gens, mu) -> np.ndarray:
     matrix whose row r is poisson(gens[r], mu).
 
     Row r reads gens[r] in a fixed order: one uniform per inversion mean,
-    all at once, then PTRS pairs mean by mean in blocks of one pair per
-    mean left.  Each generator ends just past the last pair its row used.
+    all at once, then PTRS pairs in rounds of one pair per mean it has
+    left, in mean order.  Each generator ends just past the last pair its
+    row used.
     """
     mu = np.asarray(mu, dtype=float)
     _check_means(mu)
@@ -162,34 +164,24 @@ def _ptrs_accepts_all(v, us, k, mu, a, b, inv_alpha, log_mu) -> np.ndarray:
 
 def _ptrs_rows(gens, mus):
     """Hormann (1993) PTRS transformed rejection, valid for mu >= 10: one
-    row of counts per generator, the means served in order.
+    row of counts per generator.
 
-    Step t hands every unfinished row its t-th (u, v) pair, for the mean it
-    is serving: a row that accepts moves on to its next mean and a rejected
-    row retries.  A row reads its uniforms in blocks of one pair per mean it
-    has left, drawn from its own generator when the last block runs out;
-    each of those means needs at least one more pair, so a row never draws
-    past the pair it accepts last.  The squeezes and k use only + - * /,
-    abs and floor, which numpy rounds exactly as Python does.
+    Each round gives every unfinished (row, mean) one (u, v) pair.  A row
+    reads its round's pairs from its own generator in one block, one pair
+    per mean it has left, in mean order; a mean whose pair is rejected
+    waits for the next round, so a row never draws a pair it does not use.
+    The squeezes and k use only + - * /, abs and floor, which numpy rounds
+    exactly as Python does.
     """
     n_rows, n = len(gens), len(mus)
     consts = np.array([(mu, *_ptrs_constants(mu)) for mu in mus])
     out = np.empty((n_rows, n), dtype=np.int64)
-    buf = np.empty((n_rows, 2 * n))
-    pos = np.zeros(n_rows, dtype=np.intp)
-    fill = np.zeros(n_rows, dtype=np.intp)
-    serving = np.zeros(n_rows, dtype=np.intp)
-    rows = np.arange(n_rows)
+    rows, cols = np.repeat(np.arange(n_rows), n), np.tile(np.arange(n), n_rows)
     while len(rows):
-        for r in rows[pos[rows] == fill[rows]].tolist():
-            fill[r], pos[r] = 2 * (n - serving[r]), 0
-            gens[r].random(out=buf[r, :fill[r]])
-        at = pos[rows]
-        u = buf[rows, at] - 0.5
-        v = buf[rows, at + 1]
-        pos[rows] += 2
-        m = serving[rows]
-        mu, a, b, inv_alpha, v_r, log_mu = consts[m].T
+        left = np.bincount(rows, minlength=n_rows).tolist()
+        uv = np.concatenate([g.random(2 * c) for g, c in zip(gens, left) if c])
+        u, v = uv[0::2] - 0.5, uv[1::2]
+        mu, a, b, inv_alpha, v_r, log_mu = consts[cols].T
         us = 0.5 - np.abs(u)
         k = np.floor((2.0 * a / us + b) * u + mu + 0.43)
         done = (us >= 0.07) & (v <= v_r)
@@ -198,7 +190,6 @@ def _ptrs_rows(gens, mus):
             done[full] = _ptrs_accepts_all(
                 v[full], us[full], k[full], mu[full], a[full], b[full],
                 inv_alpha[full], log_mu[full])
-        out[rows[done], m[done]] = k[done]
-        serving[rows[done]] += 1
-        rows = rows[serving[rows] < n]
+        out[rows[done], cols[done]] = k[done]
+        rows, cols = rows[~done], cols[~done]
     return out

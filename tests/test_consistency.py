@@ -160,7 +160,7 @@ def test_replicate_counts_are_pinned():
     counts = np.stack([simulated_counts(fld, stream.substream(j))
                        for j in range(300)])
     assert hashlib.sha256(counts.astype("<i8").tobytes()).hexdigest() == \
-        "c44a36e2f370d9485fe2442124c810f77758cc764e5c46fce2bc15d2e28d6a8d"
+        "fb6ce29cbf7199cc2a8468d72602608e274590a18a11973eae695ba299e07d1b"
     assert np.array_equal(
         np.concatenate(list(replicate_counts(fld, stream, 300))), counts)
 
@@ -169,9 +169,9 @@ def test_simulated_scores_are_pinned():
     fld = _mixed_field()
     cat = _catalog_with_counts(fld, [0, 0, 8, 13, 35, 5071, 999650, 4])
     delta = n_test(fld, cat, 1000, SeededStream(62, 0))
-    assert (delta.value, delta.observed_stat) == (0.408, 1004781.0)
+    assert (delta.value, delta.observed_stat) == (0.39, 1004781.0)
     gamma = l_test(fld, cat, 1000, SeededStream(63, 0))
-    assert (gamma.value, gamma.observed_stat) == (0.677, -23.173523055389524)
+    assert (gamma.value, gamma.observed_stat) == (0.696, -23.173523055389524)
 
 
 def _loglik_one_row(lam, counts):

@@ -90,7 +90,7 @@ def test_poisson_draws_and_generator_state_are_pinned():
     for a in (draws, np.int64(scalar), block):
         digest.update(np.asarray(a).astype("<i8").tobytes())
     assert digest.hexdigest() == \
-        "98dcdc300959b97eed70e225a36b2ccb770b909613164f7ebbb6f7fbea30c03b"
+        "52c74d92e1ee97c3443f9064619c130483a0b1456f4d99b363dd1e18fba3e19d"
     assert rng.random(3).tolist() == [0.9146643942684213, 0.9066982705829323,
                                       0.96798899099257]
 
@@ -104,21 +104,32 @@ def test_poisson_rows_counts_are_pinned():
         digest.update(poisson_rows(gens, np.array(mus)).astype("<i8")
                       .tobytes())
     assert digest.hexdigest() == \
-        "99b3fb6db716029811d421cfdcb8871fc0ab8460b0f58c68fbe2c30bffb625ac"
+        "cce99fcf9c3277cfc0bbf61aa487f9513ebf5e228a7f1afaa7dda98da833d9f9"
 
 
-def test_poisson_array_draws_equal_scalar_calls():
-    # one array call reads the generator exactly as one call per mean would
-    # (inversion means first, all at once, then the PTRS means in order)
+def test_poisson_inversion_draws_come_first():
+    # a row reads one uniform per inversion mean, all at once, before any
+    # PTRS pair
     mus = np.array([3.0, 15.0, 10.0, 0.2, 800.0, 11.5, 6.0, 1e5])
-    a = SeededStream(9, 4).generator()
-    got = poisson(a, mus)
-    b = SeededStream(9, 4).generator()
-    small = poisson(b, mus[mus < 10])
-    large = [int(poisson(b, m)) for m in mus[mus >= 10]]
+    got = poisson(SeededStream(9, 4).generator(), mus)
+    small = poisson(SeededStream(9, 4).generator(), mus[mus < 10])
     assert got[mus < 10].tolist() == small.tolist()
-    assert got[mus >= 10].tolist() == large
-    assert a.random() == b.random()
+
+
+def test_ptrs_row_takes_few_rounds(monkeypatch):
+    # the means of a row are tested together, one round per pass, not one
+    # after another: 400 means take a handful of acceptance calls, not 400
+    calls = []
+    accepts_all = rng_module._ptrs_accepts_all
+
+    def counted(*args):
+        calls.append(len(args[0]))
+        return accepts_all(*args)
+
+    monkeypatch.setattr(rng_module, "_ptrs_accepts_all", counted)
+    mus = np.random.default_rng(25).uniform(10.0, 70.0, 400)
+    poisson(SeededStream(25, 0).generator(), mus)
+    assert len(calls) <= 12
 
 
 class _CountingGenerator:
@@ -142,9 +153,9 @@ def test_poisson_rows_equal_scalar_calls():
 
 
 def test_poisson_rows_refill_from_own_generator():
-    # a row draws one PTRS pair per mean it has left, so every rejection
-    # makes it draw again from its own generator, and it ends where a
-    # one-row call leaves the same generator
+    # each round a row draws one PTRS pair per mean it has left, so a
+    # rejection makes it draw again from its own generator, and it ends
+    # where a one-row call leaves the same generator
     mus = np.array([10.0, 0.5, 12.0, 1e6, 37.5, MAX_POISSON_MEAN])
     gens = [_CountingGenerator(SeededStream(13, j).generator())
             for j in range(200)]
@@ -199,3 +210,22 @@ def test_ptrs_matches_the_poisson_cdf(mu):
     alpha = 1e-6
     assert np.max(np.abs(ecdf - pdtr(k, mu))) < \
         math.sqrt(math.log(2.0 / alpha) / (2.0 * draws.size))
+
+
+def test_ptrs_rows_of_distinct_means_match_the_poisson_cdf():
+    # 5 rows of 4,000 log-uniform means in [10, 1e6]: the randomized PIT
+    # F(k - 1) + V f(k) of each count under its own mean is uniform, so a
+    # count served to the wrong mean shows; the largest gap between its
+    # empirical CDF and the uniform one stays within the DKW bound at
+    # alpha = 1e-6, about 0.019
+    rng = np.random.default_rng(31)
+    mus = np.exp(rng.uniform(math.log(10.0), math.log(1e6), 4000))
+    gens = [SeededStream(16, j).generator() for j in range(5)]
+    k = poisson_rows(gens, mus).ravel()
+    mu = np.tile(mus, 5)
+    below = np.where(k > 0, pdtr(np.maximum(k - 1, 0), mu), 0.0)
+    pit = np.sort(below + rng.random(k.size) * (pdtr(k, mu) - below))
+    n = pit.size
+    gap = max(np.max(np.arange(1, n + 1) / n - pit),
+              np.max(pit - np.arange(n) / n))
+    assert gap < math.sqrt(math.log(2.0 / 1e-6) / (2.0 * n))
