@@ -173,12 +173,11 @@ def _ptrs_rows(gens, mus):
     The squeezes and k use only + - * /, abs and floor, which numpy rounds
     exactly as Python does.
     """
-    n_rows, n = len(gens), len(mus)
     consts = np.array([(mu, *_ptrs_constants(mu)) for mu in mus])
-    out = np.empty((n_rows, n), dtype=np.int64)
-    rows, cols = np.repeat(np.arange(n_rows), n), np.tile(np.arange(n), n_rows)
+    out = np.empty((len(gens), len(mus)), dtype=np.int64)
+    rows, cols = np.indices(out.shape).reshape(2, -1)
     while len(rows):
-        left = np.bincount(rows, minlength=n_rows).tolist()
+        left = np.bincount(rows, minlength=len(gens)).tolist()
         uv = np.concatenate([g.random(2 * c) for g, c in zip(gens, left) if c])
         u, v = uv[0::2] - 0.5, uv[1::2]
         mu, a, b, inv_alpha, v_r, log_mu = consts[cols].T

@@ -20,7 +20,8 @@ from .rng import (MAX_POISSON_MEAN, SeededStream, _check_means, poisson,
 
 # Replicates are drawn in blocks of at most this many (replicate, pixel)
 # counts, which bounds the engine's memory whatever n_sims and the grid.
-_BLOCK_COUNTS = 1 << 19
+# The PTRS rounds hold about 110 bytes per count in flight: 7 MiB a block.
+_BLOCK_COUNTS = 1 << 16
 # Largest expected number of points one simulation may place, far above
 # the 1e4 events of a dense forecast and far below an allocation failure.
 MAX_SIMULATED_POINTS = 1e7

@@ -148,14 +148,16 @@ def test_homogeneous_count_distribution():
 
 
 def _wide_field():
-    # 2**17 active pixels, so a block holds 4 replicates; 1% of the means
-    # take PTRS and the rest inversion, a few of them zero
+    # a quarter of _BLOCK_COUNTS active pixels, so a block holds 4
+    # replicates; 1% of the means take PTRS and the rest inversion, a few
+    # of them zero
+    n = _BLOCK_COUNTS // 4
     rng = np.random.default_rng(5)
-    means = rng.uniform(0.0, 3.0, 1 << 17)
-    means[rng.integers(0, means.size, 1300)] = rng.uniform(10.0, 900.0, 1300)
+    means = rng.uniform(0.0, 3.0, n)
+    means[rng.integers(0, n, n // 100)] = rng.uniform(10.0, 900.0, n // 100)
     means[:7] = 0.0
-    g = Grid.regular(0, 512, 0, 256, 1.0, 1.0)
-    return IntensityField(g, means.reshape(256, 512))
+    g = Grid.regular(0, n // 128, 0, 128, 1.0, 1.0)
+    return IntensityField(g, means.reshape(128, n // 128))
 
 
 @pytest.mark.parametrize("extra, sizes", [(-1, [3]), (0, [4]), (1, [4, 1])])
