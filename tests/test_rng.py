@@ -117,13 +117,13 @@ def test_poisson_inversion_draws_come_first():
 
 
 def test_ptrs_row_takes_few_rounds(monkeypatch):
-    # the means of a row are tested together, one round per pass, not one
-    # after another: 400 means take a handful of acceptance calls, not 400
+    # a round tests all unfinished means of a row in one acceptance call,
+    # so 400 means take a handful of calls, not one or more per mean
     calls = []
     accepts_all = rng_module._ptrs_accepts_all
 
     def counted(*args):
-        calls.append(len(args[0]))
+        calls.append(args)
         return accepts_all(*args)
 
     monkeypatch.setattr(rng_module, "_ptrs_accepts_all", counted)
