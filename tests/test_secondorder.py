@@ -283,6 +283,32 @@ def test_circle_fraction_mask_interior_shortcut_matches_full_cutting(
         assert np.array_equal(circle_fraction_mask(cx, cy, t, g), got)
 
 
+@pytest.mark.parametrize("dx, dy, holes, seed", [
+    (0.25, 0.25, 0.04, 1), (0.1, 0.1, 0.04, 2), (0.1, 0.1, 0.02, 3),
+    (0.1, 0.1, 0.3, 4), (0.1, 0.25, 0.03, 5), (0.3, 0.1, 0.03, 6)])
+def test_circle_fraction_mask_is_the_sum_over_active_pixels(dx, dy, holes,
+                                                            seed):
+    # the region is a union of disjoint pixels, so a circle's fraction in
+    # it is the sum of its exact fractions in each active pixel.  Random
+    # masks on a 30 x 24 grid; centres in active and inactive pixels,
+    # outside the grid, and on pixel edges and corners
+    rng = np.random.default_rng(seed)
+    mask = rng.random((24, 30)) >= holes
+    g = Grid.regular(0, 30 * dx, 0, 24 * dy, dx, dy, active_mask=mask)
+    n = 3000
+    cx = rng.uniform(-2 * dx, 32 * dx, n)
+    cy = rng.uniform(-2 * dy, 26 * dy, n)
+    cx[:800] = rng.integers(0, 31, 800) * dx
+    cy[400:1200] = rng.integers(0, 25, 800) * dy
+    t = rng.uniform(0, 4 * max(dx, dy), n)
+    assert np.all(t > 0)
+    want = np.zeros(n)
+    for iy, ix in zip(*np.nonzero(mask)):
+        want += circle_fraction_rect(cx, cy, t, ix * dx, (ix + 1) * dx,
+                                     iy * dy, (iy + 1) * dy)
+    assert np.max(np.abs(circle_fraction_mask(cx, cy, t, g) - want)) < 1e-12
+
+
 def test_enclosing_circle_takes_the_weight_floor():
     g = _masked_grid()
     centres = np.array([[0.5, 0.4], [0.02, 0.03], [0.99, 0.79]])
