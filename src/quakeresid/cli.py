@@ -546,10 +546,6 @@ def _check_args(args, parser) -> None:
         if kind == "thin-approx" and args.k_count is None:
             parser.error("--kind thin-approx requires --k-count")
         if args.assess and kind == "rescale":
-            if args.edge == "isotropic":
-                raise ValidationError(
-                    "--edge isotropic is only defined for grid regions, and "
-                    "rescaled residuals lie on a row-interval region")
             check_envelope_size(args.sims,
                                 len(default_radii(args.rmax, args.dr)))
     for name in ("k_count", "k_rate"):

@@ -11,12 +11,9 @@ weights, prefactor, region and edge correction.
 
 Isotropic edge correction weights a pair by the reciprocal fraction of the
 circle centered at the first point and passing through the second that lies
-inside the region.  Both paths are exact: interval arithmetic for full
-rectangles, and for irregular masks the arcs between the circle's crossings
-with the grid lines, each inside one pixel.  On a mask, a circle shorter
-than its centre pixel's clearance (how many whole pixels of active grid
-surround that pixel on every side, found with a summed-area table) lies
-wholly inside and is not cut: its fraction is exactly 1.
+inside the region.  One exact routine serves every region: the region's
+cells, merged into runs along each row, are disjoint rectangles, and the
+circle's fraction is the sum of its exact fractions in each of them.
 """
 
 from __future__ import annotations
@@ -28,7 +25,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .grids import Grid
 from .intensity import IntensityField, evaluate, extremes, integrate
 from .rng import SeededStream
 from .simulate import simulate_homogeneous
@@ -48,7 +44,6 @@ BAND_LEVEL = 0.95
 
 # Floor on a circle's inside fraction: one pair's edge weight is at most 720.
 _MIN_ARC_FRACTION = 1.0 / 720
-_MASK_CHUNK = 4096  # circles cut at once by circle_fraction_mask
 
 
 def default_radii(r_max: float = DEFAULT_R_MAX,
@@ -197,14 +192,17 @@ def circle_fraction_rect(cx, cy, t, x0, x1, y0, y1):
     for centres inside the rectangle and outside it alike.  (Two arcs can
     also meet on their far sides, but only for a circle that misses the
     rectangle; its outside part then exceeds 2 pi and the fraction clips
-    to 0.)
+    to 0.)  A circle through or beyond the farthest corner encloses the
+    rectangle and gets exactly 0, which the arc sum only reaches up to
+    rounding.
     """
     cx = np.asarray(cx, dtype=float)
     cy = np.asarray(cy, dtype=float)
     t = np.asarray(t, dtype=float)
+    sides = (x1 - cx, y1 - cy, cx - x0, cy - y0)  # right, top, left, bottom
     with np.errstate(invalid="ignore"):
         alphas = []
-        for d in (x1 - cx, y1 - cy, cx - x0, cy - y0):  # right, top, left, bottom
+        for d in sides:
             ratio = np.clip(d / np.maximum(t, 1e-300), -1.0, 1.0)
             alphas.append(np.where(d < t, np.arccos(ratio), 0.0))
     outside = 2.0 * sum(alphas)
@@ -215,121 +213,71 @@ def circle_fraction_rect(cx, cy, t, x0, x1, y0, y1):
         outside -= np.maximum(0.0, np.minimum(
             alphas[a] + alphas[b] - np.pi / 2.0,
             2.0 * np.minimum(alphas[a], alphas[b])))
-    return np.clip(1.0 - outside / (2.0 * np.pi), 0.0, 1.0)
+    far = np.maximum(sides[0], sides[2]) ** 2 \
+        + np.maximum(sides[1], sides[3]) ** 2   # squared, to the far corner
+    return np.where(far <= t * t, 0.0,
+                    np.clip(1.0 - outside / (2.0 * np.pi), 0.0, 1.0))
 
 
-def _line_offsets(centre, r, origin, step, n_lines):
-    """Offsets (line - centre) / r of n_lines consecutive grid lines
-    origin + k * step, k >= 0, from just below centre - r on, and whether
-    each line cuts the circle.  Lines past the grid only split arcs that
-    lie outside it."""
-    first = np.maximum(np.ceil((centre - r - origin) / step) - 1.0, 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):  # r = 0: no cut
-        u = (origin + (first + np.arange(n_lines)) * step - centre) / r
-    return u, np.abs(u) <= 1.0
+def _rectangles(region):
+    """The region as disjoint rectangles (x0, x1, y0, y1): its cells of
+    positive area, with touching cells of one row merged into runs."""
+    (xo, xi, xs), (yo, yi, ys), areas = region.cells()
+    keep = areas > 0
+    x0, x1, y0, y1 = (np.broadcast_to(o + (i + k) * s, areas.shape)[keep]
+                      for o, i, s in ((xo, xi, xs), (yo, yi, ys))
+                      for k in (0, 1))
+    order = np.lexsort((x0, y1, y0))
+    x0, x1, y0, y1 = x0[order], x1[order], y0[order], y1[order]
+    start = np.flatnonzero(np.concatenate([
+        [True], (y0[1:] != y0[:-1]) | (y1[1:] != y1[:-1])
+        | (x0[1:] != x1[:-1])]))
+    end = np.append(start[1:], len(x0)) - 1
+    return x0[start], x1[end], y0[start], y1[start]
 
 
-def _cut_fractions(cx, cy, t, grid: Grid, t_max: float):
-    """Fractions of the circles inside the active pixels, from the arcs
-    between their crossings with the grid lines.  Every circle gets the
-    cut angles a circle of radius t_max needs, padded with angle 0."""
-    # lines one circle can cut on each axis, with a margin for rounding
-    nx = min(grid.n_x + 1, int(2.0 * t_max / grid.dx) + 3)
-    ny = min(grid.n_y + 1, int(2.0 * t_max / grid.dy) + 3)
-    x, y, r = cx[:, None], cy[:, None], t[:, None]
-    u, cut_x = _line_offsets(x, r, grid.lon_min, grid.dx, nx)
-    v, cut_y = _line_offsets(y, r, grid.lat_min, grid.dy, ny)
-    a = np.arccos(np.where(cut_x, u, 1.0))   # 0 and 2 pi where uncut
-    b = np.arcsin(np.where(cut_y, v, 0.0))   # 0 where uncut
-    ang = np.concatenate([
-        np.zeros_like(r), a, 2.0 * np.pi - a,
-        np.where(b < 0.0, b + 2.0 * np.pi, b),
-        np.where(cut_y, np.pi - b, 0.0),
-        np.full_like(r, 2.0 * np.pi)], axis=1)
-    ang.sort(axis=1)
-    arc = ang[:, 1:] - ang[:, :-1]
-    mid = ang[:, :-1] + 0.5 * arc
-    px = x + r * np.cos(mid)
-    py = y + r * np.sin(mid)
-    # the pixel test stays inline: grid.contains gives the same flags but
-    # made circle_fraction_mask a quarter to a half slower on a RELM-scale
-    # masked grid (69k pairs)
-    inside = (px >= grid.lon_min) & (px <= grid.lon_max) & \
-             (py >= grid.lat_min) & (py <= grid.lat_max)
-    # truncation is floor wherever inside holds
-    ix = np.clip(((px - grid.lon_min) / grid.dx).astype(np.intp),
-                 0, grid.n_x - 1)
-    iy = np.clip(((py - grid.lat_min) / grid.dy).astype(np.intp),
-                 0, grid.n_y - 1)
-    inside &= grid.active_mask.ravel()[iy * grid.n_x + ix]
-    arc *= inside
-    return arc.sum(axis=1) / (2.0 * np.pi)
+def circle_fraction_mask(cx, cy, t, region):
+    """Exact fraction of each circle inside a region: a Grid's active
+    pixels, a RowIntervalRegion or a TransposedRegion, any region whose
+    cells() tile it (Ripley 1988).
 
-
-def circle_fraction_mask(cx, cy, t, grid: Grid):
-    """Exact fraction of the circle inside the active-pixel union.
-
-    The grid lines x = lon_min + k dx and y = lat_min + k dy cut each circle
-    into arcs that each lie inside one pixel or outside the grid; the arcs
-    whose midpoints fall in active pixels are summed (Ripley 1988; Ohser
-    1983).  Every circle of a call gets the same number of cut angles, set
-    by the call's largest radius and padded with angle 0 (zero-length
-    arcs), so a result does not depend on how the call is chunked.  Circles
-    are cut in chunks of _MASK_CHUNK, so peak memory is bounded by the
-    chunk, not by the number of circles.  A circle of radius 0 takes its
-    centre pixel's flag.
-
-    Interior circles are not cut.  A pixel's clearance is k min(dx, dy)
-    for the largest k whose (2k + 1) x (2k + 1) block of pixels centred on
-    it is all active and inside the grid; a circle whose radius lies
-    strictly below its centre pixel's clearance lies inside that block and
-    gets fraction exactly 1.  One summed-area table of the mask answers
-    this for each circle with the block of the smallest k that would
-    suffice.  Centres outside the grid or in inactive pixels, and circles
-    of radius 0, are always cut.
+    The region's cells, with touching cells of one row merged into runs,
+    are disjoint rectangles, so a circle's fraction is the sum of
+    circle_fraction_rect over them.  The circles are sorted by centre y
+    once; each rectangle takes the slice of them whose centres lie within
+    the largest radius of its y band, and of those only the circles whose
+    bounding box meets it, so the working memory follows the circles of
+    one band, not all of them.  A circle of radius 0 takes region.contains
+    at its centre.
     """
     cx = np.asarray(cx, dtype=float)
     cy = np.asarray(cy, dtype=float)
     t = np.asarray(t, dtype=float)
-    out = np.ones(len(t))
     if len(t) == 0:
-        return out
-    # interior shortcut: k = floor(t / d) + 1 pixels is the least clearance
-    # that clears radius t, so test the block of that k
-    d = min(grid.dx, grid.dy)
-    near = np.flatnonzero((t > 0) & (cx >= grid.lon_min)
-                          & (cx <= grid.lon_max) & (cy >= grid.lat_min)
-                          & (cy <= grid.lat_max))
-    k = np.minimum(t[near] / d, grid.n_x + grid.n_y).astype(np.intp) + 1
-    ix, iy = grid.pixel_of(cx[near], cy[near])
-    fits = (t[near] < k * d) & (ix >= k) & (ix + k < grid.n_x) \
-        & (iy >= k) & (iy + k < grid.n_y)
-    near, k, ix, iy = near[fits], k[fits], ix[fits], iy[fits]
-    sat = np.zeros((grid.n_y + 1, grid.n_x + 1), dtype=np.intp)
-    sat[1:, 1:] = grid.active_mask.cumsum(axis=0).cumsum(axis=1)
-    block = sat[iy + k + 1, ix + k + 1] - sat[iy - k, ix + k + 1] \
-        - sat[iy + k + 1, ix - k] + sat[iy - k, ix - k]
-    to_cut = np.ones(len(t), dtype=bool)
-    to_cut[near[block == (2 * k + 1) ** 2]] = False
-    to_cut = np.flatnonzero(to_cut)
-    t_max = float(t.max())
-    for lo in range(0, len(to_cut), _MASK_CHUNK):
-        part = to_cut[lo:lo + _MASK_CHUNK]
-        out[part] = _cut_fractions(cx[part], cy[part], t[part], grid, t_max)
+        return np.zeros(0)
+    order = np.argsort(cy, kind="stable")
+    xs, ys, ts = cx[order], cy[order], t[order]
+    found = np.zeros(len(t))
+    x0, x1, y0, y1 = _rectangles(region)
+    reach = float(t.max())
+    lo = np.searchsorted(ys, y0 - reach, side="left")
+    hi = np.searchsorted(ys, y1 + reach, side="right")
+    for a, b, left, right, bottom, top in zip(lo, hi, x0, x1, y0, y1):
+        x, y, r = xs[a:b], ys[a:b], ts[a:b]
+        near = a + np.flatnonzero((x + r >= left) & (x - r <= right)
+                                  & (y + r >= bottom) & (y - r <= top))
+        found[near] += circle_fraction_rect(xs[near], ys[near], ts[near],
+                                            left, right, bottom, top)
+    out = np.empty(len(t))
+    out[order] = found
+    zero = t == 0
+    out[zero] = region.contains(cx[zero], cy[zero])
     return out
 
 
 def _correction_weights(region, centers, dists):
     """Per-pair weight s = 1 / (circle fraction inside the region)."""
-    if not isinstance(region, Grid):
-        raise ValidationError(
-            "isotropic correction is only defined for grid regions")
-    if region.active_mask.all():
-        frac = circle_fraction_rect(centers[:, 0], centers[:, 1], dists,
-                                    *region.bbox)
-    else:
-        frac = circle_fraction_mask(centers[:, 0], centers[:, 1], dists,
-                                    region)
+    frac = circle_fraction_mask(centers[:, 0], centers[:, 1], dists, region)
     return 1.0 / np.maximum(frac, _MIN_ARC_FRACTION)
 
 

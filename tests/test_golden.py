@@ -147,6 +147,11 @@ CASES = {
         "transform", "--forecast", "{fa}", "--catalog", "{cat}",
         "--kind", "rescale", "--axis", "vertical", "--assess", "--sims", "19",
         "--seed", "6", *K, "--out", "{out}/t.csv", "--svg", "{out}/t.svg"],
+    "transform-rescale-vertical-isotropic": [
+        "transform", "--forecast", "{fa}", "--catalog", "{cat}",
+        "--kind", "rescale", "--axis", "vertical", "--assess", "--sims", "19",
+        "--seed", "6", "--edge", "isotropic", *K, "--out", "{out}/t.csv",
+        "--svg", "{out}/t.svg"],
     "transform-rescale-stdout": [
         "transform", "--forecast", "{fa}", "--catalog", "{cat}",
         "--kind", "rescale"],
@@ -237,6 +242,13 @@ GOLDEN = {'k-plain': {'<stdout>': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b9
                                         't_assess.csv': '6066df0c12704fdb760d6fc5c6ac0341b83c78af6eec83e8840b3fe9d37021fb',
                                         't_assess.svg': 'c3e4ca8192e3f6a95b9b9a250c96c942cb5b4bdeac7ff377b6ed72ce3cf38564',
                                         't_region.csv': '73a3c5a1c77f435337c2750660f8b9104ad562d48f938da6e39bcf955c807ba8'},
+         'transform-rescale-vertical-isotropic': {'<stdout>': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+                                                  't.csv': '788ab34c392e5197bb44706c267aeb1aa76dccbc76dd98223c6edd854149f8c8',
+                                                  't.csv.manifest.json': 'f3c865b8e31a5948da18d4b6a1d4a415d6d1a49db1ac4d871de1e22094709000',
+                                                  't.svg': '1daeb698ef209b495b7b87738b8ac73a2b44ef8dbc34a503b8122113fad78197',
+                                                  't_assess.csv': '29a9c1c76d6e40b79199be985d13b97e78dacf5707d9dc7be3e4743783f40173',
+                                                  't_assess.svg': '046fdd109009650b56fa552f3a59d5b9de66f5387bc872d0e20015e55ec4ed34',
+                                                  't_region.csv': '73a3c5a1c77f435337c2750660f8b9104ad562d48f938da6e39bcf955c807ba8'},
          'transform-superpose': {'<stdout>': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
                                  't.csv': 'ba6914e145041707f908aa6bc685efac70530edfbc976f018b632d022e61f516',
                                  't.csv.manifest.json': '2af0e2d6e7831a105720bc6e1e94384a885a8c928a1d2ad848ad61ee9d37fe1a',

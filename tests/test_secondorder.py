@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from quakeresid import (Grid, IntensityField,
-                        OutsideRegionError, SeededStream,
-                        ValidationError, default_radii,
+                        OutsideRegionError, RowIntervalRegion, SeededStream,
+                        TransposedRegion, ValidationError, default_radii,
                         envelope_bands, pairs_within, radii_grid, ripley_k,
-                        weighted_k, weighted_k_constant, wk_confidence_bands)
+                        simulate_homogeneous, weighted_k, weighted_k_constant,
+                        wk_confidence_bands)
 from quakeresid import secondorder
 from quakeresid.secondorder import (KCurve, circle_fraction_mask,
                                     circle_fraction_rect)
@@ -170,20 +171,6 @@ def _dense_fraction(cx, cy, t, grid, samples=200_000):
     return np.array(out)
 
 
-@pytest.mark.parametrize("chunk", [1, 7])
-def test_circle_fraction_mask_independent_of_chunking(monkeypatch, chunk):
-    g = _masked_grid()
-    rng = np.random.default_rng(6)
-    n = 300
-    cx, cy = rng.uniform(-0.1, 1.1, n), rng.uniform(-0.1, 0.9, n)
-    t = rng.uniform(0.0, 0.7, n)
-    t[:5] = 0.0
-    want = circle_fraction_mask(cx, cy, t, g)
-    monkeypatch.setattr(secondorder, "_MASK_CHUNK", chunk)
-    assert np.array_equal(circle_fraction_mask(cx, cy, t, g), want)
-    assert len(circle_fraction_mask(cx[:0], cy[:0], t[:0], g)) == 0
-
-
 def test_circle_fraction_mask_matches_dense_sampling():
     # radii up to 9 pixels on a 30 x 24 grid, centres inside and outside
     mask = np.random.default_rng(8).random((24, 30)) < 0.6
@@ -226,61 +213,7 @@ def test_circle_fraction_mask_radius_zero_takes_centre_flag():
     iy = np.clip(np.floor(cy / 0.1).astype(int), 0, 7)
     inbox = (cx >= 0) & (cx <= 1) & (cy >= 0) & (cy <= 0.8)
     assert np.array_equal(got, (inbox & g.active_mask[iy, ix]).astype(float))
-
-
-def _clearance(mask):
-    """Brute force: the largest k whose (2k + 1)-pixel square block about
-    each pixel is all active and inside the grid (0 for inactive pixels)."""
-    n_y, n_x = mask.shape
-    out = np.zeros(mask.shape, dtype=int)
-    for iy in range(n_y):
-        for ix in range(n_x):
-            k = 0
-            while (mask[iy, ix]
-                   and k < min(ix, iy, n_x - 1 - ix, n_y - 1 - iy)
-                   and mask[iy - k - 1:iy + k + 2, ix - k - 1:ix + k + 2].all()):
-                k += 1
-            out[iy, ix] = k
-    return out
-
-
-@pytest.mark.parametrize("dx, dy, holes, seed", [
-    (0.25, 0.25, 0.04, 1), (0.1, 0.1, 0.04, 2), (0.1, 0.1, 0.02, 3),
-    (0.1, 0.1, 0.3, 4), (0.1, 0.25, 0.03, 5), (0.3, 0.1, 0.03, 6)])
-def test_circle_fraction_mask_interior_shortcut_matches_full_cutting(
-        monkeypatch, dx, dy, holes, seed):
-    # random masks on a 30 x 24 grid; centres in active and inactive
-    # pixels, outside the grid, and on pixel edges and corners; radii 0,
-    # exactly at the centre pixel's clearance and one step either side
-    rng = np.random.default_rng(seed)
-    mask = rng.random((24, 30)) >= holes
-    g = Grid.regular(0, 30 * dx, 0, 24 * dy, dx, dy, active_mask=mask)
-    n = 3000
-    cx = rng.uniform(-2 * dx, 32 * dx, n)
-    cy = rng.uniform(-2 * dy, 26 * dy, n)
-    cx[:800] = rng.integers(0, 31, 800) * dx
-    cy[400:1200] = rng.integers(0, 25, 800) * dy
-    inbox = (cx >= 0) & (cx <= 30 * dx) & (cy >= 0) & (cy <= 24 * dy)
-    ix = np.clip(np.floor(cx / dx).astype(int), 0, 29)
-    iy = np.clip(np.floor(cy / dy).astype(int), 0, 23)
-    clear = np.where(inbox, _clearance(mask)[iy, ix] * min(dx, dy), 0.0)
-    t = rng.uniform(0, 4 * max(dx, dy), n)
-    t[::6] = 0.0
-    t[1::6] = clear[1::6]
-    cleared = clear > 0
-    t[2::6] = np.where(cleared, np.nextafter(clear, 0), t)[2::6]
-    t[3::6] = np.where(cleared, np.nextafter(clear, np.inf), t)[3::6]
-    got = circle_fraction_mask(cx, cy, t, g)
-    full = secondorder._cut_fractions(cx, cy, t, g, float(t.max()))
-    assert np.max(np.abs(got - full)) < 1e-12
-    interior = (t > 0) & (t < clear)
-    assert interior.sum() > (20 if holes > 0.1 else 250)
-    assert np.all(got[interior] == 1.0)
-    # everything else is cut exactly as before: same angles, same sums
-    assert np.array_equal(got[~interior], full[~interior])
-    for chunk in (1, 7):
-        monkeypatch.setattr(secondorder, "_MASK_CHUNK", chunk)
-        assert np.array_equal(circle_fraction_mask(cx, cy, t, g), got)
+    assert len(circle_fraction_mask(cx[:0], cy[:0], cx[:0], g)) == 0
 
 
 @pytest.mark.parametrize("dx, dy, holes, seed", [
@@ -413,6 +346,9 @@ def test_circle_fraction_rect_exact_for_centres_outside():
     # hold its neighbour's arc, or meet it on both sides
     box = Grid.regular(0, 1, 0, 0.8, 1, 0.8)   # one pixel, all active
     assert circle_fraction_rect(-0.0275, 0.6068, 0.0143, 0, 1, 0, 0.8) == 0
+    # a circle enclosing the rectangle, whose arcs sum to 2 pi only up to
+    # rounding
+    assert circle_fraction_rect(0.02, 0.03, 1.3, 0.2, 0.9, 0, 0.1) == 0
     rng = np.random.default_rng(12)
     cx, cy = rng.uniform(-0.1, 1.1, 200), rng.uniform(-0.1, 0.9, 200)
     t = rng.uniform(0, 1.5, 200)
@@ -445,6 +381,33 @@ def test_isotropic_correction_reduces_edge_bias():
     assert np.all(np.abs(err_iso - target) < np.abs(err_none - target))
     # ordered pairs over n^2: the mean is (n - 1) / n of pi r^2 here
     assert np.allclose(err_iso, target, rtol=0.04)
+
+
+@pytest.mark.parametrize("transposed", [False, True])
+def test_isotropic_k_unbiased_on_a_ragged_rescaled_region(transposed):
+    # 20 rows of height 0.1 and lengths 0.3-3.0, as rescaling leaves them:
+    # under a homogeneous null the isotropic K averages pi r^2, while the
+    # uncorrected K falls well short of it
+    lengths = np.random.default_rng(40).uniform(0.3, 3.0, 20)
+    region = RowIntervalRegion(np.arange(21) * 0.1, lengths)
+    if transposed:
+        region = TransposedRegion(region)
+    rate = 300 / region.area
+    radii = radii_grid([0.05, 0.1, 0.2])
+    ratios = {"isotropic": [], "none": []}
+    for j in range(120):
+        xs, ys = simulate_homogeneous(region, rate, SeededStream(41, j))
+        pts = np.column_stack([xs, ys])
+        for edge in ratios:
+            k = weighted_k_constant(pts, rate, region, radii, edge).k_values
+            ratios[edge].append(k / (np.pi * radii ** 2))
+    z = {}
+    for edge, values in ratios.items():
+        values = np.array(values)
+        z[edge] = (values.mean(axis=0) - 1) \
+            / (values.std(axis=0, ddof=1) / np.sqrt(len(values)))
+    assert np.all(np.abs(z["isotropic"]) < 3), z
+    assert np.all(z["none"] < -3), z
 
 
 def test_wk_confidence_bands_scaling():
