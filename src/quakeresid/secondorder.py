@@ -44,6 +44,7 @@ BAND_LEVEL = 0.95
 
 # Floor on a circle's inside fraction: one pair's edge weight is at most 720.
 _MIN_ARC_FRACTION = 1.0 / 720
+_RECT_BLOCK = 2 ** 15  # (rectangle, circle) pairs circle_fraction_mask holds
 
 
 def default_radii(r_max: float = DEFAULT_R_MAX,
@@ -243,11 +244,13 @@ def circle_fraction_mask(cx, cy, t, region):
 
     The region's cells, with touching cells of one row merged into runs,
     are disjoint rectangles, so a circle's fraction is the sum of
-    circle_fraction_rect over them.  The circles are sorted by centre y
-    once; each rectangle takes the slice of them whose centres lie within
-    the largest radius of its y band, and of those only the circles whose
-    bounding box meets it, so the working memory follows the circles of
-    one band, not all of them.  A circle of radius 0 takes region.contains
+    circle_fraction_rect over them, added in rectangle order.  The circles
+    are sorted by centre y once; each rectangle takes the slice of them
+    whose centres lie within the largest radius of its y band, and of those
+    only the circles whose bounding box meets it.  These (rectangle,
+    circle) candidates are evaluated for _RECT_BLOCK of them at a time, so
+    memory follows the block, not the number of circles, and a result does
+    not depend on the blocking.  A circle of radius 0 takes region.contains
     at its centre.
     """
     cx = np.asarray(cx, dtype=float)
@@ -257,17 +260,25 @@ def circle_fraction_mask(cx, cy, t, region):
         return np.zeros(0)
     order = np.argsort(cy, kind="stable")
     xs, ys, ts = cx[order], cy[order], t[order]
-    found = np.zeros(len(t))
     x0, x1, y0, y1 = _rectangles(region)
     reach = float(t.max())
     lo = np.searchsorted(ys, y0 - reach, side="left")
     hi = np.searchsorted(ys, y1 + reach, side="right")
-    for a, b, left, right, bottom, top in zip(lo, hi, x0, x1, y0, y1):
+    found = np.zeros(len(t))
+    held, count = [], 0        # circles met by rectangles first .. k
+    for k, (a, b) in enumerate(zip(lo, hi)):
         x, y, r = xs[a:b], ys[a:b], ts[a:b]
-        near = a + np.flatnonzero((x + r >= left) & (x - r <= right)
-                                  & (y + r >= bottom) & (y - r <= top))
-        found[near] += circle_fraction_rect(xs[near], ys[near], ts[near],
-                                            left, right, bottom, top)
+        held.append(a + np.flatnonzero((x + r >= x0[k]) & (x - r <= x1[k])
+                                       & (y + r >= y0[k]) & (y - r <= y1[k])))
+        count += len(held[-1])
+        if count >= _RECT_BLOCK or k == len(lo) - 1:
+            first = k + 1 - len(held)
+            n = [len(h) for h in held]
+            circle = np.concatenate(held)
+            np.add.at(found, circle, circle_fraction_rect(
+                xs[circle], ys[circle], ts[circle],
+                *(np.repeat(v[first:k + 1], n) for v in (x0, x1, y0, y1))))
+            held, count = [], 0
     out = np.empty(len(t))
     out[order] = found
     zero = t == 0

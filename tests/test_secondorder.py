@@ -171,6 +171,20 @@ def _dense_fraction(cx, cy, t, grid, samples=200_000):
     return np.array(out)
 
 
+@pytest.mark.parametrize("chunk", [1, 7])
+def test_circle_fraction_mask_independent_of_chunking(monkeypatch, chunk):
+    g = _masked_grid()
+    rng = np.random.default_rng(6)
+    n = 300
+    cx, cy = rng.uniform(-0.1, 1.1, n), rng.uniform(-0.1, 0.9, n)
+    t = rng.uniform(0.0, 0.7, n)
+    t[:5] = 0.0
+    want = circle_fraction_mask(cx, cy, t, g)
+    monkeypatch.setattr(secondorder, "_RECT_BLOCK", chunk)
+    assert np.array_equal(circle_fraction_mask(cx, cy, t, g), want)
+    assert len(circle_fraction_mask(cx[:0], cy[:0], t[:0], g)) == 0
+
+
 def test_circle_fraction_mask_matches_dense_sampling():
     # radii up to 9 pixels on a 30 x 24 grid, centres inside and outside
     mask = np.random.default_rng(8).random((24, 30)) < 0.6
@@ -213,7 +227,6 @@ def test_circle_fraction_mask_radius_zero_takes_centre_flag():
     iy = np.clip(np.floor(cy / 0.1).astype(int), 0, 7)
     inbox = (cx >= 0) & (cx <= 1) & (cy >= 0) & (cy <= 0.8)
     assert np.array_equal(got, (inbox & g.active_mask[iy, ix]).astype(float))
-    assert len(circle_fraction_mask(cx[:0], cy[:0], cx[:0], g)) == 0
 
 
 @pytest.mark.parametrize("dx, dy, holes, seed", [
