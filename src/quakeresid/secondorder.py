@@ -248,10 +248,10 @@ def circle_fraction_mask(cx, cy, t, region):
     are sorted by centre y once; each rectangle takes the slice of them
     whose centres lie within the largest radius of its y band, and of those
     only the circles whose bounding box meets it.  These (rectangle,
-    circle) candidates are evaluated for _RECT_BLOCK of them at a time, so
-    memory follows the block, not the number of circles, and a result does
-    not depend on the blocking.  A circle of radius 0 takes region.contains
-    at its centre.
+    circle) candidates are evaluated _RECT_BLOCK at a time, so the memory
+    beyond the sorted copies of the circles follows the block, not the
+    number of circles, and a result does not depend on the blocking.  A
+    circle of radius 0 takes region.contains at its centre.
     """
     cx = np.asarray(cx, dtype=float)
     cy = np.asarray(cy, dtype=float)
