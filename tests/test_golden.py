@@ -139,6 +139,11 @@ CASES = {
     "k-weighted-isotropic": ["k", "--forecast", "{fa}", "--catalog", "{cat}",
                              "--weighted", "--edge", "isotropic", *K,
                              "--out", "{out}/k.csv", "--svg", "{out}/k.svg"],
+    # C's denser catalog gives the pair sums enough terms for their
+    # summation order to reach the printed digits
+    "k-weighted-isotropic-dense": ["k", "--forecast", "{fc}", "--catalog",
+                                   "{catc}", "--weighted", "--edge",
+                                   "isotropic", *K],
     "transform-rescale-horizontal": [
         "transform", "--forecast", "{fa}", "--catalog", "{cat}",
         "--kind", "rescale", "--assess", "--sims", "19", "--seed", "6", *K,
@@ -188,6 +193,7 @@ GOLDEN = {'k-plain': {'<stdout>': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b9
                                   'k.csv': '0ca127c73d215c1e288cdcf5991653ff6a2f6867e09eec2a17e9775d7619b81d',
                                   'k.csv.manifest.json': '088132ef1e8706e6583fac9606570f85ff84b05b898021e13b75fa55111430e5',
                                   'k.svg': 'be96db2266ee0d8c2eda7d927b5f04ab24012f821ba1702b444c11cbd39d3218'},
+         'k-weighted-isotropic-dense': {'<stdout>': '5530469e5b876a1308c9deab3847579e11ad7633725bb3eeecc69e5f74004172'},
          'ltest': {'<stdout>': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
                    'score.json': '19cad154a1de1270c2c030be4a8e9783da971dd78a97e4c4638a1fba81d0151d',
                    'score.json.manifest.json': '0de84229ebb2a4969b99f13bd6ad04b2720ebd64c58f496ce83f9315c82cc3b0'},
