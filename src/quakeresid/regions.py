@@ -21,11 +21,29 @@ def place(rng, counts, x, y):
     """counts[i] uniform points in cell i, which spans [origin + index *
     step, origin + (index + 1) * step) on each axis, for x and y the per-axis
     (origin, index, step), each a scalar or one entry per cell.  Every x
-    uniform is drawn before any y uniform.  Returns (x, y) arrays."""
+    uniform is drawn before any y uniform.  Returns (x, y) arrays.
+
+    Rounding can carry a coordinate up into the next cell as the regions
+    read it: the floor of (v - origin) / step, which Grid uses and which a
+    row region's y edges agree with wherever it holds.  Only such a
+    coordinate moves: down one unit of the precision of v - origin at a
+    time until it is back, but never onto its cell's lower edge, so a cell
+    one unit wide (a subnormal row interval, whose x edge is closed) keeps
+    its point on the upper edge."""
     def coordinate(origin, index, step):
-        origin, index, step = (v if np.ndim(v) == 0 else np.repeat(v, counts)
-                               for v in (origin, index, step))
-        return origin + (index + rng.random(int(np.sum(counts)))) * step
+        n = int(np.sum(counts))
+        origin, index, step = (np.broadcast_to(
+            v if np.ndim(v) == 0 else np.repeat(v, counts), n)
+            for v in (origin, index, step))
+        v = origin + (index + rng.random(n)) * step
+        k = np.flatnonzero(np.floor((v - origin) / step) > index)
+        while k.size:
+            o, i, s = origin[k], index[k], step[k]
+            down = v[k] - np.spacing(np.maximum(abs(v[k]), abs(o)))
+            move = (np.floor((v[k] - o) / s) > i) & (down > o + i * s)
+            k = k[move]
+            v[k] = down[move]
+        return v
 
     return coordinate(*x), coordinate(*y)
 

@@ -9,6 +9,13 @@ constant-weight case w = A / n, c = 1 / A.  A simulation envelope applies
 the estimator it brackets to homogeneous Poisson patterns, with the same
 weights, prefactor, region and edge correction.
 
+One pair search feeds the estimator: a cell-bucket search yields the pairs
+within the largest radius a block at a time, blocks cut by candidate count.
+Each block's terms are added into radius bins, and one cumulative sum over
+the bins gives K at every radius, so memory follows the block, not the
+number of pairs.  The blocks fix the order of the sum, and with it the last
+bits of K.
+
 Isotropic edge correction weights a pair by the reciprocal fraction of the
 circle centered at the first point and passing through the second that lies
 inside the region.  One exact routine serves every region: the region's
@@ -118,25 +125,26 @@ class KCurve:
 # ---------------------------------------------------------------------------
 # pair search: cell buckets of side slightly above r_max, then exact filtering
 
-_PAIR_BLOCK = 4096   # centres whose candidate pairs are expanded at once
+_PAIR_BLOCK = 2 ** 18  # candidate pairs one block expands, at least one centre
 _MAX_CELLS = 2 ** 20  # cells per axis at most, so int64 cell keys never overflow
 
 
-def pairs_within(points: np.ndarray, r_max: float):
-    """All unordered pairs (i < j) at distance <= r_max.
+def _pair_blocks(points: np.ndarray, r_max: float):
+    """Every unordered pair at distance <= r_max, yielded as (i, j, distance)
+    arrays one block at a time, in no global order.
 
-    Returns (i, j, distance) arrays sorted by (i, j).  Points are bucketed
-    into cells of side r_max widened by 1e-9 relative (wider where the span
-    would need more than 2^20 cells on an axis), so every pair within r_max
-    lies in the same or a neighbouring cell.  Candidate distances are
-    computed with np.hypot and filtered exactly, so pairs at exactly r_max
-    are kept.  Candidates are expanded for _PAIR_BLOCK centres at a time.
+    Points are bucketed into cells of side r_max widened by 1e-9 relative
+    (wider where the span would need more than 2^20 cells on an axis), so
+    every pair within r_max lies in the same or a neighbouring cell.  A
+    block takes consecutive centres whose candidates number at most
+    _PAIR_BLOCK, and at least one centre.  Candidate distances are computed
+    with np.hypot and filtered exactly, so pairs at exactly r_max are kept.
     Points with a non-finite coordinate pair with nothing.
     """
     pts = np.asarray(points, dtype=float)
     finite = np.flatnonzero(np.isfinite(pts).all(axis=-1))
     if len(finite) < 2 or not r_max >= 0:
-        return np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros(0)
+        return
     # cells from halved coordinates: the span of any finite set is finite
     half = 0.5 * pts[finite]
     lo = half.min(axis=0)
@@ -158,26 +166,38 @@ def pairs_within(points: np.ndarray, r_max: float):
     stops = np.concatenate([
         np.searchsorted(key, key + 1, side="right"),
         np.searchsorted(key, key + width + 1, side="right")])
-    found_i, found_j, found_d = [], [], []
-    for b in range(0, m, _PAIR_BLOCK):
-        block = np.arange(b, min(b + _PAIR_BLOCK, m))
+    before = np.concatenate([[0], np.cumsum((stops - starts).reshape(2, m)
+                                            .sum(axis=0))])
+    b = 0
+    while b < m:
+        e = max(b + 1, int(np.searchsorted(before, before[b] + _PAIR_BLOCK,
+                                           side="right")) - 1)
+        block = np.arange(b, e)
         ranges = np.concatenate([block, block + m])
         counts = stops[ranges] - starts[ranges]
-        total = int(counts.sum())
         src = np.repeat(np.concatenate([block, block]), counts)
         dst = np.repeat(starts[ranges] - (np.cumsum(counts) - counts),
-                        counts) + np.arange(total)
+                        counts) + np.arange(int(counts.sum()))
         with np.errstate(over="ignore"):   # an overflowed distance is inf
             d = np.hypot(xs[src] - xs[dst], ys[src] - ys[dst])
         keep = d <= r_max
-        found_i.append(src[keep])
-        found_j.append(dst[keep])
-        found_d.append(d[keep])
-    a = finite[order[np.concatenate(found_i)]]
-    c = finite[order[np.concatenate(found_j)]]
+        i, j, d = finite[order[src[keep]]], finite[order[dst[keep]]], d[keep]
+        del src, dst, keep   # no candidate array outlives its block
+        yield i, j, d
+        b = e
+
+
+def pairs_within(points: np.ndarray, r_max: float):
+    """All unordered pairs (i < j) at distance <= r_max: the blocks of
+    _pair_blocks gathered and sorted.  Returns (i, j, distance) arrays
+    sorted by (i, j)."""
+    pts = np.asarray(points, dtype=float)
+    found = [(np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros(0))]
+    found += _pair_blocks(pts, r_max)
+    a, c, d = (np.concatenate(v) for v in zip(*found))
     ii, jj = np.minimum(a, c), np.maximum(a, c)
     by_pair = np.argsort(ii * len(pts) + jj)
-    return ii[by_pair], jj[by_pair], np.concatenate(found_d)[by_pair]
+    return ii[by_pair], jj[by_pair], d[by_pair]
 
 
 # ---------------------------------------------------------------------------
@@ -301,21 +321,24 @@ _PAIR_CONVENTION = "ordered j!=i, non-strict <="
 def _weighted_k_from_weights(pts, point_weights, prefactor, region, radii,
                              edge_correction) -> np.ndarray:
     """The one K estimator: prefactor times the sum over ordered pairs
-    j != i at distance <= r of w_i w_j s_ij.  Fewer than two points give
-    zeros."""
+    j != i at distance <= r of w_i w_j s_ij, in one pass over the pair
+    blocks: each block's terms are binned by the first radius at or above
+    their distance, and a cumulative sum over the bins gives K.  Fewer than
+    two points give zeros."""
     if edge_correction not in ("none", "isotropic"):
         raise ValidationError(f"unknown edge correction {edge_correction!r}")
-    ii, jj, dd = pairs_within(pts, float(radii[-1]))
-    pw = point_weights[ii] * point_weights[jj]
-    if edge_correction == "isotropic":
-        s_ij = _correction_weights(region, pts[ii], dd)
-        s_ji = _correction_weights(region, pts[jj], dd)
-        pair_terms = pw * (s_ij + s_ji)  # both orientations of each pair
-    else:
-        pair_terms = 2.0 * pw
-    order = np.argsort(dd, kind="stable")
-    csum = np.concatenate([[0.0], np.cumsum(pair_terms[order])])
-    return prefactor * csum[np.searchsorted(dd[order], radii, side="right")]
+    binned = np.zeros(len(radii))
+    for ii, jj, dd in _pair_blocks(pts, float(radii[-1])):
+        pw = point_weights[ii] * point_weights[jj]
+        if edge_correction == "isotropic":
+            s_ij = _correction_weights(region, pts[ii], dd)
+            s_ji = _correction_weights(region, pts[jj], dd)
+            terms = pw * (s_ij + s_ji)  # both orientations of each pair
+        else:
+            terms = 2.0 * pw
+        binned += np.bincount(np.searchsorted(radii, dd), weights=terms,
+                              minlength=len(radii))
+    return prefactor * np.cumsum(binned)
 
 
 def _constant_rate_k(pts, rate, region, radii, edge_correction) -> np.ndarray:

@@ -187,24 +187,24 @@ CASES = {
 
 GOLDEN = {'k-plain': {'<stdout>': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
                      'k.csv': '59843562bf3691e972dfd00c9134712b43f8ad6f423982d15b6f85cbde1acf71',
-                     'k.csv.manifest.json': '53e71b0b085a9d1e0b4f0e7948a7b586a72a038bfb127068c79ba47fb2b61416',
+                     'k.csv.manifest.json': '3cafa9cb123669acfa582a90cce578d7f8edbbff0a5bb825866d406f6afeb6ff',
                      'k.svg': 'dd550ba72f8f0a31177d66566742ffc0d8979eabafc969f93d3e9e922daf383b'},
          'k-weighted-isotropic': {'<stdout>': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
                                   'k.csv': '0ca127c73d215c1e288cdcf5991653ff6a2f6867e09eec2a17e9775d7619b81d',
-                                  'k.csv.manifest.json': '088132ef1e8706e6583fac9606570f85ff84b05b898021e13b75fa55111430e5',
+                                  'k.csv.manifest.json': '9fb3deac40862de83c9d2056aa4bb61b2452cafa08e6b77e4881d3884c5d8c77',
                                   'k.svg': 'be96db2266ee0d8c2eda7d927b5f04ab24012f821ba1702b444c11cbd39d3218'},
          'k-weighted-isotropic-dense': {'<stdout>': '5530469e5b876a1308c9deab3847579e11ad7633725bb3eeecc69e5f74004172'},
          'ltest': {'<stdout>': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
                    'score.json': '19cad154a1de1270c2c030be4a8e9783da971dd78a97e4c4638a1fba81d0151d',
-                   'score.json.manifest.json': '0de84229ebb2a4969b99f13bd6ad04b2720ebd64c58f496ce83f9315c82cc3b0'},
+                   'score.json.manifest.json': 'fb1f4dd67add56bf45bf4ed75249979cfa323d841f5ac6caef1fbd64b3fcc52e'},
          'ltest-ptrs': {'<stdout>': '755da4cf8d4a31d85cd37baf5de352dfa4c22a2fa02d79a34c7a8d75b7ef2201'},
          'ntest-analytic': {'<stdout>': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
                             'score.json': 'ca75c87c3c84559c7082fc9fe94fe315b387f7a93eba83018c5b6a4f212ce601',
-                            'score.json.manifest.json': '0cb35ec9f967404dff12b6d209af867064b3163cd04998c6fa62a9745bd47291'},
+                            'score.json.manifest.json': '6a24afb0397b0c25229b03cf345ea5ce0b28afd0fae9f84c382ec80871df375f'},
          'ntest-sims': {'<stdout>': 'b6c3e2f23efbd8ccb0cd5d151ed67fb08c2111254d50299348ca4974bbe42509'},
          'ntest-sims-ptrs': {'<stdout>': 'd6fabc3c92b7695ccec9a5f63f06161b2ca71abcd7c4bc3544aa03cc68cb60b7'},
          'report': {'<stdout>': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
-                    'rep/manifest.json': '640abf7aa6793a65a198067cd6225bcefd83ee6bfffade106c5df70d10cfe3b9',
+                    'rep/manifest.json': 'b05c417d54f9100ba18e14fda02c7491d1b4e4ac9fb6f9da0a4f7c1f4ad94087',
                     'rep/residuals_pearson.csv': 'ebd42d714de6dd702cdb8895b581ee459f2e3e96632f47978881e8755faf8e41',
                     'rep/residuals_pearson.svg': '2f2de37ecae206094baaa5a6ca55da8286b2250525a05284b6c1e9a5163b6153',
                     'rep/residuals_raw.csv': 'ad2420f7163bfcd5f76871ba6605dafcd665be89e52e71d3c4fe8eacd1b4b696',
@@ -218,24 +218,24 @@ GOLDEN = {'k-plain': {'<stdout>': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b9
                     'rep/weighted_k.svg': 'aeeee366dc23e8416f20f741626f5a3754e43f86147af50293db603abe71505e'},
          'resid-deviance': {'<stdout>': 'fb37aa1ea584cf0f2456ef33cb27011da79a84e191bdfe8bafd0b31abdbdefae',
                             'r.csv': 'a43b57fec1e4a24ec1753d0bae053582ad853fdaf544d7933554e35d7b9eb758',
-                            'r.csv.manifest.json': '4d74f014364116523db90c6763adfb6d87bbd235ff22dbff88d015c6918c46b7',
+                            'r.csv.manifest.json': '623f04fb64b691e7e0ec02f4541773eaf7304c5e1bfaf85fb3bee95176838384',
                             'r.svg': 'b56d9ae00f0ce969499ebb324e65129535a3097705a4acd10396558c890e8768'},
          'resid-pearson': {'<stdout>': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
                            'r.csv': 'ebd42d714de6dd702cdb8895b581ee459f2e3e96632f47978881e8755faf8e41',
-                           'r.csv.manifest.json': '675e704f20034367577d288f7f915792a5b35c576b940553bf86026d225cb377',
+                           'r.csv.manifest.json': 'a24ba4d4a784b30788376ad19bffc6cffeab152fe60ab787f1ede13ea95ae830',
                            'r.svg': '2f2de37ecae206094baaa5a6ca55da8286b2250525a05284b6c1e9a5163b6153'},
          'resid-raw': {'<stdout>': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
                        'r.csv': 'ad2420f7163bfcd5f76871ba6605dafcd665be89e52e71d3c4fe8eacd1b4b696',
-                       'r.csv.manifest.json': '2e63c288c97107d3e95d7017f43fbeb494aa64fd81dd40453c0cb41e99bb116b',
+                       'r.csv.manifest.json': 'a66cf25319e09411128eb2b72a2d506178c2ca18a38f9058893e8c0054dea263',
                        'r.svg': 'dc06e703ad365e4dd492381c8ad73c42b3c57f883636e4bdfce4f31800a612a3'},
          'simulate': {'<stdout>': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
                       'sim.csv': '87000c2210085ae2f1f89ffc051d628702906c45d9a635de5ded506d53cdfd47',
-                      'sim.csv.manifest.json': '9d08aac5c0835f1a162d39baa19a120dfef6654feef66b895734a373a3829950'},
+                      'sim.csv.manifest.json': '0a9ebe697436318b61e2f10a6fd4cc89fece2b5873ec328ca5c51fd98d4b8800'},
          'simulate-ptrs': {'<stdout>': '55ef84ad2070cb623f7fe423d97ea5c7b1f8f9b97eebb6ac0593613a8c8a09f2'},
          'simulate-stdout': {'<stdout>': 'b9b18f8b18fd3382ef6d0cebafe8a3ae374c5578c6050588a7dad4cb63489114'},
          'transform-rescale-horizontal': {'<stdout>': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
                                           't.csv': '9925b64642c23c8496cc0c15dd90b230950fc32c3bc0df18619f4e2553b65da8',
-                                          't.csv.manifest.json': '74dfa76ddb8ae4b582d5faff3a2764d61b0417aabcfd541a881e3e78ed433f7a',
+                                          't.csv.manifest.json': 'd957681a7a261205b7090d8d5f526dc60d62819d18c059f3c6bf544289bef368',
                                           't.svg': '29ecf8bb532141b135774428178d5a7f5409e4ae0bd2ae37e7736361d93b8bb8',
                                           't_assess.csv': '2da02a3a4c2479b8a2009ce382d60585ca303828466cf46b7119585fc5fb852e',
                                           't_assess.svg': '51e28c3b38d419b19961182418bbd1eb6394a8fd2e5b42381614a460a2b00e68',
@@ -243,37 +243,37 @@ GOLDEN = {'k-plain': {'<stdout>': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b9
          'transform-rescale-stdout': {'<stdout>': 'c42fd82fa4bd023848a5d341057cab9f4ec75be28a04ce74e08f798034767a4f'},
          'transform-rescale-vertical': {'<stdout>': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
                                         't.csv': '788ab34c392e5197bb44706c267aeb1aa76dccbc76dd98223c6edd854149f8c8',
-                                        't.csv.manifest.json': '1a5f43a638d36f2b8da16e687ef8c8291c6fdb855b2c3d3082cda412b0659bc6',
+                                        't.csv.manifest.json': '4ef71e7118fb64421486f8a33515b4f7518063f70047cb2c3b06054f70143067',
                                         't.svg': '1daeb698ef209b495b7b87738b8ac73a2b44ef8dbc34a503b8122113fad78197',
                                         't_assess.csv': '6066df0c12704fdb760d6fc5c6ac0341b83c78af6eec83e8840b3fe9d37021fb',
                                         't_assess.svg': 'c3e4ca8192e3f6a95b9b9a250c96c942cb5b4bdeac7ff377b6ed72ce3cf38564',
                                         't_region.csv': '73a3c5a1c77f435337c2750660f8b9104ad562d48f938da6e39bcf955c807ba8'},
          'transform-rescale-vertical-isotropic': {'<stdout>': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
                                                   't.csv': '788ab34c392e5197bb44706c267aeb1aa76dccbc76dd98223c6edd854149f8c8',
-                                                  't.csv.manifest.json': 'f3c865b8e31a5948da18d4b6a1d4a415d6d1a49db1ac4d871de1e22094709000',
+                                                  't.csv.manifest.json': 'dacef639cb3a4846d41ee83c8bea238670632ebc00743abfee23e51d573de436',
                                                   't.svg': '1daeb698ef209b495b7b87738b8ac73a2b44ef8dbc34a503b8122113fad78197',
                                                   't_assess.csv': '29a9c1c76d6e40b79199be985d13b97e78dacf5707d9dc7be3e4743783f40173',
                                                   't_assess.svg': '046fdd109009650b56fa552f3a59d5b9de66f5387bc872d0e20015e55ec4ed34',
                                                   't_region.csv': '73a3c5a1c77f435337c2750660f8b9104ad562d48f938da6e39bcf955c807ba8'},
          'transform-superpose': {'<stdout>': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
                                  't.csv': 'ba6914e145041707f908aa6bc685efac70530edfbc976f018b632d022e61f516',
-                                 't.csv.manifest.json': '2af0e2d6e7831a105720bc6e1e94384a885a8c928a1d2ad848ad61ee9d37fe1a',
+                                 't.csv.manifest.json': 'ece957b4c43fc00b712bd221ce68380dddc927b4ad5c8e973b3cb4563441145e',
                                  't_assess.csv': 'e1bd34cb386e68cbb0aa57ac1fee066144c94ae4087f643627c0e8b38048e72a'},
          'transform-superthin': {'<stdout>': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
                                  't.csv': 'e3e0930471ff978cec4e8f4d17ee0ada1cdb30c5323913aabc841ec71bdd7d10',
-                                 't.csv.manifest.json': '23b4d7979cb87221a25986065dbdd4d35d24ae359b02db26a29340ff696e8c38',
+                                 't.csv.manifest.json': 'a1528cc0f0240522bd65dcca6f02ba882f2788b1c31ff2cef16828ea7d2823a4',
                                  't.svg': '5fe157ed3df08ea61103f8b36f7c200c1715f66e77d0c6c551c94de222fea3ad',
                                  't_assess.csv': '03f56c33beba1296ed0efa736a7d86fecee3b9d1f48c0a6527111632b1608512',
                                  't_assess.svg': 'cda582f49ee57273bd09759cdb4038eb1fb730a42f7d0b306fc526f15d502fb6'},
          'transform-thin': {'<stdout>': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
                             't.csv': '599dfed03640f2b6bf4f78ff6465af197ba4a76dd7dc5a0ddbd229aa94a9684b',
-                            't.csv.manifest.json': '8e9fcce782bef706f4c4c03d3aba3c0844320cc11c87cf3383197666279d03bb',
+                            't.csv.manifest.json': '21db5405c5a9e57a3d6f36b78a40d2db2cf5ab2adf54c4905f286006a21b3512',
                             't.svg': 'ef7b81eaf0c432f75a8650e6ef29672df0c847d16c3e26d94b0cffa13b8a6fa6',
                             't_assess.csv': 'e86d4652e033021ef43b7368922e8b20ef9ce15a3639fde4d82e7caa825f400a',
                             't_assess.svg': 'e2829118c53602d1ea324d186583988f93c90885b8bf4a6c0316ac973a6e2fb5'},
          'transform-thin-approx': {'<stdout>': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
                                    't.csv': '83bf82be2b110318d02b4ed4a716c75e3e56790801e41aadf011463f90a1628d',
-                                   't.csv.manifest.json': 'a2429fe0473ef9a920c7ee14043e3af0c4eef9b9901edb87d314bcf051c36853'}}
+                                   't.csv.manifest.json': '31a1ff11a281e35abf63e8951b6721ecae8d7730862053c56696cfb2a57221cb'}}
 
 
 def _manifest_key(data: bytes) -> bytes:

@@ -176,6 +176,37 @@ def test_sample_extreme_uniforms_land_in_cells_of_positive_area(
     assert np.all((xs >= 0) & (xs <= t[row]) & ((xs > 0) | (u == 0)))
 
 
+def _row_of(region, y):
+    """The row a RowIntervalRegion gives y: its last edge at or below y."""
+    return np.clip(np.searchsorted(region.y_edges, y, side="right") - 1,
+                   0, len(region.t_of_row) - 1)
+
+
+@pytest.mark.parametrize("kind", ["grid", "rows", "transposed"])
+def test_top_uniform_keeps_every_point_in_its_own_cell(kind):
+    # one point per cell at the largest uniform below 1, which rounds many
+    # of them onto the next cell's lower edge (index + u is index + 1 for
+    # every grid index above 0)
+    mask = np.random.default_rng(27).random((115, 123)) < 0.7
+    grid = Grid.regular(-125.4, -113.1, 31.5, 43.0, 0.1, 0.1,
+                        active_mask=mask)
+    rows = RowIntervalRegion(31.5 + 0.1 * np.arange(116),
+                             np.random.default_rng(28).uniform(0.5, 12.0, 115))
+    region = {"grid": grid, "rows": rows,
+              "transposed": TransposedRegion(rows)}[kind]
+    x, y, areas = region.cells()
+    xs, ys = quakeresid.regions.place(_Constant(np.nextafter(1.0, 0.0)),
+                                      np.ones(len(areas), int), x, y)
+    assert np.all(region.contains(xs, ys))
+    if kind == "grid":
+        iy, ix = np.nonzero(mask)
+        assert np.array_equal(grid.active_pixel(xs, ys),
+                              grid.flat_index(ix, iy))
+    else:
+        inner = ys if kind == "rows" else xs
+        assert np.array_equal(_row_of(rows, inner), np.arange(115))
+
+
 def test_sparse_region_sampled_in_bounded_memory(tmp_path):
     # the rescaled region of two 0.1-degree pixels 350 degrees apart fills
     # 0.057% of its bounding box; its 1e6 points are placed in cells, so

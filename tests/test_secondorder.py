@@ -8,7 +8,7 @@ from quakeresid import (Grid, IntensityField,
                         simulate_homogeneous, weighted_k, weighted_k_constant,
                         wk_confidence_bands)
 from quakeresid import secondorder
-from quakeresid.secondorder import (KCurve, circle_fraction_mask,
+from quakeresid.secondorder import (DEFAULT_R_MAX, KCurve, circle_fraction_mask,
                                     circle_fraction_rect)
 
 
@@ -147,6 +147,49 @@ def test_pairs_within_blocks_give_identical_output(monkeypatch, block):
     for name in sets:
         for g, w in zip(pairs_within(*sets[name]), want[name]):
             assert np.array_equal(g, w)
+
+
+def _clustered_field(n):
+    """Up to n points in ten tight clusters on a 4 x 4 grid with holes, the
+    ones in its active pixels, and a varying null."""
+    rng = np.random.default_rng(27)
+    centres = rng.uniform(0.5, 3.5, (10, 2))
+    pts = centres[rng.integers(0, 10, n)] + rng.normal(0, 0.05, (n, 2))
+    grid = Grid.regular(0, 4, 0, 4, 0.1, 0.1,
+                        active_mask=rng.random((40, 40)) < 0.9)
+    return pts[grid.contains(pts[:, 0], pts[:, 1])], IntensityField(
+        grid, np.linspace(1.0, 2.0, 1600).reshape(40, 40))
+
+
+def test_weighted_k_memory_follows_the_pair_block(monkeypatch):
+    # all-pairs (i, j, d) arrays take 24 bytes a pair; small blocks must
+    # keep the estimator below even one 8-byte array over all pairs
+    import tracemalloc
+    pts, fld = _clustered_field(2500)
+    pairs = len(pairs_within(pts, DEFAULT_R_MAX)[0])
+    assert 10 ** 5 < pairs < 10 ** 6
+    monkeypatch.setattr(secondorder, "_PAIR_BLOCK", 2 ** 12)
+    tracemalloc.start()
+    try:
+        weighted_k(pts, fld, default_radii(), "none")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * pairs, (peak, pairs)
+
+
+@pytest.mark.parametrize("block", [1, 7])
+@pytest.mark.parametrize("edge", ["none", "isotropic"])
+def test_weighted_k_blocks_agree_to_rounding(monkeypatch, block, edge):
+    """Each block adds its own partial sums into the radius bins, so the
+    blocking moves the last bits of K: it agrees to 1e-12 relative, not
+    bit for bit."""
+    pts, fld = _clustered_field(300)
+    want = weighted_k(pts, fld, default_radii(), edge).k_values
+    monkeypatch.setattr(secondorder, "_PAIR_BLOCK", block)
+    got = weighted_k(pts, fld, default_radii(), edge).k_values
+    assert np.all(want > 0)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
 
 def _masked_grid():
