@@ -23,13 +23,11 @@ def place(rng, counts, x, y):
     (origin, index, step), each a scalar or one entry per cell.  Every x
     uniform is drawn before any y uniform.  Returns (x, y) arrays.
 
-    Rounding can carry a coordinate up into the next cell as the regions
-    read it: the floor of (v - origin) / step, which Grid uses and which a
-    row region's y edges agree with wherever it holds.  Only such a
-    coordinate moves: down one unit of the precision of v - origin at a
-    time until it is back, but never onto its cell's lower edge, so a cell
-    one unit wide (a subnormal row interval, whose x edge is closed) keeps
-    its point on the upper edge."""
+    Rounding can carry a coordinate into the next cell as Grid reads cells,
+    by the floor of (v - origin) / step; a row region's y edges agree
+    wherever the floor does.  Only such a coordinate moves: down one unit
+    of the precision of v - origin at a time until it is back, but never
+    onto its cell's lower edge (a cell one unit wide keeps its point)."""
     def coordinate(origin, index, step):
         n = int(np.sum(counts))
         origin, index, step = (np.broadcast_to(

@@ -166,6 +166,7 @@ def _pair_blocks(points: np.ndarray, r_max: float):
     stops = np.concatenate([
         np.searchsorted(key, key + 1, side="right"),
         np.searchsorted(key, key + width + 1, side="right")])
+    # candidates of the centres before each one
     before = np.concatenate([[0], np.cumsum((stops - starts).reshape(2, m)
                                             .sum(axis=0))])
     b = 0
@@ -175,9 +176,10 @@ def _pair_blocks(points: np.ndarray, r_max: float):
         block = np.arange(b, e)
         ranges = np.concatenate([block, block + m])
         counts = stops[ranges] - starts[ranges]
+        total = int(counts.sum())
         src = np.repeat(np.concatenate([block, block]), counts)
         dst = np.repeat(starts[ranges] - (np.cumsum(counts) - counts),
-                        counts) + np.arange(int(counts.sum()))
+                        counts) + np.arange(total)
         with np.errstate(over="ignore"):   # an overflowed distance is inf
             d = np.hypot(xs[src] - xs[dst], ys[src] - ys[dst])
         keep = d <= r_max
@@ -191,12 +193,11 @@ def pairs_within(points: np.ndarray, r_max: float):
     """All unordered pairs (i < j) at distance <= r_max: the blocks of
     _pair_blocks gathered and sorted.  Returns (i, j, distance) arrays
     sorted by (i, j)."""
-    pts = np.asarray(points, dtype=float)
     found = [(np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros(0))]
-    found += _pair_blocks(pts, r_max)
+    found += _pair_blocks(points, r_max)
     a, c, d = (np.concatenate(v) for v in zip(*found))
     ii, jj = np.minimum(a, c), np.maximum(a, c)
-    by_pair = np.argsort(ii * len(pts) + jj)
+    by_pair = np.argsort(ii * len(points) + jj)
     return ii[by_pair], jj[by_pair], d[by_pair]
 
 
