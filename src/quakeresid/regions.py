@@ -23,24 +23,30 @@ def place(rng, counts, x, y):
     (origin, index, step), each a scalar or one entry per cell.  Every x
     uniform is drawn before any y uniform.  Returns (x, y) arrays.
 
-    Rounding can carry a coordinate into the next cell as Grid reads cells,
-    by the floor of (v - origin) / step; a row region's y edges agree
-    wherever the floor does.  Only such a coordinate moves: down one unit
-    of the precision of v - origin at a time until it is back, but never
-    onto its cell's lower edge (a cell one unit wide keeps its point)."""
+    Rounding can carry a coordinate into the next cell or the one below
+    as Grid reads cells, by the floor of (v - origin) / step; a row
+    region's y edges agree wherever the floor does.  Only such a coordinate
+    moves: one unit of the precision of v - origin at a time toward its
+    cell until it is back, but never onto the cell's far edge (a cell one
+    unit wide keeps its point)."""
     def coordinate(origin, index, step):
         n = int(np.sum(counts))
         origin, index, step = (np.broadcast_to(
             v if np.ndim(v) == 0 else np.repeat(v, counts), n)
             for v in (origin, index, step))
         v = origin + (index + rng.random(n)) * step
-        k = np.flatnonzero(np.floor((v - origin) / step) > index)
-        while k.size:
-            o, i, s = origin[k], index[k], step[k]
-            down = v[k] - np.spacing(np.maximum(abs(v[k]), abs(o)))
-            move = (np.floor((v[k] - o) / s) > i) & (down > o + i * s)
-            k = k[move]
-            v[k] = down[move]
+        # toward -1 steps down from the cell above, +1 up from the one below
+        for toward in (-1.0, 1.0):
+            k = np.flatnonzero(toward * (np.floor((v - origin) / step)
+                                         - index) < 0)
+            while k.size:
+                o, i, s = origin[k], index[k], step[k]
+                w = v[k] + toward * np.spacing(np.maximum(abs(v[k]), abs(o)))
+                far = o + (i + (toward > 0)) * s
+                move = ((toward * (np.floor((v[k] - o) / s) - i) < 0)
+                        & (toward * (w - far) < 0))
+                k = k[move]
+                v[k] = w[move]
         return v
 
     return coordinate(*x), coordinate(*y)

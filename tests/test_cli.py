@@ -1,6 +1,8 @@
+import ast
 import hashlib
 import json
 import os
+import pathlib
 import stat
 import subprocess
 import sys
@@ -510,11 +512,12 @@ def _scipy_modules_after(commands):
 
 
 def test_cli_import_leaves_scipy_stats_unloaded(workspace):
-    # scipy.special alone costs about 0.3 s of start-up, so scipy loads
-    # only where it is called: the analytic N-test (scipy.special).  The
-    # analytic K bands take the normal quantile from the standard library
-    # and the pair search is numpy, so no K command loads scipy at all.
-    # The K commands run first: a module stays loaded once imported.
+    # scipy.special alone costs about 0.3 s of start-up, and no command
+    # loads scipy: the analytic N-test takes its Poisson CDF from math and
+    # numpy, the analytic K bands take the normal quantile from the
+    # standard library and the pair search is numpy.  A module stays
+    # loaded once imported, so seen[name] holds what that command and
+    # every one before it loaded.
     tmp, fc, cat = workspace
     files = ["--forecast", str(fc), "--catalog", str(cat)]
     seen = _scipy_modules_after({
@@ -531,9 +534,27 @@ def test_cli_import_leaves_scipy_stats_unloaded(workspace):
         "ntest": ["ntest", *files, "--analytic",
                   "--out", str(tmp / "n.json")],
     })
-    for name in ("import", "resid", "ltest", "k", "transform", "report"):
-        assert seen[name] == [], name
-    assert "scipy.special" in seen["ntest"]
+    for name, modules in seen.items():
+        assert modules == [], name
+
+
+def test_package_imports_only_the_standard_library_and_numpy():
+    # every import statement at any depth, since a lazy import inside a
+    # function passes every other test on a machine that has the module
+    pkg = pathlib.Path(quakeresid.__file__).parent
+    allowed = sys.stdlib_module_names | {"numpy"}
+    foreign = []
+    for path in sorted(pkg.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            foreign += [f"{path.name}:{node.lineno}: {name}" for name in names
+                        if name.partition(".")[0] not in allowed]
+    assert foreign == []
 
 
 def test_ptrs_draws_leave_scipy_special_unloaded(tmp_path):

@@ -11,7 +11,7 @@ from quakeresid import (Catalog, Grid, IntensityField, SeededStream,
                         ValidationError, l_test, log_likelihood, n_test,
                         parse_catalog, simulate_catalog, simulated_counts)
 from quakeresid.consistency import (QuantileScore, _loglik_rows,
-                                    observed_counts)
+                                    _poisson_cdf, observed_counts)
 from quakeresid.simulate import replicate_counts
 
 
@@ -84,6 +84,41 @@ def test_n_test_analytic_close_to_simulated():
     d_an = n_test(fld, cat, method="analytic").value
     d_sim = n_test(fld, cat, 4000, SeededStream(22, 0)).value
     assert abs(d_an - d_sim) < 0.03
+
+
+@pytest.mark.parametrize("mu", [1e-6, 0.01, 0.5, 2, 10, 36.5, 150, 1e3,
+                                1.4e4, 1e5])
+def test_poisson_cdf_matches_pdtr(mu):
+    from scipy.special import pdtr
+    sd = math.sqrt(mu)
+    ks = np.union1d(np.arange(max(0, math.floor(mu - 12 * sd)),
+                              math.ceil(mu + 12 * sd) + 1), [0, 1, 2])
+    got = np.array([_poisson_cdf(int(k), mu) for k in ks])
+    want = pdtr(ks, mu)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+    big = want > 1e-300
+    np.testing.assert_allclose(got[big], want[big], rtol=1e-11, atol=0)
+
+
+def test_poisson_cdf_edge_cases():
+    assert _poisson_cdf(-1, 2.0) == 0.0
+    assert _poisson_cdf(-5, 0.0) == 0.0
+    assert _poisson_cdf(0, 0.0) == 1.0
+    assert _poisson_cdf(7, 0.0) == 1.0
+    for mu in (1e-6, 0.5, 2.0, 150.0, 700.0, 1e6):
+        assert _poisson_cdf(0, mu) == math.exp(-mu)
+
+
+@pytest.mark.parametrize("k, mu, want, rel, abs_", [
+    # far lower tail, where 1 minus the upper tail would read 0
+    (628, 1000.0, 8.978158115141938e-37, 1e-12, 0),
+    # large means, where k log mu - mu - lgamma(k + 1) loses the tail
+    (1004679, 1e6, 0.9999985375481487, 0, 1e-15),
+    (100046781, 1e8, 0.9999985501682349, 0, 1e-15),
+])
+def test_poisson_cdf_pinned_to_50_digit_values(k, mu, want, rel, abs_):
+    # mpmath at 50 digits; scipy.special.pdtr is off by 5.4e-7 on the last
+    assert _poisson_cdf(k, mu) == pytest.approx(want, rel=rel, abs=abs_)
 
 
 def test_l_test_extreme_catalog_rejected():

@@ -182,11 +182,10 @@ def _row_of(region, y):
                    0, len(region.t_of_row) - 1)
 
 
-@pytest.mark.parametrize("kind", ["grid", "rows", "transposed"])
-def test_top_uniform_keeps_every_point_in_its_own_cell(kind):
-    # one point per cell at the largest uniform below 1, which rounds many
-    # of them onto the next cell's lower edge (index + u is index + 1 for
-    # every grid index above 0)
+def _place_one_point_per_cell(kind, u):
+    """Place one point per cell of a 0.1-degree grid at lon -125.4, or of a
+    row region (or its transpose) of the same size, with every uniform u,
+    and check that each point lies in its own cell."""
     mask = np.random.default_rng(27).random((115, 123)) < 0.7
     grid = Grid.regular(-125.4, -113.1, 31.5, 43.0, 0.1, 0.1,
                         active_mask=mask)
@@ -195,8 +194,8 @@ def test_top_uniform_keeps_every_point_in_its_own_cell(kind):
     region = {"grid": grid, "rows": rows,
               "transposed": TransposedRegion(rows)}[kind]
     x, y, areas = region.cells()
-    xs, ys = quakeresid.regions.place(_Constant(np.nextafter(1.0, 0.0)),
-                                      np.ones(len(areas), int), x, y)
+    xs, ys = quakeresid.regions.place(_Constant(u), np.ones(len(areas), int),
+                                      x, y)
     assert np.all(region.contains(xs, ys))
     if kind == "grid":
         iy, ix = np.nonzero(mask)
@@ -205,6 +204,20 @@ def test_top_uniform_keeps_every_point_in_its_own_cell(kind):
     else:
         inner = ys if kind == "rows" else xs
         assert np.array_equal(_row_of(rows, inner), np.arange(115))
+
+
+@pytest.mark.parametrize("kind", ["grid", "rows", "transposed"])
+def test_top_uniform_keeps_every_point_in_its_own_cell(kind):
+    # the largest uniform below 1 rounds many points onto the next cell's
+    # lower edge (index + u is index + 1 for every grid index above 0)
+    _place_one_point_per_cell(kind, np.nextafter(1.0, 0.0))
+
+
+@pytest.mark.parametrize("kind", ["grid", "rows", "transposed"])
+def test_bottom_uniform_keeps_every_point_in_its_own_cell(kind):
+    # a uniform of 0 puts each point on its cell's lower edge, which
+    # origin + index * step rounds under in about 64% of the grid's cells
+    _place_one_point_per_cell(kind, 0.0)
 
 
 def test_sparse_region_sampled_in_bounded_memory(tmp_path):
