@@ -49,10 +49,9 @@ DEFAULT_SIMS = 1000
 CACHE_MAX_BYTES = 256 * 2 ** 20
 
 # argparse destinations that are not run parameters: file paths and the
-# seed have their own manifest fields, --k only ever ends in an error, and
-# run is the subcommand's function
+# seed have their own manifest fields, and run is the subcommand's function
 _NOT_PARAMETERS = {"command", "seed", "forecast", "forecast_a", "forecast_b",
-                   "catalog", "out", "svg", "k_ambiguous", "run"}
+                   "catalog", "out", "svg", "run"}
 _REMOVE = object()  # an output text: remove the file its path names
 
 
@@ -130,16 +129,21 @@ def parse_forecast(data: bytes, digest: str) -> Forecast:
 
     An entry stores the rows column-major, so each column build_forecast
     checks is contiguous on a hit.  A hit holds the same bits as a fresh
-    read, and every check runs on it again; only rows that pass them are
-    stored.  Any OSError on the cache path leaves the parse as it would be
-    without a cache.  This keeps the library function's name, so per-layer
-    timing that wraps the CLI's parse_forecast (bench/tracing.py) times the
-    cached parse.
+    read, and every check runs on it again; an entry that fails one is a
+    miss, so a fault is only ever reported against the file's own lines
+    and the entry is rewritten.  Only rows that pass the checks are stored.
+    Any OSError on the cache path leaves the parse as it would be without a
+    cache.  This keeps the library function's name, so per-layer timing
+    that wraps the CLI's parse_forecast (bench/tracing.py) times the cached
+    parse.
     """
     path = os.path.join(_cache_dir(), f"cols-{TOOLKIT_VERSION}-{digest}.npy")
     rows = _cached_rows(path)
     if rows is not None:
-        return build_forecast(rows, data)
+        try:
+            return build_forecast(rows, data)
+        except QuakeResidError:
+            pass
     rows = read_rows(data)
     forecast = build_forecast(rows, data)
     _store_rows(path, rows)
@@ -498,8 +502,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "superthin"))
     p.add_argument("--axis", choices=("horizontal", "vertical"),
                    default="horizontal")
-    p.add_argument("--k", dest="k_ambiguous", nargs="?", const="given",
-                   default=None, help=argparse.SUPPRESS)
     p.add_argument("--k-count", type=float, default=None)
     p.add_argument("--k-rate", type=float, default=None)
     p.add_argument("--assess", action="store_true")
@@ -540,9 +542,6 @@ def _check_args(args, parser) -> None:
         if kind != "deviance" and not args.forecast:
             parser.error(f"--kind {kind} requires --forecast")
     if command == "transform":
-        if args.k_ambiguous is not None:
-            parser.error("--k is ambiguous: use --k-count (expected retained "
-                         "count) or --k-rate (points per square degree)")
         if kind == "thin-approx" and args.k_count is None:
             parser.error("--kind thin-approx requires --k-count")
         if args.assess and kind == "rescale":

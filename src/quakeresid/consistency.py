@@ -80,24 +80,28 @@ def observed_counts(fld: IntensityField, catalog: Catalog) -> np.ndarray:
 def _loglik_rows(lam: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Poisson log-likelihood of each row of a (rows, n_active) count matrix.
 
-    Each row is scored on its positive counts alone: np.sum of
+    Each row is scored on its positive counts alone; one scan of the block
+    finds them all, each row's as one run.  A row's score takes np.sum of
     count * log(lam), and the lgamma(count + 1) terms added one by one from
-    the left, which gives the same bits on every Python (sum() of floats
-    is compensated from 3.12 on).  A row with an event where lam is zero
-    scores -inf.
+    the left, which gives the same bits on every Python (sum() of floats is
+    compensated from 3.12 on).  A row with an event where lam is zero takes
+    log(0) = -inf, so it scores -inf.
     """
-    impossible = (counts[:, lam == 0] > 0).any(axis=1)
-    values = np.unique(counts[counts > 0])
-    log_fact = np.array([lgamma(k + 1.0) for k in values.tolist()])
+    flat = np.flatnonzero(counts > 0)
+    rows, cols = np.divmod(flat, counts.shape[1])
+    n = counts.ravel()[flat]
+    values, at = np.unique(n, return_inverse=True)
+    log_fact = np.array([lgamma(k + 1.0) for k in values.tolist()])[at]
+    with np.errstate(divide="ignore"):
+        n_log_lam = n * np.log(lam[cols])
     with np.errstate(over="ignore"):   # an overflowing total scores -inf
         base = -lam.sum()
-    ell = np.full(len(counts), float("-inf"))
-    for i in np.flatnonzero(~impossible).tolist():
-        pos = counts[i] > 0
-        n = counts[i, pos]
-        terms = np.cumsum(log_fact[np.searchsorted(values, n)])
-        ell[i] = (base + float(np.sum(n * np.log(lam[pos])))
-                  - (float(terms[-1]) if len(n) else 0.0))
+    ends = np.searchsorted(rows, np.arange(len(counts) + 1)).tolist()
+    ell = np.empty(len(counts))
+    for i in range(len(counts)):
+        a, b = ends[i], ends[i + 1]
+        ell[i] = (base + float(np.sum(n_log_lam[a:b]))
+                  - (float(np.cumsum(log_fact[a:b])[-1]) if b > a else 0.0))
     return ell
 
 

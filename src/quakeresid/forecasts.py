@@ -76,10 +76,6 @@ class Forecast:
     def n_bins(self) -> int:
         return len(self.rate)
 
-    @property
-    def mag_min(self) -> float:
-        return float(self.mag_lo.min()) if self.n_bins else float("nan")
-
 
 class _RowFault(ValidationError):
     """A check failed at these row indices.  build_forecast raises

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import OutsideRegionError, ValidationError
+from .errors import ValidationError
 from .regions import sample_uniform
 
 
@@ -67,29 +67,6 @@ class Grid:
     def bbox(self):
         return self.lon_min, self.lon_max, self.lat_min, self.lat_max
 
-    def pixel_of(self, lon, lat):
-        """Return (ix, iy) of the pixel owning (lon, lat).
-
-        Half-open rule: a point on a shared edge belongs to the pixel on the
-        high side, except on the outer lon_max/lat_max boundary where the
-        last pixel is closed.  Raises OutsideRegionError outside the bounding
-        box (mask is not consulted here).
-        """
-        lon = np.asarray(lon, dtype=float)
-        lat = np.asarray(lat, dtype=float)
-        out = (lon < self.lon_min) | (lon > self.lon_max) | \
-              (lat < self.lat_min) | (lat > self.lat_max)
-        if np.any(out):
-            raise OutsideRegionError("point outside grid bounding box")
-        ix = np.floor((lon - self.lon_min) / self.dx).astype(int)
-        iy = np.floor((lat - self.lat_min) / self.dy).astype(int)
-        ix = np.minimum(ix, self.n_x - 1)
-        iy = np.minimum(iy, self.n_y - 1)
-        return ix, iy
-
-    def flat_index(self, ix, iy):
-        return np.asarray(iy) * self.n_x + np.asarray(ix)
-
     def unflatten(self, pixel_index):
         pixel_index = np.asarray(pixel_index)
         return pixel_index % self.n_x, pixel_index // self.n_x
@@ -101,17 +78,26 @@ class Grid:
 
     def active_pixel(self, lon, lat):
         """Flat index of the active pixel holding each (lon, lat), or -1
-        where no active pixel does (outside the box, masked, or NaN)."""
+        where no active pixel does (outside the box, masked, or NaN).
+
+        Half-open rule: a point on a shared edge belongs to the pixel on the
+        high side, and the outer lon_max/lat_max edges are closed, so each
+        axis index is min(floor((v - origin) / step), n - 1).
+        """
         lon = np.asarray(lon, dtype=float)
         lat = np.asarray(lat, dtype=float)
         inside = (lon >= self.lon_min) & (lon <= self.lon_max) & \
                  (lat >= self.lat_min) & (lat <= self.lat_max)
         # points off the box (NaN and inf too) stand in at its corner, so
-        # the integer cast in pixel_of never sees them
-        ix, iy = self.pixel_of(np.where(inside, lon, self.lon_min),
-                               np.where(inside, lat, self.lat_min))
+        # the integer cast never sees them
+        ix = np.floor((np.where(inside, lon, self.lon_min) - self.lon_min)
+                      / self.dx).astype(int)
+        iy = np.floor((np.where(inside, lat, self.lat_min) - self.lat_min)
+                      / self.dy).astype(int)
+        ix = np.minimum(ix, self.n_x - 1)
+        iy = np.minimum(iy, self.n_y - 1)
         return np.where(inside & self.active_mask[iy, ix],
-                        self.flat_index(ix, iy), -1)
+                        iy * self.n_x + ix, -1)
 
     def contains(self, lon, lat):
         """True where (lon, lat) lies inside an active pixel."""
@@ -127,8 +113,7 @@ class Grid:
 
     def active_indices(self):
         """Flat indices of active pixels, row-major order."""
-        iy, ix = np.nonzero(self.active_mask)
-        return self.flat_index(ix, iy)
+        return np.flatnonzero(self.active_mask)
 
     def same_layout(self, other: "Grid") -> bool:
         return (self.lon_min == other.lon_min and self.lon_max == other.lon_max

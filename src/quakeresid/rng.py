@@ -98,14 +98,15 @@ def _poisson_inversion(u, mu):
     """Vectorized CDF inversion: smallest k with F(k) >= u.
 
     u is a matrix with one row of uniforms per replicate of mu.  Returns
-    the (row, column) indices of the draws with k >= 1, as np.nonzero gives
-    them for u, and their k; the others are 0.  Each step carries only the
-    draws whose CDF is still below their uniform, and updates each with the
-    one-mean recursion p *= mu / k; cdf += p.
+    the (row, column) indices of the draws with k >= 1, in row-major order,
+    and their k; the others are 0.  Each step carries only the draws whose
+    CDF is still below their uniform, and updates each with the one-mean
+    recursion p *= mu / k; cdf += p.
     """
     p = np.exp(-mu)
-    at = np.nonzero(p < u)
-    u, mu, p = u[at], mu[at[-1]], p[at[-1]]
+    flat = np.flatnonzero(p < u)
+    at = np.divmod(flat, u.shape[1])
+    u, mu, p = u.ravel()[flat], mu[at[1]], p[at[1]]
     k = np.zeros(len(u), dtype=np.int64)
     live = np.arange(len(u))
     cdf = p

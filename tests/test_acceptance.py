@@ -184,9 +184,8 @@ def test_criterion_6_brute_force_oracle_equivalence():
 
         fast_p = ripley_k(pts, g, radii, edge).k_values
         fast_w = weighted_k(pts, fld, radii, edge).k_values
-        lam = np.asarray(fld.rate_per_area[
-            g.pixel_of(pts[:, 0], pts[:, 1])[1],
-            g.pixel_of(pts[:, 0], pts[:, 1])[0]])
+        ix, iy = np.minimum(np.floor(pts / g.dx).astype(int), n_px - 1).T
+        lam = np.asarray(fld.rate_per_area[iy, ix])
         pref = fld.active_rates().min() / integrate(fld)
         plain, weighted = _brute_k(pts, lam, region, radii, edge)
         brute_p = region.area / n ** 2 * plain

@@ -147,10 +147,22 @@ def test_filter_respects_forecast_pixels():
     assert out.dropped["location"] == 1
 
 
+def _pixel(grid, lon, lat):
+    """Flat index of the pixel whose box holds (lon, lat), shared edges going
+    to the high side and the outer edges closed, or None off the box."""
+    if not (grid.lon_min <= lon <= grid.lon_max
+            and grid.lat_min <= lat <= grid.lat_max):
+        return None
+    ix = min(int(np.floor((lon - grid.lon_min) / grid.dx)), grid.n_x - 1)
+    iy = min(int(np.floor((lat - grid.lat_min) / grid.dy)), grid.n_y - 1)
+    return int(np.ravel_multi_index((iy, ix), (grid.n_y, grid.n_x)))
+
+
 def _filter_by_event(catalog, forecast, mag_min, depth_max):
     """Scalar reference: one event at a time, first failed check wins."""
     grid = forecast.grid
-    pixels = set(int(p) for p in forecast.pixel_index)
+    pixels = set(int(p) for p in forecast.pixel_index
+                 if grid.active_mask.flat[p])
     dropped = {"magnitude": 0, "window": 0, "depth": 0, "location": 0}
     kept = []
     rows = zip(catalog.time.tolist(), catalog.lon.tolist(),
@@ -164,9 +176,7 @@ def _filter_by_event(catalog, forecast, mag_min, depth_max):
             dropped["window"] += 1
         elif depth > depth_max:
             dropped["depth"] += 1
-        elif not bool(grid.contains(lon, lat)) or \
-                int(grid.flat_index(*grid.pixel_of(lon, lat))) \
-                not in pixels:
+        elif _pixel(grid, lon, lat) not in pixels:
             dropped["location"] += 1
         else:
             kept.append(i)

@@ -245,3 +245,66 @@ def test_loglik_rows_equal_one_row_scoring():
     got = _loglik_rows(lam, counts)
     assert got.tolist() == [_loglik_one_row(lam, row) for row in counts]
     assert got[6] == float("-inf")
+
+
+def _loglik_rows_row_by_row(lam, counts):
+    """Reference: each row's positive counts found on their own, then
+    scored with the same sum and cumsum as _loglik_rows, which must match
+    it bit for bit."""
+    impossible = (counts[:, lam == 0] > 0).any(axis=1)
+    values = np.unique(counts[counts > 0])
+    log_fact = np.array([lgamma(k + 1.0) for k in values.tolist()])
+    with np.errstate(over="ignore"):
+        base = -lam.sum()
+    ell = np.full(len(counts), float("-inf"))
+    for i in np.flatnonzero(~impossible).tolist():
+        pos = counts[i] > 0
+        n = counts[i, pos]
+        terms = np.cumsum(log_fact[np.searchsorted(values, n)])
+        ell[i] = (base + float(np.sum(n * np.log(lam[pos])))
+                  - (float(terms[-1]) if len(n) else 0.0))
+    return ell
+
+
+def _relm_like_block(rng):
+    lam = rng.uniform(0.5, 1.5, 4000) * 0.0185     # 98% of counts are 0
+    return lam, rng.poisson(lam, (200, 4000))
+
+
+def _dense_block(rng, rows=100):
+    lam = rng.uniform(10.0, 70.0, 300)
+    return lam, rng.poisson(lam, (rows, 300))
+
+
+def _zero_lam_block(rng):
+    lam = rng.uniform(10.0, 70.0, 300)
+    lam[[4, 90]] = 0.0
+    counts = rng.poisson(lam, (50, 300))
+    counts[::3, 4] = 2
+    counts[1, 90] = 1
+    return lam, counts
+
+
+def _zero_rows_block(rng):
+    lam = rng.uniform(0.0, 0.05, 500)
+    lam[7] = 0.0
+    counts = rng.poisson(lam, (60, 500))
+    counts[::2] = 0
+    counts[-5:] = 0
+    return lam, counts
+
+
+@pytest.mark.parametrize("block", [
+    _relm_like_block,
+    _dense_block,
+    _zero_lam_block,
+    _zero_rows_block,
+    lambda rng: _dense_block(rng, rows=1),
+], ids=["relm-like", "dense", "event-where-lam-is-zero", "all-zero-rows",
+        "one-row"])
+def test_loglik_rows_match_row_by_row_reference(block):
+    lam, counts = block(np.random.default_rng(31))
+    got = _loglik_rows(lam, counts)
+    want = _loglik_rows_row_by_row(lam, counts)
+    assert [x.hex() for x in got.tolist()] == [x.hex() for x in want.tolist()]
+    assert np.isneginf(got).any() == (counts[:, lam == 0] > 0).any()

@@ -139,7 +139,10 @@ def _simulate(tmp_path, name):
     lambda path, rows: np.save(path, np.array([{"rows": 1}], dtype=object),
                                allow_pickle=True),
     lambda path, rows: path.write_bytes(b""),
-], ids=["truncated", "wrong-shape", "float32", "pickled-object", "empty"])
+    lambda path, rows: np.save(path, rows * np.where(np.arange(10) == 8,
+                                                     -1.0, 1.0)),
+], ids=["truncated", "wrong-shape", "float32", "pickled-object", "empty",
+        "negated-rate"])
 def test_bad_entry_is_a_miss_and_rewritten(spoil, tmp_path, monkeypatch):
     (tmp_path / "fc.txt").write_text(FORECAST)
     cold = _simulate(tmp_path, "cold.csv")

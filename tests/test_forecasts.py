@@ -22,7 +22,7 @@ def test_parse_infers_grid():
     assert (fc.grid.n_x, fc.grid.n_y) == (2, 2)
     assert fc.grid.n_active == 4
     assert fc.n_bins == 4
-    assert fc.mag_min == 3.95
+    assert fc.mag_lo.min() == 3.95
     assert fc.rate.sum() == pytest.approx(1.0)
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from quakeresid import Grid, OutsideRegionError, ValidationError
+from quakeresid import Grid, ValidationError
 
 
 def test_regular_builds_expected_shape():
@@ -17,21 +17,26 @@ def test_inconsistent_counts_rejected():
         Grid(0, 1, 0, 1, 0.3, 0.5, 3, 2, np.ones((2, 3), bool))
 
 
-def test_pixel_of_half_open_rule():
+def test_active_pixel_half_open_rule():
     g = Grid.regular(0, 1, 0, 1, 0.5, 0.5)
-    ix, iy = g.pixel_of(0.5, 0.0)
-    assert (int(ix), int(iy)) == (1, 0)     # shared edge goes high
-    ix, iy = g.pixel_of(1.0, 1.0)
-    assert (int(ix), int(iy)) == (1, 1)     # outer boundary closed
-    with pytest.raises(OutsideRegionError):
-        g.pixel_of(1.0001, 0.5)
+    assert int(g.active_pixel(0.5, 0.0)) == 1       # shared edge goes high
+    assert int(g.active_pixel(0.0, 0.5)) == 2
+    assert int(g.active_pixel(1.0, 1.0)) == 3       # outer edges closed
+    assert int(g.active_pixel(1.0, 0.0)) == 1
+    assert int(g.active_pixel(0.0, 1.0)) == 2
+    past = [(1.0001, 0.5), (-1e-4, 0.5), (0.5, 1.0001), (0.5, -1e-4)]
+    assert g.active_pixel(*zip(*past)).tolist() == [-1] * 4
+    lon = [np.nan, np.inf, -np.inf, 0.5, 0.5, 0.5]
+    lat = [0.5, 0.5, 0.5, np.nan, np.inf, -np.inf]
+    assert g.active_pixel(lon, lat).tolist() == [-1] * 6
 
 
-def test_flat_index_round_trip():
+def test_unflatten_round_trip():
     g = Grid.regular(0, 2, 0, 3, 0.5, 0.5)
-    for pix in range(g.n_x * g.n_y):
-        ix, iy = g.unflatten(pix)
-        assert int(g.flat_index(ix, iy)) == pix
+    pix = np.arange(g.n_x * g.n_y)
+    ix, iy = g.unflatten(pix)
+    assert np.array_equal(np.ravel_multi_index((iy, ix), (g.n_y, g.n_x)), pix)
+    assert np.array_equal(g.active_pixel(*g.pixel_center(pix)), pix)
 
 
 def test_contains_respects_mask():

@@ -198,9 +198,7 @@ def _place_one_point_per_cell(kind, u):
                                       x, y)
     assert np.all(region.contains(xs, ys))
     if kind == "grid":
-        iy, ix = np.nonzero(mask)
-        assert np.array_equal(grid.active_pixel(xs, ys),
-                              grid.flat_index(ix, iy))
+        assert np.array_equal(grid.active_pixel(xs, ys), np.flatnonzero(mask))
     else:
         inner = ys if kind == "rows" else xs
         assert np.array_equal(_row_of(rows, inner), np.arange(115))
