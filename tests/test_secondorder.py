@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -555,3 +557,82 @@ def test_kcurve_csv_columns():
     lines = curve.to_csv().splitlines()
     assert lines[0] == "r,k,centered_l,lower,upper,kind"
     assert lines[1].endswith(",plain")
+
+
+# ---------------------------------------------------------------------------
+# pinned K bytes: the constant-rate, field and plain forms on a masked grid, a
+# ragged rescaled region and its transpose, with and without edge correction
+
+def _pin_inputs():
+    grid = _masked_grid()
+    ragged = RowIntervalRegion(np.arange(11) * 0.1,
+                               np.random.default_rng(44).uniform(0.3, 1.5, 10))
+    regions = {"grid": grid, "ragged": ragged,
+               "transposed": TransposedRegion(ragged)}
+    points = {name: np.column_stack(simulate_homogeneous(
+        region, 150 / region.area, SeededStream(45, k)))
+        for k, (name, region) in enumerate(regions.items())}
+    fld = IntensityField(grid, np.linspace(1.0, 3.0, 80).reshape(8, 10))
+    return regions, points, fld
+
+
+_PIN_RADII = (0.05, 0.1, 0.2, 0.3)
+
+
+def _pinned_k(case):
+    regions, points, fld = _pin_inputs()
+    kind, name, edge = case.split("-")
+    region, pts, radii = regions[name], points[name], radii_grid(_PIN_RADII)
+    if kind == "ripley":
+        k = ripley_k(pts, region, radii, edge).k_values
+    elif kind == "field":
+        k = weighted_k(pts, fld, radii, edge).k_values
+    elif kind == "rate":
+        k = weighted_k_constant(pts, 80.0, region, radii, edge).k_values
+    else:
+        k = np.concatenate(envelope_bands(region, 150 / region.area, radii, 5,
+                                          SeededStream(46, 0), edge))
+    return hashlib.sha256(k.astype("<f8").tobytes()).hexdigest()
+
+
+# sha256 of the little-endian float64 K values (an envelope: lower, then
+# upper), as the estimators gave them at toolkit 0.6.0
+_PINNED_K = {
+    "ripley-grid-none":
+        "358d5f85d60d32f765c69b69011dc28d7ad074299496ffa06e52d3ede3e789f5",
+    "ripley-grid-isotropic":
+        "b37e92ee5d71082c51b3276392a9ded209caeb8def4c335eae763b7cd1a33d33",
+    "ripley-ragged-none":
+        "1df70ab32e11450778e3e8dfe46505d25d211139fed3e251525e2240f5442433",
+    "ripley-ragged-isotropic":
+        "b22ea4b31784bab6f2ab5fa299cbbd67f6072c270f80695ec3be316f8827e205",
+    "field-grid-none":
+        "b078b0ca89d56ae9bb2c259b98c3b953e38bf91e6d3eb2902d9be1aef4af01ba",
+    "field-grid-isotropic":
+        "bae931c5419af607e286a5bbdce54f3f9caff454bcfca54e635ec71972cb45f3",
+    "rate-grid-none":
+        "e0c9fb8766d430384a85f2d4db633fda9d5561a8b5acec0532d19f37d9d4a1b0",
+    "rate-grid-isotropic":
+        "ec88533ca58d5dc248f4979127d390cfd392e99e478ce8c36899358c18444b4d",
+    "rate-ragged-none":
+        "784055ce3e645b200f4b4df9331da77570706816ccce2300ffe06f1dc9204e6e",
+    "rate-ragged-isotropic":
+        "6be2a7e8306cc0b6b17825150cecae025db9882ad0225ba6733d1bd9b1c257a0",
+    "rate-transposed-none":
+        "6c8736c53a2e41cac71f16d9743789f6f9cfa80353d0a38fb1bc83b4a516e7a7",
+    "rate-transposed-isotropic":
+        "ac40a34d5d1ac9acc1890a9e006bcdda0b92f2e8d688be90b7853eee0a9f04dc",
+    "envelope-grid-none":
+        "9628e0d2c232764228e691d3cb319035135764f0dcacbfcaab02986ac5468912",
+    "envelope-grid-isotropic":
+        "5c29e470fd5874ede80d7ef83ab336dc71e4e6b0ec32290a6b98a82f10a03890",
+    "envelope-transposed-none":
+        "241ea83e473ba597d11114f4f2024875ad22b9adbf2a342de305729279c6114d",
+    "envelope-transposed-isotropic":
+        "82fa4fd64ea3039c17b9c67fd89de2aa1327e9b3181e08acac43c1edca6e99f7",
+}
+
+
+@pytest.mark.parametrize("case", sorted(_PINNED_K))
+def test_k_values_pinned(case):
+    assert _pinned_k(case) == _PINNED_K[case]
