@@ -28,4 +28,5 @@ class OutsideRegionError(QuakeResidError):
 
 
 class DegenerateInfimumError(QuakeResidError):
-    """Exact thinning requested on a field whose infimum rate is zero."""
+    """A method needs a field's infimum rate positive and it is zero: exact
+    thinning keeps nothing, and the weighted K's prefactor is zero."""

@@ -1,13 +1,17 @@
 """Second-order statistics: K-functions, their centered L display,
 analytic confidence bands, and simulation envelopes.
 
-One estimator computes every K curve: a prefactor c times the sum, over
-ordered pairs j != i at distance <= r, of w_i * w_j * s_ij, with point
-weights w and edge weights s (1 without correction).  The weighted K takes
-w = 1 / null intensity and c = min(null) / integral(null).  Plain K is the
-constant-weight case w = A / n, c = 1 / A.  A simulation envelope applies
-the estimator it brackets to homogeneous Poisson patterns, with the same
-weights, prefactor, region and edge correction.
+One function, weighted_k, computes every K curve: b / integral(lambda)
+times the sum, over ordered pairs j != i at distance <= r, of
+s_ij / (lambda_i lambda_j), with lambda the null intensity, b its infimum
+and s_ij the edge weight (1 without correction).  The null is an
+IntensityField (a forecast's own intensity, over its grid) or a constant
+rate over a region (a residual process's homogeneous rate).  At a
+constant rate k it is the sum of s_ij over k^2 A, Ripley's K at rate k
+(Baddeley, Moller & Waagepetersen 2000), so ripley_k is weighted_k at the
+estimated rate n / A.  A simulation envelope applies weighted_k at the
+null rate to homogeneous Poisson patterns on the same region, with the
+same edge correction.
 
 One pair search feeds the estimator: a cell-bucket search yields the pairs
 within the largest radius a block at a time, blocks cut by candidate count.
@@ -27,11 +31,11 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import DegenerateInfimumError, ValidationError
 from .intensity import IntensityField, evaluate, extremes, integrate
 from .rng import SeededStream
 from .simulate import simulate_homogeneous
@@ -319,18 +323,50 @@ def _correction_weights(region, centers, dists):
 _PAIR_CONVENTION = "ordered j!=i, non-strict <="
 
 
-def _weighted_k_from_weights(pts, point_weights, prefactor, region, radii,
-                             edge_correction) -> np.ndarray:
-    """The one K estimator: prefactor times the sum over ordered pairs
-    j != i at distance <= r of w_i w_j s_ij, in one pass over the pair
-    blocks: each block's terms are binned by the first radius at or above
-    their distance, and a cumulative sum over the bins gives K.  Fewer than
-    two points give zeros."""
+def weighted_k(points, null, radii, edge_correction: str = "none",
+               region=None) -> KCurve:
+    """Weighted K of the points against a null intensity lambda: b / integral
+    of lambda, b its infimum, times the sum over ordered pairs j != i at
+    distance <= r of s_ij / (lambda_i lambda_j).
+
+    The null is an IntensityField, whose region is its grid, or a positive
+    constant rate over `region`.  One pass over the pair blocks: each
+    block's terms are binned by the first radius at or above their
+    distance, and a cumulative sum over the bins gives K.
+    """
+    pts = np.asarray(points, dtype=float)
+    radii = radii_grid(radii)
     if edge_correction not in ("none", "isotropic"):
         raise ValidationError(f"unknown edge correction {edge_correction!r}")
+    if len(pts) < 2:
+        raise ValidationError("K needs at least two points")
+    if isinstance(null, IntensityField):
+        if region is not None:
+            raise ValidationError("a null field's region is its grid; "
+                                  "pass no region")
+        region = null.grid
+        # evaluate names the first point outside the active pixels
+        lam = np.asarray(evaluate(null, pts[:, 0], pts[:, 1]), dtype=float)
+        if np.any(lam == 0):
+            i = int(np.argmax(lam == 0))
+            raise ValidationError(f"point at index {i} (lon {pts[i, 0]}, lat "
+                                  f"{pts[i, 1]}) is in a zero-rate pixel")
+        b = extremes(null)[0]
+        if b == 0:
+            raise DegenerateInfimumError(
+                "null rate infimum is zero; the weighted K would be zero at "
+                "every radius")
+        total = integrate(null)
+    else:
+        if region is None:
+            raise ValidationError("a constant null rate needs a region")
+        if not null > 0:
+            raise ValidationError("null rate must be positive")
+        lam, b, total = np.full(len(pts), null), null, null * region.area
+    weights = 1.0 / lam
     binned = np.zeros(len(radii))
     for ii, jj, dd in _pair_blocks(pts, float(radii[-1])):
-        pw = point_weights[ii] * point_weights[jj]
+        pw = weights[ii] * weights[jj]
         if edge_correction == "isotropic":
             s_ij = _correction_weights(region, pts[ii], dd)
             s_ji = _correction_weights(region, pts[jj], dd)
@@ -339,74 +375,18 @@ def _weighted_k_from_weights(pts, point_weights, prefactor, region, radii,
             terms = 2.0 * pw
         binned += np.bincount(np.searchsorted(radii, dd), weights=terms,
                               minlength=len(radii))
-    return prefactor * np.cumsum(binned)
-
-
-def _constant_rate_k(pts, rate, region, radii, edge_correction) -> np.ndarray:
-    """K against a homogeneous null of the given rate: weights 1/rate and
-    prefactor rate / (rate * A)."""
-    if rate <= 0:
-        raise ValidationError("null rate must be positive")
-    return _weighted_k_from_weights(pts, np.full(len(pts), 1.0 / rate),
-                                    rate / (rate * region.area), region,
-                                    radii, edge_correction)
-
-
-def ripley_k(points, region, radii, edge_correction: str = "none") -> KCurve:
-    """Plain K: the constant-rate K with the estimated rate n / A, that is
-    (A / n^2) times the sum over ordered pairs at distance <= r of the
-    pair's correction weight."""
-    pts = np.asarray(points, dtype=float)
-    radii = radii_grid(radii)
-    n = len(pts)
-    if n < 2:
-        raise ValidationError("Ripley's K needs at least two points")
-    k = _constant_rate_k(pts, n / region.area, region, radii, edge_correction)
-    return KCurve(radii, k, "plain",
-                  meta={"pair_convention": _PAIR_CONVENTION,
-                        "edge_correction": edge_correction})
-
-
-def weighted_k(points, null_field: IntensityField, radii,
-               edge_correction: str = "none") -> KCurve:
-    """Weighted K estimator against an inhomogeneous null intensity:
-    prefactor b / integral(null), ordered pairs j != i weighted by the
-    reciprocal null intensity at both points."""
-    pts = np.asarray(points, dtype=float)
-    radii = radii_grid(radii)
-    if len(pts) < 2:
-        raise ValidationError("weighted K needs at least two points")
-    # evaluate names the first point outside the active pixels
-    lam = np.asarray(evaluate(null_field, pts[:, 0], pts[:, 1]), dtype=float)
-    if np.any(lam == 0):
-        i = int(np.argmax(lam == 0))
-        raise ValidationError(f"point at index {i} (lon {pts[i, 0]}, lat "
-                              f"{pts[i, 1]}) is in a zero-rate pixel")
-    b = extremes(null_field)[0]
-    total = integrate(null_field)
-    if total <= 0:
-        raise ValidationError("null field integrates to zero")
-    k = _weighted_k_from_weights(pts, 1.0 / lam, b / total,
-                                 null_field.grid, radii, edge_correction)
-    return KCurve(radii, k, "weighted",
+    return KCurve(radii, b / total * np.cumsum(binned), "weighted",
                   meta={"pair_convention": _PAIR_CONVENTION,
                         "edge_correction": edge_correction,
                         "prefactor": "min(null)/integral(null)"})
 
 
-def weighted_k_constant(points, null_rate: float, region, radii,
-                        edge_correction: str = "none") -> KCurve:
-    """Weighted K against a constant null rate over an arbitrary region;
-    this is the homogeneity test applied to residual point sets."""
-    pts = np.asarray(points, dtype=float)
-    radii = radii_grid(radii)
-    if len(pts) < 2:
-        raise ValidationError("weighted K needs at least two points")
-    k = _constant_rate_k(pts, null_rate, region, radii, edge_correction)
-    return KCurve(radii, k, "weighted",
-                  meta={"pair_convention": _PAIR_CONVENTION,
-                        "edge_correction": edge_correction,
-                        "null_rate": null_rate})
+def ripley_k(points, region, radii, edge_correction: str = "none") -> KCurve:
+    """Plain K: the weighted K at the estimated rate n / A, that is (A / n^2)
+    times the sum over ordered pairs at distance <= r of the pair's
+    correction weight."""
+    return replace(weighted_k(points, len(points) / region.area, radii,
+                              edge_correction, region), kind="plain")
 
 
 # ---------------------------------------------------------------------------
@@ -438,17 +418,20 @@ def check_envelope_size(n_sims: int, n_radii: int) -> None:
 
 def envelope_bands(region, rate: float, radii, n_sims: int,
                    stream: SeededStream, edge_correction: str = "none"):
-    """Middle-BAND_LEVEL empirical range of the K that weighted_k_constant
-    computes at this rate, over homogeneous Poisson simulations on the
+    """Middle-BAND_LEVEL empirical range of the K that weighted_k computes
+    at this constant rate, over homogeneous Poisson simulations on the
     region: same weights, prefactor, region and edge correction.  Returns
     (lower, upper) order statistics in K units."""
     radii = radii_grid(radii)
     check_envelope_size(n_sims, len(radii))
-    sims = np.empty((n_sims, len(radii)))
+    if not rate > 0:
+        raise ValidationError("null rate must be positive")
+    sims = np.zeros((n_sims, len(radii)))   # fewer than two points: K = 0
     for j in range(n_sims):
         xs, ys = simulate_homogeneous(region, rate, stream.substream(j))
-        sims[j] = _constant_rate_k(np.column_stack([xs, ys]), rate, region,
-                                   radii, edge_correction)
+        if len(xs) >= 2:
+            sims[j] = weighted_k(np.column_stack([xs, ys]), rate, radii,
+                                 edge_correction, region).k_values
     alpha = 1.0 - BAND_LEVEL
     sims.sort(axis=0)
     lo_idx = int(np.floor(alpha / 2.0 * n_sims))

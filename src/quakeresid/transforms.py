@@ -23,8 +23,7 @@ from .intensity import (IntensityField, check_inside, evaluate, extremes,
 from .regions import RowIntervalRegion, TransposedRegion
 from .rng import SeededStream
 from .secondorder import (BAND_LEVEL, KCurve, default_radii, envelope_bands,
-                          radii_grid, weighted_k_constant,
-                          wk_confidence_bands)
+                          radii_grid, weighted_k, wk_confidence_bands)
 from .simulate import simulate_cox_complement
 
 
@@ -237,8 +236,8 @@ def assess_homogeneity(rset: ResidualSet, radii=None,
     if rset.n_points < 2:
         raise ValidationError(
             "homogeneity assessment needs at least two residual points")
-    curve = weighted_k_constant(rset.points, rset.null_rate, rset.region,
-                                radii, edge_correction)
+    curve = weighted_k(rset.points, rset.null_rate, radii, edge_correction,
+                       rset.region)
     if bands == "analytic":
         if not isinstance(rset.region, Grid):
             raise ValidationError(

@@ -15,8 +15,7 @@ from quakeresid import (Grid, IntensityField, SeededStream,
                         filter_catalog, integrate, log_likelihood, lr_score,
                         n_test, parse_catalog, parse_forecast, rescale,
                         ripley_k, simulate_catalog, simulate_homogeneous,
-                        super_thin, superpose, thin_exact, weighted_k,
-                        weighted_k_constant)
+                        super_thin, superpose, thin_exact, weighted_k)
 from quakeresid.secondorder import (circle_fraction_mask,
                                     circle_fraction_rect, radii_grid)
 
@@ -81,8 +80,8 @@ def test_criterion_3_weighted_k_calibration():
         xs, ys = simulate_homogeneous(region, rate, SeededStream(303, j))
         if len(xs) < 2:
             continue
-        c = weighted_k_constant(np.column_stack([xs, ys]), rate, region,
-                                radii, edge_correction="isotropic")
+        c = weighted_k(np.column_stack([xs, ys]), rate, radii,
+                       edge_correction="isotropic", region=region)
         vals.append(c.k_values)
     vals = np.array(vals)
     mean = vals.mean(axis=0)

@@ -152,6 +152,26 @@ def test_k_csv(workspace):
     assert lines[1].endswith(",weighted")
 
 
+def test_weighted_k_with_zero_infimum_exits_3(tmp_path, capsys):
+    # the events miss the zero-rate pixel; the weighted K would still be 0
+    # at every radius
+    (tmp_path / "fc.txt").write_text(FORECAST.replace("4.05 2.0", "4.05 0.0"))
+    (tmp_path / "cat.csv").write_text("time,lon,lat,depth,mag\n"
+                                      "2007-01-01T00:00:00Z,0.7,0.2,5,4.0\n"
+                                      "2007-02-01T00:00:00Z,0.8,0.7,5,4.0\n"
+                                      "2007-03-01T00:00:00Z,0.2,0.8,5,4.0\n")
+    before = sorted(os.listdir(tmp_path))
+    rc = main(["k", "--weighted", "--forecast", str(tmp_path / "fc.txt"),
+               "--catalog", str(tmp_path / "cat.csv"),
+               "--out", str(tmp_path / "k.csv"),
+               "--svg", str(tmp_path / "k.svg")])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert "Traceback" not in err
+    assert "infimum is zero" in err
+    assert sorted(os.listdir(tmp_path)) == before
+
+
 def test_transform_bare_k_flag_usage_error(workspace):
     tmp, fc, cat = workspace
     with pytest.raises(SystemExit) as exc:

@@ -3,12 +3,11 @@ import hashlib
 import numpy as np
 import pytest
 
-from quakeresid import (Grid, IntensityField,
+from quakeresid import (DegenerateInfimumError, Grid, IntensityField,
                         OutsideRegionError, RowIntervalRegion, SeededStream,
                         TransposedRegion, ValidationError, default_radii,
                         envelope_bands, pairs_within, radii_grid, ripley_k,
-                        simulate_homogeneous, weighted_k, weighted_k_constant,
-                        wk_confidence_bands)
+                        simulate_homogeneous, weighted_k, wk_confidence_bands)
 from quakeresid import secondorder
 from quakeresid.secondorder import (DEFAULT_R_MAX, KCurve, circle_fraction_mask,
                                     circle_fraction_rect)
@@ -361,6 +360,27 @@ def test_weighted_k_point_errors_name_the_first_index():
         weighted_k(outside, fld, [0.2], "none")
 
 
+def test_weighted_k_refuses_a_field_with_zero_infimum():
+    # no point lies in the zero-rate pixel, but a zero infimum would make
+    # the prefactor, and K at every radius, zero
+    g = Grid.regular(0, 1, 0, 1, 0.5, 0.5)
+    fld = IntensityField(g, np.array([[0.0, 1.0], [2.0, 3.0]]))
+    rng = np.random.default_rng(8)
+    pts = np.column_stack([rng.uniform(0.55, 0.95, 30),
+                           rng.uniform(0.05, 0.95, 30)])
+    with pytest.raises(DegenerateInfimumError, match="infimum is zero"):
+        weighted_k(pts, fld, [0.1, 0.2, 0.3], "none")
+
+
+def test_weighted_k_names_its_region_one_way():
+    g = Grid.regular(0, 1, 0, 1, 0.5, 0.5)
+    pts = np.array([[0.25, 0.5], [0.75, 0.5]])
+    with pytest.raises(ValidationError, match="needs a region"):
+        weighted_k(pts, 2.0, [0.5], "none")
+    with pytest.raises(ValidationError, match="pass no region"):
+        weighted_k(pts, IntensityField.constant(g, 2.0), [0.5], "none", g)
+
+
 def test_k_needs_two_points():
     g = Grid.regular(0, 1, 0, 1, 0.5, 0.5)
     with pytest.raises(ValidationError):
@@ -457,7 +477,7 @@ def test_isotropic_k_unbiased_on_a_ragged_rescaled_region(transposed):
         xs, ys = simulate_homogeneous(region, rate, SeededStream(41, j))
         pts = np.column_stack([xs, ys])
         for edge in ratios:
-            k = weighted_k_constant(pts, rate, region, radii, edge).k_values
+            k = weighted_k(pts, rate, radii, edge, region).k_values
             ratios[edge].append(k / (np.pi * radii ** 2))
     z = {}
     for edge, values in ratios.items():
@@ -522,6 +542,9 @@ def test_envelope_bands_min_max_for_two_sims():
     # simulations with fewer than two points have no pairs: K = 0
     lo, hi = envelope_bands(region, 1e-9, radii, 2, SeededStream(5, 0))
     assert not lo.any() and not hi.any()
+    # a zero rate draws no points either, but has no K to bracket
+    with pytest.raises(ValidationError, match="rate must be positive"):
+        envelope_bands(region, 0.0, radii, 2, SeededStream(5, 0))
     with pytest.raises(ValidationError):
         envelope_bands(region, 30.0, radii, 1, SeededStream(5, 0))
 
@@ -539,14 +562,14 @@ def test_envelope_size_cap_stops_before_simulating(monkeypatch):
     assert np.all(lo <= hi)
 
 
-def test_weighted_k_constant_matches_inhomogeneous_on_uniform_field():
+def test_weighted_k_rate_form_matches_constant_field_form():
     g = Grid.regular(0, 1, 0, 1, 0.25, 0.25)
     fld = IntensityField.constant(g, 7.0)
     rng = SeededStream(6, 0).generator()
     pts = rng.random((40, 2))
     radii = radii_grid([0.1, 0.2, 0.3])
     a = weighted_k(pts, fld, radii, "none").k_values
-    b = weighted_k_constant(pts, 7.0, g, radii, "none").k_values
+    b = weighted_k(pts, 7.0, radii, "none", g).k_values
     assert np.allclose(a, b, rtol=1e-12)
 
 
@@ -588,7 +611,7 @@ def _pinned_k(case):
     elif kind == "field":
         k = weighted_k(pts, fld, radii, edge).k_values
     elif kind == "rate":
-        k = weighted_k_constant(pts, 80.0, region, radii, edge).k_values
+        k = weighted_k(pts, 80.0, radii, edge, region).k_values
     else:
         k = np.concatenate(envelope_bands(region, 150 / region.area, radii, 5,
                                           SeededStream(46, 0), edge))
