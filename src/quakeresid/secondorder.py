@@ -323,6 +323,11 @@ def _correction_weights(region, centers, dists):
 _PAIR_CONVENTION = "ordered j!=i, non-strict <="
 
 
+def _check_edge_correction(edge_correction):
+    if edge_correction not in ("none", "isotropic"):
+        raise ValidationError(f"unknown edge correction {edge_correction!r}")
+
+
 def weighted_k(points, null, radii, edge_correction: str = "none",
                region=None) -> KCurve:
     """Weighted K of the points against a null intensity lambda: b / integral
@@ -336,8 +341,7 @@ def weighted_k(points, null, radii, edge_correction: str = "none",
     """
     pts = np.asarray(points, dtype=float)
     radii = radii_grid(radii)
-    if edge_correction not in ("none", "isotropic"):
-        raise ValidationError(f"unknown edge correction {edge_correction!r}")
+    _check_edge_correction(edge_correction)
     if len(pts) < 2:
         raise ValidationError("K needs at least two points")
     if isinstance(null, IntensityField):
@@ -424,6 +428,8 @@ def envelope_bands(region, rate: float, radii, n_sims: int,
     (lower, upper) order statistics in K units."""
     radii = radii_grid(radii)
     check_envelope_size(n_sims, len(radii))
+    # checked here too: a replicate with fewer than two points skips weighted_k
+    _check_edge_correction(edge_correction)
     if not rate > 0:
         raise ValidationError("null rate must be positive")
     sims = np.zeros((n_sims, len(radii)))   # fewer than two points: K = 0

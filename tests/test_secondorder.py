@@ -545,6 +545,8 @@ def test_envelope_bands_min_max_for_two_sims():
     # a zero rate draws no points either, but has no K to bracket
     with pytest.raises(ValidationError, match="rate must be positive"):
         envelope_bands(region, 0.0, radii, 2, SeededStream(5, 0))
+    with pytest.raises(ValidationError, match="unknown edge correction"):
+        envelope_bands(region, 1e-9, radii, 2, SeededStream(5, 0), "ripley")
     with pytest.raises(ValidationError):
         envelope_bands(region, 30.0, radii, 1, SeededStream(5, 0))
 
