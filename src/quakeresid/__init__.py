@@ -22,8 +22,9 @@ from .regions import RowIntervalRegion, TransposedRegion
 from .residuals import (PixelResidualMap, deviance_residuals, lr_score,
                         pearson_residuals, raw_residuals)
 from .rng import SeededStream, poisson
-from .secondorder import (KCurve, default_radii, envelope_bands, pairs_within,
-                          radii_grid, ripley_k, weighted_k, wk_confidence_bands)
+from .secondorder import (KCurve, default_radii, envelope_bands, k_with_bands,
+                          pairs_within, radii_grid, ripley_k, weighted_k,
+                          wk_confidence_bands)
 from .simulate import (simulate_catalog, simulate_cox_complement,
                        simulate_homogeneous, simulated_counts)
 from .svg import k_curve_svg, point_map_svg, residual_map_svg

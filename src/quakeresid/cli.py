@@ -20,26 +20,24 @@ import os
 import shutil
 import stat
 import sys
-from dataclasses import replace
 
 import numpy as np
 
 from .catalogs import filter_catalog, parse_catalog, serialize_catalog
 from .consistency import l_test, log_likelihood, n_test
-from .errors import QuakeResidError, ValidationError
+from .errors import QuakeResidError, ValidationError, check_finite_positive
 from .forecasts import Forecast, build_forecast, decode_utf8, read_rows
 from .intensity import aggregate, integrate, scale_window
 from .manifest import TOOLKIT_VERSION, build_manifest
 from .residuals import (deviance_residuals, lr_score, pearson_residuals,
                         raw_residuals)
 from .rng import SeededStream
-from .secondorder import (DEFAULT_R_MAX, DEFAULT_R_STEP, check_envelope_size,
-                          default_radii, ripley_k, weighted_k,
-                          wk_confidence_bands)
+from .secondorder import (DEFAULT_R_MAX, DEFAULT_R_STEP, default_radii,
+                          k_with_bands, ripley_k)
 from .simulate import simulate_catalog
 from .svg import k_curve_svg, point_map_svg, residual_map_svg
-from .transforms import (assess_homogeneity, check_finite_positive, rescale,
-                         super_thin, superpose, thin_approx, thin_exact)
+from .transforms import (assess_homogeneity, rescale, super_thin, superpose,
+                         thin_approx, thin_exact)
 
 DEFAULT_MAG_MIN = 3.95
 DEFAULT_DEPTH_MAX = 30.0
@@ -330,19 +328,12 @@ def cmd_resid(args) -> list:
     return outputs + _sidecar(args, inputs, None)
 
 
-def _weighted_k_with_bands(events, fld, radii, edge):
-    """Weighted K of the events against the forecast, with analytic bands."""
-    curve = weighted_k(events, fld, radii, edge)
-    return replace(curve, bands=wk_confidence_bands(
-        radii, fld.grid.area, integrate(fld)))
-
-
 def cmd_k(args) -> list:
     radii = default_radii(args.rmax, args.dr)
     _, catalog, fld, inputs = _load_pair(args)
     pts = catalog.points()
     if args.weighted:
-        curve = _weighted_k_with_bands(pts, fld, radii, args.edge)
+        curve = k_with_bands(pts, fld, radii, args.edge)
         title = "weighted K (centered L)"
     else:
         curve = ripley_k(pts, fld.grid, radii, args.edge)
@@ -387,7 +378,6 @@ def cmd_transform(args) -> list:
     if args.assess:
         curve = assess_homogeneity(
             rset, radii, n_sims=args.sims, stream=SeededStream(args.seed, 1),
-            bands="envelope" if args.kind == "rescale" else "analytic",
             edge_correction=args.edge)
         outputs.append((_derived_path(args.out, "_assess"), curve.to_csv()))
         if args.svg:
@@ -436,7 +426,7 @@ def cmd_report(args) -> list:
         pear, "pearson residuals", events=events)
 
     if len(catalog) >= 2:
-        curve = _weighted_k_with_bands(events, fld, radii, args.edge)
+        curve = k_with_bands(events, fld, radii, args.edge)
         files["weighted_k.csv"] = curve.to_csv()
         files["weighted_k.svg"] = k_curve_svg(curve,
                                               "weighted K (centered L)")
@@ -445,8 +435,7 @@ def cmd_report(args) -> list:
     files["superthin.csv"] = rset.to_csv()
     files["superthin.svg"] = point_map_svg(rset, "superthin residuals")
     if rset.n_points >= 2:
-        assess = assess_homogeneity(rset, radii, bands="analytic",
-                                    edge_correction=args.edge)
+        assess = assess_homogeneity(rset, radii, edge_correction=args.edge)
         files["superthin_assess.csv"] = assess.to_csv()
         files["superthin_assess.svg"] = k_curve_svg(
             assess, "superthin homogeneity assessment")
@@ -531,9 +520,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_args(args, parser) -> None:
-    """Every check that needs no input file, run before any is read, so a
-    bad flag leaves no output behind.  A usage error exits 2 through
-    parser.error; a bad value raises ValidationError (exit 3)."""
+    """Every check of the flags alone, run before any input is read (the
+    library checks the envelope's size itself).  A usage error exits 2
+    through parser.error; a bad value raises ValidationError (exit 3)."""
     command, kind = args.command, getattr(args, "kind", None)
     if command == "resid":
         if kind == "deviance" and not (args.forecast_a and args.forecast_b):
@@ -544,9 +533,6 @@ def _check_args(args, parser) -> None:
     if command == "transform":
         if kind == "thin-approx" and args.k_count is None:
             parser.error("--kind thin-approx requires --k-count")
-        if args.assess and kind == "rescale":
-            check_envelope_size(args.sims,
-                                len(default_radii(args.rmax, args.dr)))
     for name in ("k_count", "k_rate"):
         if getattr(args, name, None) is not None:
             check_finite_positive(name, getattr(args, name))

@@ -1,4 +1,7 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the finite-positive
+check that several modules raise them from."""
+
+import numpy as np
 
 
 class QuakeResidError(Exception):
@@ -30,3 +33,9 @@ class OutsideRegionError(QuakeResidError):
 class DegenerateInfimumError(QuakeResidError):
     """A method needs a field's infimum rate positive and it is zero: exact
     thinning keeps nothing, and the weighted K's prefactor is zero."""
+
+
+def check_finite_positive(name: str, value: float) -> None:
+    """Raise ValidationError unless value is finite and positive."""
+    if not (np.isfinite(value) and value > 0):
+        raise ValidationError(f"{name} must be finite and positive")

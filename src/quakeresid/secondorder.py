@@ -1,5 +1,5 @@
-"""Second-order statistics: K-functions, their centered L display,
-analytic confidence bands, and simulation envelopes.
+"""Second-order statistics: K-functions, their centered L display, and
+their confidence bands.
 
 One function, weighted_k, computes every K curve: b / integral(lambda)
 times the sum, over ordered pairs j != i at distance <= r, of
@@ -9,9 +9,10 @@ IntensityField (a forecast's own intensity, over its grid) or a constant
 rate over a region (a residual process's homogeneous rate).  At a
 constant rate k it is the sum of s_ij over k^2 A, Ripley's K at rate k
 (Baddeley, Moller & Waagepetersen 2000), so ripley_k is weighted_k at the
-estimated rate n / A.  A simulation envelope applies weighted_k at the
-null rate to homogeneous Poisson patterns on the same region, with the
-same edge correction.
+estimated rate n / A.  k_with_bands adds the BAND_LEVEL band that the
+null's region chooses: analytic on a Grid; on a rescaled region, the
+envelope of weighted_k at the null rate over homogeneous Poisson patterns
+drawn on that region with the same edge correction.
 
 One pair search feeds the estimator: a cell-bucket search yields the pairs
 within the largest radius a block at a time, blocks cut by candidate count.
@@ -35,7 +36,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import DegenerateInfimumError, ValidationError
+from .errors import (DegenerateInfimumError, ValidationError,
+                     check_finite_positive)
+from .grids import Grid
 from .intensity import IntensityField, evaluate, extremes, integrate
 from .rng import SeededStream
 from .simulate import simulate_homogeneous
@@ -334,8 +337,9 @@ def weighted_k(points, null, radii, edge_correction: str = "none",
     of lambda, b its infimum, times the sum over ordered pairs j != i at
     distance <= r of s_ij / (lambda_i lambda_j).
 
-    The null is an IntensityField, whose region is its grid, or a positive
-    constant rate over `region`.  One pass over the pair blocks: each
+    The null is an IntensityField, whose region is its grid, or a finite,
+    positive constant rate over `region`; a point whose weight 1/lambda is
+    not finite is a ValidationError.  One pass over the pair blocks: each
     block's terms are binned by the first radius at or above their
     distance, and a cumulative sum over the bins gives K.
     """
@@ -364,10 +368,15 @@ def weighted_k(points, null, radii, edge_correction: str = "none",
     else:
         if region is None:
             raise ValidationError("a constant null rate needs a region")
-        if not null > 0:
-            raise ValidationError("null rate must be positive")
+        check_finite_positive("null rate", null)
         lam, b, total = np.full(len(pts), null), null, null * region.area
-    weights = 1.0 / lam
+    with np.errstate(over="ignore"):   # a subnormal rate's weight is inf
+        weights = 1.0 / lam
+    if not np.isfinite(weights).all():
+        i = int(np.argmax(~np.isfinite(weights)))
+        raise ValidationError(
+            f"point at index {i} (lon {pts[i, 0]}, lat {pts[i, 1]}) has null "
+            f"rate {float(lam[i])!r}, whose weight 1/rate is not finite")
     binned = np.zeros(len(radii))
     for ii, jj, dd in _pair_blocks(pts, float(radii[-1])):
         pw = weights[ii] * weights[jj]
@@ -409,29 +418,24 @@ def wk_confidence_bands(radii, area: float, total_intensity: float):
     return mean - half, mean + half
 
 
-def check_envelope_size(n_sims: int, n_radii: int) -> None:
-    """ValidationError unless an envelope of n_sims replicates at n_radii
-    radii has two replicates or more and fits MAX_ENVELOPE_VALUES."""
-    if n_sims < 2:
-        raise ValidationError("envelope needs at least two simulations")
-    if n_sims * n_radii > MAX_ENVELOPE_VALUES:
-        raise ValidationError(
-            f"{n_sims} simulations at {n_radii} radii are above the "
-            f"supported {MAX_ENVELOPE_VALUES} envelope values")
-
-
 def envelope_bands(region, rate: float, radii, n_sims: int,
                    stream: SeededStream, edge_correction: str = "none"):
     """Middle-BAND_LEVEL empirical range of the K that weighted_k computes
     at this constant rate, over homogeneous Poisson simulations on the
     region: same weights, prefactor, region and edge correction.  Returns
-    (lower, upper) order statistics in K units."""
+    (lower, upper) order statistics in K units.  Its size (two replicates or
+    more, at most MAX_ENVELOPE_VALUES values) is checked before simulating.
+    """
     radii = radii_grid(radii)
-    check_envelope_size(n_sims, len(radii))
+    if n_sims < 2:
+        raise ValidationError("envelope needs at least two simulations")
+    if n_sims * len(radii) > MAX_ENVELOPE_VALUES:
+        raise ValidationError(
+            f"{n_sims} simulations at {len(radii)} radii are above the "
+            f"supported {MAX_ENVELOPE_VALUES} envelope values")
     # checked here too: a replicate with fewer than two points skips weighted_k
     _check_edge_correction(edge_correction)
-    if not rate > 0:
-        raise ValidationError("null rate must be positive")
+    check_finite_positive("null rate", rate)
     sims = np.zeros((n_sims, len(radii)))   # fewer than two points: K = 0
     for j in range(n_sims):
         xs, ys = simulate_homogeneous(region, rate, stream.substream(j))
@@ -443,3 +447,28 @@ def envelope_bands(region, rate: float, radii, n_sims: int,
     lo_idx = int(np.floor(alpha / 2.0 * n_sims))
     hi_idx = int(np.ceil((1.0 - alpha / 2.0) * n_sims)) - 1
     return sims[lo_idx], sims[hi_idx]
+
+
+def k_with_bands(points, null, radii, edge_correction: str = "none",
+                 region=None, n_sims: int = 1000,
+                 stream: SeededStream | None = None) -> KCurve:
+    """weighted_k of the points against the null, with the BAND_LEVEL band
+    that the null's region chooses: on a Grid (a field's own, or a grid
+    residual set's) wk_confidence_bands for the null's total intensity; on
+    any other region (a rescaled one) the envelope of n_sims homogeneous
+    simulations at the null rate, drawn from stream."""
+    curve = weighted_k(points, null, radii, edge_correction, region)
+    if isinstance(null, IntensityField):
+        region, total = null.grid, integrate(null)
+    else:
+        total = null * region.area
+    if isinstance(region, Grid):
+        method, bands = "analytic", wk_confidence_bands(radii, region.area,
+                                                         total)
+    elif stream is None:
+        raise ValidationError("envelope bands need a seeded stream")
+    else:
+        method, bands = "envelope", envelope_bands(
+            region, null, radii, n_sims, stream, edge_correction)
+    return replace(curve, bands=bands,
+                   meta={**curve.meta, "bands": method, "level": BAND_LEVEL})

@@ -16,14 +16,13 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .catalogs import Catalog
-from .errors import DegenerateInfimumError, ValidationError
-from .grids import Grid
+from .errors import (DegenerateInfimumError, ValidationError,
+                     check_finite_positive)
 from .intensity import (IntensityField, check_inside, evaluate, extremes,
                         integrate)
 from .regions import RowIntervalRegion, TransposedRegion
 from .rng import SeededStream
-from .secondorder import (BAND_LEVEL, KCurve, default_radii, envelope_bands,
-                          radii_grid, weighted_k, wk_confidence_bands)
+from .secondorder import KCurve, k_with_bands
 from .simulate import simulate_cox_complement
 
 
@@ -62,12 +61,6 @@ class ResidualSet:
             out.write("%.12g,%.12g,%s,%s,%s\n" % (x, y, label,
                                                   self.transform, seed))
         return out.getvalue()
-
-
-def check_finite_positive(name: str, value: float) -> None:
-    """Raise ValidationError unless value is finite and positive."""
-    if not (np.isfinite(value) and value > 0):
-        raise ValidationError(f"{name} must be finite and positive")
 
 
 def rescale(catalog: Catalog, fld: IntensityField,
@@ -115,36 +108,44 @@ def rescale(catalog: Catalog, fld: IntensityField,
 
 
 def _thin_and_superpose(fld: IntensityField, pts: np.ndarray,
-                        null_rate: float, transform: str, meta: dict,
-                        keep=None, add=None) -> ResidualSet:
+                        probs: np.ndarray, level: float, null_rate: float,
+                        streams: tuple, transform: str,
+                        meta: dict) -> ResidualSet:
     """The one operation behind the grid transforms: keep each event with
-    probability p(x), then add simulated points from the complement rate
+    probability probs, then add simulated points from the complement rate
     max(0, level - rate).
 
-    keep is (p at each event, stream) or None to keep every event; add is
-    (level, stream) or None to add nothing.  Kept events come first, then
-    the simulated points.
+    streams is (keep, add), the streams the two sides draw from.  Kept
+    events come first, then the simulated points.
     """
-    n_input = len(pts)
-    if keep is not None:
-        probs, stream = keep
-        pts = pts[stream.generator().random(n_input) < probs]
-    sim_pts = np.zeros((0, 2))
-    if add is not None:
-        level, stream = add
-        sim_pts = np.column_stack(simulate_cox_complement(fld, level, stream))
-    seed = (keep or add)[1].seed
-    return ResidualSet(np.concatenate([pts, sim_pts]),
-                       np.repeat([False, True], [len(pts), len(sim_pts)]),
-                       null_rate, fld.grid, transform, seed=seed,
-                       meta={**meta, "n_input": n_input,
-                             "n_retained": len(pts),
+    keep, add = streams
+    kept = pts[keep.generator().random(len(pts)) < probs]
+    sim_pts = np.column_stack(simulate_cox_complement(fld, level, add))
+    return ResidualSet(np.concatenate([kept, sim_pts]),
+                       np.repeat([False, True], [len(kept), len(sim_pts)]),
+                       null_rate, fld.grid, transform, seed=keep.seed,
+                       meta={**meta, "n_input": len(pts),
+                             "n_retained": len(kept),
                              "n_simulated": len(sim_pts)})
+
+
+def _super_thin_at(catalog: Catalog, fld: IntensityField, level: float,
+                   streams: tuple, transform: str, meta: dict) -> ResidualSet:
+    """Super-thinning at level k: keep each event with probability
+    min(1, k / rate), add points from max(0, k - rate).  At k = inf(rate)
+    no complement is drawn; at sup(rate) random() < 1.0 keeps every event."""
+    pts = catalog.points()
+    # an event on zero rate gets k / 0 = inf, so it is always kept
+    with np.errstate(divide="ignore", over="ignore"):
+        probs = np.minimum(1.0, level / evaluate(fld, pts[:, 0], pts[:, 1]))
+    return _thin_and_superpose(fld, pts, probs, level, level, streams,
+                               transform, meta)
 
 
 def thin_exact(catalog: Catalog, fld: IntensityField,
                stream: SeededStream) -> ResidualSet:
-    """Keep each event with probability inf(rate) / rate(event).
+    """Keep each event with probability inf(rate) / rate(event):
+    super-thinning at k = inf(rate).
 
     The retained set is homogeneous with rate inf(rate) when the model is
     correct.  A zero infimum makes every retention probability zero, which
@@ -154,11 +155,8 @@ def thin_exact(catalog: Catalog, fld: IntensityField,
     if b == 0:
         raise DegenerateInfimumError(
             "rate infimum is zero; exact thinning would delete everything")
-    pts = catalog.points()
-    lam = evaluate(fld, pts[:, 0], pts[:, 1])
-    return _thin_and_superpose(fld, pts, b, "thin",
-                               {"retention": "inf(rate)/rate"},
-                               keep=(b / lam, stream))
+    return _super_thin_at(catalog, fld, b, (stream, stream), "thin",
+                          {"retention": "inf(rate)/rate"})
 
 
 def thin_approx(catalog: Catalog, fld: IntensityField, k_count: float,
@@ -180,14 +178,15 @@ def thin_approx(catalog: Catalog, fld: IntensityField, k_count: float,
         warnings.warn(f"{n_clamped} retention probabilities clamped to 1; "
                       "target count is approximate", stacklevel=2)
         probs = np.minimum(probs, 1.0)
-    return _thin_and_superpose(fld, pts, k_count / fld.grid.area, "thin",
-                               {"k_count": k_count, "n_clamped": n_clamped},
-                               keep=(probs, stream))
+    return _thin_and_superpose(fld, pts, probs, 0.0, k_count / fld.grid.area,
+                               (stream, stream), "thin",
+                               {"k_count": k_count, "n_clamped": n_clamped})
 
 
 def superpose(catalog: Catalog, fld: IntensityField,
               stream: SeededStream) -> ResidualSet:
-    """Add simulated points from the complement rate sup(rate) - rate.
+    """Add simulated points from the complement rate sup(rate) - rate:
+    super-thinning at k = sup(rate).
 
     The union of observed and simulated points is homogeneous with rate
     sup(rate).
@@ -195,10 +194,8 @@ def superpose(catalog: Catalog, fld: IntensityField,
     sup = extremes(fld)[1]
     if sup == 0:
         raise ValidationError("rate supremum is zero; nothing to superpose onto")
-    pts = catalog.points()
-    check_inside(fld.grid, pts[:, 0], pts[:, 1])
-    return _thin_and_superpose(fld, pts, sup, "superpose", {"level": sup},
-                               add=(sup, stream))
+    return _super_thin_at(catalog, fld, sup, (stream, stream), "superpose",
+                          {"level": sup})
 
 
 def super_thin(catalog: Catalog, fld: IntensityField,
@@ -214,44 +211,20 @@ def super_thin(catalog: Catalog, fld: IntensityField,
     if k_rate is None:
         k_rate = integrate(fld) / fld.grid.area
     check_finite_positive("k_rate", k_rate)
-    pts = catalog.points()
-    # an event on zero rate gets k / 0 = inf, so it is always kept
-    with np.errstate(divide="ignore", over="ignore"):
-        probs = np.minimum(1.0, k_rate / evaluate(fld, pts[:, 0], pts[:, 1]))
-    return _thin_and_superpose(fld, pts, k_rate, "superthin",
-                               {"k_rate": k_rate},
-                               keep=(probs, stream.substream(0)),
-                               add=(k_rate, stream.substream(1)))
+    return _super_thin_at(catalog, fld, k_rate,
+                          (stream.substream(0), stream.substream(1)),
+                          "superthin", {"k_rate": k_rate})
 
 
-def assess_homogeneity(rset: ResidualSet, radii=None,
-                       bands: str = "analytic", n_sims: int = 1000,
+def assess_homogeneity(rset: ResidualSet, radii, n_sims: int = 1000,
                        stream: SeededStream | None = None,
                        edge_correction: str = "none") -> KCurve:
-    """Weighted K of a residual set against its homogeneous null, with
-    BAND_LEVEL confidence bands: "analytic" normal-approximation bands, or
-    "envelope" from the same estimator on homogeneous simulations on the
-    same region."""
-    radii = default_radii() if radii is None else radii_grid(radii)
+    """k_with_bands of a residual set against its homogeneous null rate on
+    its region: the analytic band on a grid, the envelope of n_sims
+    simulations from stream on a rescaled region."""
     if rset.n_points < 2:
         raise ValidationError(
             "homogeneity assessment needs at least two residual points")
-    curve = weighted_k(rset.points, rset.null_rate, radii, edge_correction,
-                       rset.region)
-    if bands == "analytic":
-        if not isinstance(rset.region, Grid):
-            raise ValidationError(
-                "analytic bands assume a grid region; use envelope bands "
-                "for rescaled residuals")
-        lo, hi = wk_confidence_bands(radii, rset.region.area,
-                                     rset.null_rate * rset.region.area)
-    elif bands == "envelope":
-        if stream is None:
-            raise ValidationError("envelope bands need a seeded stream")
-        lo, hi = envelope_bands(rset.region, rset.null_rate, radii, n_sims,
-                                stream, edge_correction=edge_correction)
-    else:
-        raise ValidationError(f"unknown band method {bands!r}")
-    meta = dict(curve.meta)
-    meta.update({"bands": bands, "level": BAND_LEVEL, "transform": rset.transform})
-    return replace(curve, bands=(lo, hi), meta=meta)
+    curve = k_with_bands(rset.points, rset.null_rate, radii, edge_correction,
+                         rset.region, n_sims, stream)
+    return replace(curve, meta={**curve.meta, "transform": rset.transform})

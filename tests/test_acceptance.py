@@ -119,7 +119,7 @@ def test_criterion_4_null_coverage():
             if rset.n_points < 2:
                 continue
             cov[name].append(_coverage_fraction(
-                assess_homogeneity(rset, radii, bands="analytic")))
+                assess_homogeneity(rset, radii)))
     means = {name: float(np.mean(v)) for name, v in cov.items()}
     ok = all(v >= 0.93 for v in means.values())
     _report(4, "null coverage of residual assessments", ok,
@@ -138,7 +138,7 @@ def test_criterion_5_power_against_misspecification():
     for i in range(100):
         cat = simulate_catalog(truth, SeededStream(500, 100 + i))
         rset = super_thin(cat, model, SeededStream(500, 2000 + i))
-        curve = assess_homogeneity(rset, radii, bands="analytic")
+        curve = assess_homogeneity(rset, radii)
         lo, hi = curve.bands
         if np.any((curve.k_values < lo) | (curve.k_values > hi)):
             hits += 1

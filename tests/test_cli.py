@@ -172,6 +172,27 @@ def test_weighted_k_with_zero_infimum_exits_3(tmp_path, capsys):
     assert sorted(os.listdir(tmp_path)) == before
 
 
+def test_weighted_k_with_subnormal_rate_exits_3(tmp_path, capsys):
+    # a bin rate of 1e-320 gives the events in its pixel the weight
+    # 1 / rate = inf, which would put inf in the K rows
+    (tmp_path / "fc.txt").write_text(
+        FORECAST.replace("4.05 2.0", "4.05 1e-320"))
+    (tmp_path / "cat.csv").write_text("time,lon,lat,depth,mag\n"
+                                      "2007-01-01T00:00:00Z,0.2,0.2,5,4.0\n"
+                                      "2007-02-01T00:00:00Z,0.3,0.3,5,4.0\n"
+                                      "2007-03-01T00:00:00Z,0.8,0.7,5,4.0\n")
+    before = sorted(os.listdir(tmp_path))
+    rc = main(["k", "--weighted", "--forecast", str(tmp_path / "fc.txt"),
+               "--catalog", str(tmp_path / "cat.csv"),
+               "--out", str(tmp_path / "k.csv")])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert "Traceback" not in err
+    assert "point at index 0 (lon 0.2, lat 0.2) has null rate" in err
+    assert "whose weight 1/rate is not finite" in err
+    assert sorted(os.listdir(tmp_path)) == before
+
+
 def test_transform_bare_k_flag_usage_error(workspace):
     tmp, fc, cat = workspace
     with pytest.raises(SystemExit) as exc:
@@ -375,7 +396,8 @@ def test_points_beyond_memory_exit_code(tmp_path, command):
 def test_envelope_beyond_memory_exit_code(workspace):
     # an envelope of 1e11 replicates would need 50.9 TiB: run in a child
     # whose address space is capped at 1 GiB, so allocating it would fail;
-    # the cap stops it before the inputs are read or an output is written
+    # the envelope's size check stops it before anything is simulated, and
+    # a failed command writes no output
     tmp, fc, cat = workspace
     before = sorted(os.listdir(tmp))
     code = ("import resource, sys\n"
@@ -389,6 +411,20 @@ def test_envelope_beyond_memory_exit_code(workspace):
     assert "Traceback" not in out.stderr
     assert "100000000000 simulations at 70 radii are above the supported " \
         "10000000 envelope values" in out.stderr
+    assert sorted(os.listdir(tmp)) == before
+
+
+@pytest.mark.parametrize("sims", ["1", "0"])
+def test_envelope_of_fewer_than_two_sims_exit_code(workspace, capsys, sims):
+    tmp, fc, cat = workspace
+    before = sorted(os.listdir(tmp))
+    rc = main(["transform", "--kind", "rescale", "--assess", "--sims", sims,
+               "--forecast", str(fc), "--catalog", str(cat),
+               "--out", str(tmp / "rs.csv")])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert "Traceback" not in err
+    assert "envelope needs at least two simulations" in err
     assert sorted(os.listdir(tmp)) == before
 
 
@@ -575,6 +611,21 @@ def test_package_imports_only_the_standard_library_and_numpy():
             foreign += [f"{path.name}:{node.lineno}: {name}" for name in names
                         if name.partition(".")[0] not in allowed]
     assert foreign == []
+
+
+def test_only_secondorder_computes_a_k_band():
+    # k_with_bands is the one place that chooses and computes a K band, so
+    # a change to the band is made there alone
+    pkg = pathlib.Path(quakeresid.__file__).parent
+    callers = []
+    for path in sorted(pkg.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "id", getattr(func, "attr", None))
+                if name in ("wk_confidence_bands", "envelope_bands"):
+                    callers.append(f"{path.name}:{node.lineno}: {name}")
+    assert callers and all(c.startswith("secondorder.py:") for c in callers)
 
 
 def test_ptrs_draws_leave_scipy_special_unloaded(tmp_path):

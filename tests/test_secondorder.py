@@ -372,6 +372,30 @@ def test_weighted_k_refuses_a_field_with_zero_infimum():
         weighted_k(pts, fld, [0.1, 0.2, 0.3], "none")
 
 
+@pytest.mark.parametrize("null", [np.inf, np.nan, 1e-320, "field"])
+def test_weighted_k_refuses_non_finite_weights(null):
+    # a rate of 1e-320 has weight 1 / 1e-320 = inf, so K would be inf or nan
+    g = Grid.regular(0, 1, 0, 1, 0.5, 0.5)
+    pts = np.array([[0.7, 0.7], [0.25, 0.25]])
+    if null == "field":
+        fld = IntensityField(g, np.array([[1e-320, 1.0], [1.0, 1.0]]))
+        with pytest.raises(ValidationError, match=r"^point at index 1 \(lon "
+                           r"0.25, lat 0.25\) has null rate 1e-320, whose "
+                           r"weight 1/rate is not finite$"):
+            weighted_k(pts, fld, [0.5], "none")
+    elif null == 1e-320:
+        with pytest.raises(ValidationError, match=r"^point at index 0 .* "
+                           "weight 1/rate is not finite$"):
+            weighted_k(pts, null, [0.5], "none", g)
+    else:
+        for call in (lambda: weighted_k(pts, null, [0.5], "none", g),
+                     lambda: envelope_bands(g, null, [0.5], 2,
+                                            SeededStream(5, 0))):
+            with pytest.raises(ValidationError,
+                               match="^null rate must be finite and positive$"):
+                call()
+
+
 def test_weighted_k_names_its_region_one_way():
     g = Grid.regular(0, 1, 0, 1, 0.5, 0.5)
     pts = np.array([[0.25, 0.5], [0.75, 0.5]])
@@ -543,7 +567,8 @@ def test_envelope_bands_min_max_for_two_sims():
     lo, hi = envelope_bands(region, 1e-9, radii, 2, SeededStream(5, 0))
     assert not lo.any() and not hi.any()
     # a zero rate draws no points either, but has no K to bracket
-    with pytest.raises(ValidationError, match="rate must be positive"):
+    with pytest.raises(ValidationError,
+                       match="null rate must be finite and positive"):
         envelope_bands(region, 0.0, radii, 2, SeededStream(5, 0))
     with pytest.raises(ValidationError, match="unknown edge correction"):
         envelope_bands(region, 1e-9, radii, 2, SeededStream(5, 0), "ripley")

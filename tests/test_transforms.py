@@ -4,10 +4,11 @@ import pytest
 from quakeresid import (DegenerateInfimumError, Grid,
                         IntensityField, OutsideRegionError, ResidualSet,
                         RowIntervalRegion, SeededStream, TransposedRegion,
-                        ValidationError, assess_homogeneity, integrate,
-                        parse_catalog, rescale, simulate_catalog,
-                        simulate_homogeneous, super_thin, superpose,
-                        thin_approx, thin_exact)
+                        ValidationError, assess_homogeneity, envelope_bands,
+                        integrate, k_with_bands, parse_catalog, rescale,
+                        simulate_catalog, simulate_homogeneous, super_thin,
+                        superpose, thin_approx, thin_exact, weighted_k,
+                        wk_confidence_bands)
 
 
 def _catalog(points):
@@ -213,6 +214,19 @@ def test_superpose_labels_partition():
     assert np.all(fld.grid.contains(sim[:, 0], sim[:, 1]))
 
 
+def test_superpose_keeps_an_event_on_zero_rate():
+    # sup / 0 is inf, taken to probability 1 without a RuntimeWarning,
+    # which the test configuration turns into an error
+    fld = IntensityField(_grid(), np.array([[0.0, 3.0], [1.0, 1.0]]))
+    cat = _catalog([(0.2, 0.2), (0.8, 0.8)])
+    rset = superpose(cat, fld, SeededStream(9, 0))
+    assert (~rset.simulated).sum() == 2
+    assert np.array_equal(rset.points[~rset.simulated], [[0.2, 0.2],
+                                                         [0.8, 0.8]])
+    labels = [line.split(",")[2] for line in rset.to_csv().splitlines()[1:3]]
+    assert labels == ["retained", "retained"]
+
+
 # --- super-thinning ----------------------------------------------------
 
 def test_super_thin_pointwise_identity():
@@ -267,11 +281,32 @@ def test_assess_envelope_for_rescaled():
                          np.array([[0.5, 1.5], [1.0, 2.0]]))
     cat = simulate_catalog(fld, SeededStream(17, 0))
     rset = rescale(cat, fld)
-    with pytest.raises(ValidationError):
-        assess_homogeneity(rset, [0.5, 1.0], bands="analytic")
-    curve = assess_homogeneity(rset, [0.5, 1.0], bands="envelope",
-                               n_sims=20, stream=SeededStream(18, 0))
+    curve = assess_homogeneity(rset, [0.5, 1.0], n_sims=20,
+                               stream=SeededStream(18, 0))
     assert curve.bands is not None
+    assert curve.meta["bands"] == "envelope"
+    # k_with_bands takes the band from the region.  On a grid: the analytic
+    # band of the null's total intensity
+    grid, radii = fld.grid, [0.5, 1.0]
+    for null, region, total in ((fld, None, integrate(fld)),
+                                (2.0, grid, 2.0 * grid.area)):
+        curve = k_with_bands(cat.points(), null, radii, region=region)
+        assert curve.meta["bands"] == "analytic"
+        want = wk_confidence_bands(radii, grid.area, total)
+        assert all(np.array_equal(g, w) for g, w in zip(curve.bands, want))
+    # on a rescaled region: the envelope from the same stream
+    for axis, edge in (("horizontal", "none"), ("vertical", "isotropic")):
+        rset = rescale(cat, fld, axis)
+        assert isinstance(rset.region, {"horizontal": RowIntervalRegion,
+                                         "vertical": TransposedRegion}[axis])
+        curve = k_with_bands(rset.points, 1.0, radii, edge, rset.region, 20,
+                             SeededStream(18, 0))
+        assert curve.meta["bands"] == "envelope"
+        want = envelope_bands(rset.region, 1.0, radii, 20,
+                              SeededStream(18, 0), edge)
+        assert all(np.array_equal(g, w) for g, w in zip(curve.bands, want))
+        with pytest.raises(ValidationError, match="need a seeded stream"):
+            k_with_bands(rset.points, 1.0, radii, edge, rset.region)
 
 
 @pytest.mark.parametrize("region", [
@@ -287,12 +322,10 @@ def test_envelope_calibrated_under_the_null(region):
     shares = []
     for j in range(n_patterns):
         xs, ys = simulate_homogeneous(region, rate, SeededStream(71, j))
-        rset = ResidualSet(np.column_stack([xs, ys]), np.zeros(len(xs), bool),
-                           rate, region, "null")
-        curve = assess_homogeneity(rset, radii, bands="envelope", n_sims=39,
-                                   stream=SeededStream(72, j))
-        lo, hi = curve.bands
-        shares.append(np.mean((curve.k_values < lo) | (curve.k_values > hi)))
+        k = weighted_k(np.column_stack([xs, ys]), rate, radii, "none",
+                       region).k_values
+        lo, hi = envelope_bands(region, rate, radii, 39, SeededStream(72, j))
+        shares.append(np.mean((k < lo) | (k > hi)))
     # the radii of one pattern leave the band together, so the margin is
     # three standard errors over independent patterns, not over cells
     margin = 3 * np.std(shares, ddof=1) / np.sqrt(n_patterns)
