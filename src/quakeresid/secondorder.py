@@ -25,7 +25,10 @@ Isotropic edge correction weights a pair by the reciprocal fraction of the
 circle centered at the first point and passing through the second that lies
 inside the region.  One exact routine serves every region: the region's
 cells, merged into runs along each row, are disjoint rectangles, and the
-circle's fraction is the sum of its exact fractions in each of them.
+circle's fraction is the sum of its exact fractions in each of them.  On a
+Grid, a circle that lies wholly inside the region, with a relative margin
+of 1e-9 against its pixel's clearance to the complement, has fraction
+exactly 1 and skips that sum; most circles of a large region do.
 """
 
 from __future__ import annotations
@@ -58,6 +61,12 @@ BAND_LEVEL = 0.95
 
 # Floor on a circle's inside fraction: one pair's edge weight is at most 720.
 _MIN_ARC_FRACTION = 1.0 / 720
+# A circle is wholly inside a Grid when its radius is at most this share of
+# its pixel's clearance.  The rest absorbs the rounding of the pixel edges
+# and of the centre's pixel lookup: a circle tangent to the complement
+# within rounding can cross it, losing about sqrt(2 delta / t) / pi of its
+# fraction for a crossing delta, so it takes the run sum.
+_CLEARANCE_MARGIN = 1.0 - 1e-9
 _RECT_BLOCK = 2 ** 15  # (rectangle, circle) pairs circle_fraction_mask holds
 
 
@@ -265,34 +274,92 @@ def _rectangles(region):
     return x0[start], x1[end], y0[start], y1[start]
 
 
+def _clearance(region, cx, cy, reach):
+    """Each centre's clearance on a Grid: a lower bound on the distance from
+    any point of its pixel to the region's complement (the inactive pixels
+    and everything outside the box), 0 for a centre outside the active
+    pixels or on any other region.
+
+    The gap between two pixels is measured between the floating-point
+    edges o + i * s that _rectangles uses, and a pixel's clearance is the
+    least gap to a complement pixel, a ring of one pixel around the box
+    standing in for its outside.  Each row's nearest complement columns
+    come from one running max and min; each pixel holding a centre then
+    takes the least gap over the rows.  Rows more than reach plus a pixel
+    away are not searched, so a clearance above reach can come out too
+    large; no radius up to reach passes or fails the filter for that.
+    """
+    if not isinstance(region, Grid):
+        return np.zeros(len(cx))
+    (xo, ix, dx), (yo, iy, dy), _ = region.cells()
+    n_x, n_y = region.n_x, region.n_y
+    outside = np.ones((n_y + 2, n_x + 2), dtype=bool)
+    outside[iy + 1, ix + 1] = False
+    # ring-frame edges: column c spans ex[c] to ex[c + 1], row r ey[r] to
+    # ey[r + 1]
+    ex = xo + np.arange(-1, n_x + 2) * dx
+    ey = yo + np.arange(-1, n_y + 2) * dy
+    col = np.arange(n_x + 2)
+    left = np.maximum.accumulate(np.where(outside, col, -1), axis=1)
+    right = np.minimum.accumulate(np.where(outside, col, n_x + 2)[:, ::-1],
+                                  axis=1)[:, ::-1]
+    # gap to the row's nearest complement column: 0 in a complement pixel
+    gap_x = np.maximum(0.0, np.minimum(ex[col] - ex[left + 1],
+                                       ex[right] - ex[col + 1]))
+    pixel = region.active_pixel(cx, cy)
+    held = np.zeros(n_y * n_x, dtype=bool)
+    held[pixel[pixel >= 0]] = True
+    # ring-frame row and column of each pixel holding a centre
+    p, c = (v + 1 for v in np.divmod(np.flatnonzero(held), n_x))
+    span = int(reach / dy) + 2 if 0 <= reach < (n_y + 1) * dy else n_y + 1
+    clear = np.full(len(p), np.inf)
+    for d in range(-span, span + 1):
+        q = np.clip(p + d, 0, n_y + 1)  # past the ring, the ring row is nearer
+        gap_y = np.maximum(0.0, np.maximum(ey[q] - ey[p + 1],
+                                           ey[p] - ey[q + 1]))
+        np.minimum(clear, np.hypot(gap_x[q, c], gap_y), out=clear)
+    table = np.zeros(n_y * n_x)
+    table[held] = clear
+    return np.where(pixel >= 0, table[pixel], 0.0)
+
+
 def circle_fraction_mask(cx, cy, t, region):
     """Exact fraction of each circle inside a region: a Grid's active
     pixels, a RowIntervalRegion or a TransposedRegion, any region whose
     cells() tile it (Ripley 1988).
 
-    The region's cells, with touching cells of one row merged into runs,
-    are disjoint rectangles, so a circle's fraction is the sum of
-    circle_fraction_rect over them, added in rectangle order.  The circles
-    are sorted by centre y once; each rectangle takes the slice of them
-    whose centres lie within the largest radius of its y band, and of those
-    only the circles whose bounding box meets it.  These (rectangle,
-    circle) candidates are evaluated _RECT_BLOCK at a time, so the memory
-    beyond the sorted copies of the circles follows the block, not the
-    number of circles, and a result does not depend on the blocking.  A
-    circle of radius 0 takes region.contains at its centre.
+    On a Grid, a circle centred in an active pixel whose radius is at most
+    (1 - 1e-9) times that pixel's clearance to the complement lies wholly
+    inside and gets exactly 1.  The margin sends a circle tangent to the
+    complement within rounding to the run sum below, which sees its sliver;
+    rescaled row regions get no such circles.
+
+    Every other circle takes the run sum: the region's cells, with touching
+    cells of one row merged into runs, are disjoint rectangles, so a
+    circle's fraction is the sum of circle_fraction_rect over them, added
+    in rectangle order.  The circles are sorted by centre y once; each
+    rectangle takes the slice of them whose centres lie within the largest
+    radius of its y band, and of those only the circles whose bounding box
+    meets it.  These (rectangle, circle) candidates are evaluated
+    _RECT_BLOCK at a time, so the memory beyond the sorted copies of the
+    circles follows the block, not the number of circles, and a result
+    does not depend on the blocking or on the other circles.  A circle of
+    radius 0 takes region.contains at its centre.
     """
     cx = np.asarray(cx, dtype=float)
     cy = np.asarray(cy, dtype=float)
     t = np.asarray(t, dtype=float)
     if len(t) == 0:
         return np.zeros(0)
-    order = np.argsort(cy, kind="stable")
+    rest = np.flatnonzero(~(t <= _CLEARANCE_MARGIN * _clearance(
+        region, cx, cy, float(t.max()))))
+    order = rest[np.argsort(cy[rest], kind="stable")]
     xs, ys, ts = cx[order], cy[order], t[order]
     x0, x1, y0, y1 = _rectangles(region)
-    reach = float(t.max())
+    reach = float(ts.max(initial=0.0))
     lo = np.searchsorted(ys, y0 - reach, side="left")
     hi = np.searchsorted(ys, y1 + reach, side="right")
-    found = np.zeros(len(t))
+    found = np.zeros(len(ts))
     held, count = [], 0        # circles met by rectangles first .. k
     for k, (a, b) in enumerate(zip(lo, hi)):
         x, y, r = xs[a:b], ys[a:b], ts[a:b]
@@ -307,7 +374,7 @@ def circle_fraction_mask(cx, cy, t, region):
                 xs[circle], ys[circle], ts[circle],
                 *(np.repeat(v[first:k + 1], n) for v in (x0, x1, y0, y1))))
             held, count = [], 0
-    out = np.empty(len(t))
+    out = np.ones(len(t))
     out[order] = found
     zero = t == 0
     out[zero] = region.contains(cx[zero], cy[zero])
@@ -339,9 +406,9 @@ def weighted_k(points, null, radii, edge_correction: str = "none",
 
     The null is an IntensityField, whose region is its grid, or a finite,
     positive constant rate over `region`; a point whose weight 1/lambda is
-    not finite is a ValidationError.  One pass over the pair blocks: each
-    block's terms are binned by the first radius at or above their
-    distance, and a cumulative sum over the bins gives K.
+    not finite, or a K that overflows, is a ValidationError.  One pass over
+    the pair blocks: each block's terms are binned by the first radius at
+    or above their distance, and a cumulative sum over the bins gives K.
     """
     pts = np.asarray(points, dtype=float)
     radii = radii_grid(radii)
@@ -378,17 +445,24 @@ def weighted_k(points, null, radii, edge_correction: str = "none",
             f"point at index {i} (lon {pts[i, 0]}, lat {pts[i, 1]}) has null "
             f"rate {float(lam[i])!r}, whose weight 1/rate is not finite")
     binned = np.zeros(len(radii))
-    for ii, jj, dd in _pair_blocks(pts, float(radii[-1])):
-        pw = weights[ii] * weights[jj]
-        if edge_correction == "isotropic":
-            s_ij = _correction_weights(region, pts[ii], dd)
-            s_ji = _correction_weights(region, pts[jj], dd)
-            terms = pw * (s_ij + s_ji)  # both orientations of each pair
-        else:
-            terms = 2.0 * pw
-        binned += np.bincount(np.searchsorted(radii, dd), weights=terms,
-                              minlength=len(radii))
-    return KCurve(radii, b / total * np.cumsum(binned), "weighted",
+    with np.errstate(over="ignore"):   # an overflowed K is refused below
+        for ii, jj, dd in _pair_blocks(pts, float(radii[-1])):
+            pw = weights[ii] * weights[jj]
+            if edge_correction == "isotropic":
+                # both orientations of each pair in one call: s_ij, then s_ji
+                s = _correction_weights(region, pts[np.concatenate([ii, jj])],
+                                        np.concatenate([dd, dd]))
+                terms = pw * (s[:len(dd)] + s[len(dd):])
+            else:
+                terms = 2.0 * pw
+            binned += np.bincount(np.searchsorted(radii, dd), weights=terms,
+                                  minlength=len(radii))
+        k_values = b / total * np.cumsum(binned)
+    if not np.isfinite(k_values).all():
+        raise ValidationError(
+            f"weighted K is not finite: its pair weights 1/(lambda_i "
+            f"lambda_j) overflow at null rate {float(lam.min())!r}")
+    return KCurve(radii, k_values, "weighted",
                   meta={"pair_convention": _PAIR_CONVENTION,
                         "edge_correction": edge_correction,
                         "prefactor": "min(null)/integral(null)"})

@@ -193,6 +193,26 @@ def test_weighted_k_with_subnormal_rate_exits_3(tmp_path, capsys):
     assert sorted(os.listdir(tmp_path)) == before
 
 
+def test_weighted_k_with_overflowing_pair_weights_exits_3(tmp_path, capsys):
+    # a bin rate of 1e-160 gives finite weights 1 / rate, but two events in
+    # its pixel have the pair weight 1 / rate^2 = inf
+    (tmp_path / "fc.txt").write_text(
+        FORECAST.replace("4.05 2.0", "4.05 1e-160"))
+    (tmp_path / "cat.csv").write_text("time,lon,lat,depth,mag\n"
+                                      "2007-01-01T00:00:00Z,0.2,0.2,5,4.0\n"
+                                      "2007-02-01T00:00:00Z,0.3,0.3,5,4.0\n")
+    before = sorted(os.listdir(tmp_path))
+    rc = main(["k", "--weighted", "--forecast", str(tmp_path / "fc.txt"),
+               "--catalog", str(tmp_path / "cat.csv"),
+               "--out", str(tmp_path / "k.csv")])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert "Traceback" not in err
+    assert "weighted K is not finite" in err
+    assert "overflow at null rate 4e-160" in err
+    assert sorted(os.listdir(tmp_path)) == before
+
+
 def test_transform_bare_k_flag_usage_error(workspace):
     tmp, fc, cat = workspace
     with pytest.raises(SystemExit) as exc:
@@ -626,6 +646,33 @@ def test_only_secondorder_computes_a_k_band():
                 if name in ("wk_confidence_bands", "envelope_bands"):
                     callers.append(f"{path.name}:{node.lineno}: {name}")
     assert callers and all(c.startswith("secondorder.py:") for c in callers)
+
+
+def test_one_edge_correction_routine():
+    # circle_fraction_mask is the one edge-correction routine: only it calls
+    # the rectangle arithmetic, and only secondorder calls it, so its
+    # interior filter cannot grow into a second path
+    pkg = pathlib.Path(quakeresid.__file__).parent
+    callers = {"circle_fraction_rect": set(), "circle_fraction_mask": set()}
+    for path in sorted(pkg.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        parent = {child: node for node in ast.walk(tree)
+                  for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name in callers:
+                scope = node
+                while scope in parent and not isinstance(
+                        scope, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    scope = parent[scope]
+                callers[name].add(f"{path.name}:{getattr(scope, 'name', '')}")
+    assert callers["circle_fraction_rect"] == {
+        "secondorder.py:circle_fraction_mask"}
+    assert callers["circle_fraction_mask"] and all(
+        c.startswith("secondorder.py:")
+        for c in callers["circle_fraction_mask"])
 
 
 def test_ptrs_draws_leave_scipy_special_unloaded(tmp_path):

@@ -311,6 +311,127 @@ def test_enclosing_circle_takes_the_weight_floor():
                           np.full(3, 1.0 / secondorder._MIN_ARC_FRACTION))
 
 
+def _no_clearance(region, cx, cy, reach):
+    """The zero-clearance path: no circle passes the interior filter, so
+    every circle takes the run sum."""
+    return np.zeros(len(cx))
+
+
+def _pixel_sum(cx, cy, t, g):
+    """Per-pixel oracle: the sum of exact rectangle fractions over the
+    active pixels."""
+    want = np.zeros(len(t))
+    for iy, ix in zip(*np.nonzero(g.active_mask)):
+        want += circle_fraction_rect(cx, cy, t, g.lon_min + ix * g.dx,
+                                     g.lon_min + (ix + 1) * g.dx,
+                                     g.lat_min + iy * g.dy,
+                                     g.lat_min + (iy + 1) * g.dy)
+    return want
+
+
+@pytest.mark.parametrize("dx, dy, holes, seed", [
+    (0.1, 0.1, 0.0, 11), (0.1, 0.1, 0.01, 12), (0.25, 0.1, 0.03, 13),
+    (0.05, 0.2, 0.05, 14), (0.3, 0.3, 0.2, 15)])
+def test_interior_filter_agrees_with_the_run_sum(monkeypatch, dx, dy, holes,
+                                                 seed):
+    # random masks on a 30 x 24 grid, centres inside and outside it, radii
+    # up to 8 pixels: a circle the filter gives exactly 1 differs from its
+    # run sum only by that sum's rounding
+    rng = np.random.default_rng(seed)
+    mask = rng.random((24, 30)) >= holes
+    g = Grid.regular(0, 30 * dx, 0, 24 * dy, dx, dy, active_mask=mask)
+    n = 3000
+    cx, cy = rng.uniform(-dx, 31 * dx, n), rng.uniform(-dy, 25 * dy, n)
+    t = rng.uniform(0, 8 * max(dx, dy), n)
+    got = circle_fraction_mask(cx, cy, t, g)
+    monkeypatch.setattr(secondorder, "_clearance", _no_clearance)
+    run_sum = circle_fraction_mask(cx, cy, t, g)
+    assert np.max(np.abs(got - _pixel_sum(cx, cy, t, g))) < 1e-12
+    assert np.max(np.abs(got - run_sum)) < 1e-14
+
+
+@pytest.mark.parametrize("transposed", [False, True])
+def test_rescaled_regions_take_the_run_sum_alone(monkeypatch, transposed):
+    rng = np.random.default_rng(16)
+    region = RowIntervalRegion(np.concatenate([[0.0], np.cumsum(
+        rng.uniform(0.05, 0.3, 20))]), rng.uniform(0.0, 3.0, 20))
+    if transposed:
+        region = TransposedRegion(region)
+    x0, x1, y0, y1 = region.bbox
+    n = 2000
+    cx, cy = rng.uniform(x0, x1, n), rng.uniform(y0, y1, n)
+    t = rng.uniform(0, 0.7, n)
+    got = circle_fraction_mask(cx, cy, t, region)
+    monkeypatch.setattr(secondorder, "_clearance", _no_clearance)
+    assert np.array_equal(circle_fraction_mask(cx, cy, t, region), got)
+
+
+def test_isotropic_weighted_k_agrees_with_the_run_sum(monkeypatch):
+    # a coastline-like masked grid of 0.1 degree pixels with scattered
+    # holes and a hot spot, radii to 0.7 degrees
+    rng = np.random.default_rng(17)
+    iy, ix = np.mgrid[0:50, 0:60]
+    mask = (ix + 0.6 * iy > 20) & (rng.random((50, 60)) >= 0.01)
+    g = Grid.regular(-125.4, -119.4, 31.5, 36.5, 0.1, 0.1, active_mask=mask)
+    rates = 1.0 + 50.0 * np.exp(-((ix - 40) ** 2 + (iy - 25) ** 2) / 40.0)
+    fld = IntensityField(g, rates)
+    pts = np.column_stack(g.sample(rng, 1000))
+    radii = default_radii(0.7, 0.01)
+    got = weighted_k(pts, fld, radii, "isotropic").k_values
+    monkeypatch.setattr(secondorder, "_clearance", _no_clearance)
+    want = weighted_k(pts, fld, radii, "isotropic").k_values
+    assert np.max(np.abs(got - want) / want) < 1e-13
+
+
+@pytest.mark.parametrize("holes, seed", [(0.0, 18), (0.02, 19)])
+def test_interior_filter_fires_away_from_the_complement(holes, seed):
+    # wherever the centre's brute-force distance to the complement (the
+    # inactive pixels and the outside of the box) exceeds t plus a pixel
+    # diagonal, the circle lies inside with room to spare: exactly 1
+    rng = np.random.default_rng(seed)
+    mask = rng.random((24, 30)) >= holes
+    g = Grid.regular(0, 3, 0, 2.4, 0.1, 0.1, active_mask=mask)
+    n = 3000
+    cx, cy = rng.uniform(0, 3, n), rng.uniform(0, 2.4, n)
+    t = rng.uniform(0, 0.6, n)
+    dist = np.minimum.reduce([cx, 3 - cx, cy, 2.4 - cy])
+    for jy, jx in zip(*np.nonzero(~mask)):
+        gap_x = np.maximum.reduce([jx * 0.1 - cx, cx - (jx + 1) * 0.1,
+                                   np.zeros(n)])
+        gap_y = np.maximum.reduce([jy * 0.1 - cy, cy - (jy + 1) * 0.1,
+                                   np.zeros(n)])
+        dist = np.minimum(dist, np.hypot(gap_x, gap_y))
+    far = dist > t + np.hypot(0.1, 0.1)
+    assert np.count_nonzero(far) > n // 10
+    got = circle_fraction_mask(cx, cy, t, g)
+    assert np.all(got[far] == 1.0)
+
+
+def test_circles_tangent_within_rounding_take_the_run_sum(monkeypatch):
+    # circles centred on pixel corners, with radius the floating-point gap
+    # to a box edge, as catalogs with rounded coordinates make them: the
+    # filter must not round them up to 1.  The 40 x 40 circle is centred at
+    # y = 1.7, which the pixel lookup puts in the row whose lower edge is
+    # 17 * 0.1 = 1.7000000000000002: at a radius of that edge's gap to the
+    # box it crosses the box by 2e-16 and loses about 5e-9 of its fraction.
+    g = Grid.regular(0, 3, 0, 2.4, 0.1, 0.1)
+    corners = [(i * 0.1, j * 0.1) for i in range(1, 30) for j in range(1, 24)]
+    corners += [(i / 10, j / 10) for i in range(1, 30) for j in range(1, 24)]
+    x, y = (np.array(v) for v in zip(*corners))
+    t = np.column_stack([x - 0.0, 30 * 0.1 - x, y - 0.0, 24 * 0.1 - y]).ravel()
+    cx, cy = np.repeat(x, 4), np.repeat(y, 4)
+    cx, cy, t = (np.append(v, w) for v, w in zip((cx, cy, t),
+                                                 (1.5, 1.2, 12 * 0.1)))
+    tall = Grid.regular(0, 4, 0, 4, 0.1, 0.1)
+    cases = [(g, cx, cy, t),
+             (tall, np.array([2.0]), np.array([1.7]), np.array([17 * 0.1]))]
+    got = [circle_fraction_mask(*c[1:], c[0]) for c in cases]
+    monkeypatch.setattr(secondorder, "_clearance", _no_clearance)
+    for (region, x, y, r), frac in zip(cases, got):
+        assert np.array_equal(frac, circle_fraction_mask(x, y, r, region))
+    assert got[1][0] < 1.0 - 1e-9
+
+
 def test_radii_validation():
     with pytest.raises(ValidationError):
         radii_grid([0.2, 0.1])
@@ -394,6 +515,23 @@ def test_weighted_k_refuses_non_finite_weights(null):
             with pytest.raises(ValidationError,
                                match="^null rate must be finite and positive$"):
                 call()
+
+
+@pytest.mark.parametrize("null", [1e-160, 1e-300, "field"])
+def test_weighted_k_refuses_an_overflowing_pair_product(null):
+    # each weight 1/rate is finite, but the pair product 1/(rate_i rate_j)
+    # is not: typed, and without an overflow warning
+    g = Grid.regular(0, 1, 0, 1, 0.5, 0.5)
+    pts = np.array([[0.2, 0.2], [0.3, 0.3]])
+    if null == "field":
+        null, rate = IntensityField(g, np.array([[1e-160, 1.0],
+                                                 [1.0, 1.0]])), 1e-160
+        region = None
+    else:
+        rate, region = null, g
+    with pytest.raises(ValidationError, match=r"^weighted K is not finite: "
+                       r".* overflow at null rate " + repr(rate) + "$"):
+        weighted_k(pts, null, [0.5, 1.0], "none", region)
 
 
 def test_weighted_k_names_its_region_one_way():
