@@ -6,8 +6,6 @@ use stream.substream(replicate_index) so runs are order-independent.
 
 from __future__ import annotations
 
-from datetime import timedelta
-
 import numpy as np
 
 from .catalogs import Catalog, utc64
@@ -51,6 +49,17 @@ def _poisson_points(rng, grid, means):
     return place(rng, poisson(rng, means), *grid.cells()[:2])
 
 
+def _window_times(offsets: np.ndarray) -> np.ndarray:
+    """The instants offsets (non-negative seconds) after DEFAULT_WINDOW_START
+    as datetime64[us], rounded as timedelta(seconds=offset) rounds: the
+    whole seconds exactly, the microseconds of their fraction half to even.
+    """
+    whole = np.trunc(offsets)
+    micros = (whole.astype(np.int64) * 1_000_000
+              + np.rint((offsets - whole) * 1e6).astype(np.int64))
+    return utc64([DEFAULT_WINDOW_START])[0] + micros.astype("timedelta64[us]")
+
+
 def simulate_catalog(fld: IntensityField, stream: SeededStream,
                      magnitude: float = 0.0) -> Catalog:
     """Synthetic catalog: per-pixel Poisson counts with uniform placement.
@@ -62,9 +71,7 @@ def simulate_catalog(fld: IntensityField, stream: SeededStream,
     rng = stream.generator()
     xs, ys = _poisson_points(rng, fld.grid, _pixel_means(fld))
     span = (DEFAULT_WINDOW_END - DEFAULT_WINDOW_START).total_seconds()
-    offsets = np.sort(rng.random(len(xs))) * span
-    times = utc64([DEFAULT_WINDOW_START + timedelta(seconds=dt)
-                   for dt in offsets.tolist()])
+    times = _window_times(np.sort(rng.random(len(xs))) * span)
     return Catalog(times, xs, ys, np.zeros(len(xs)),
                    np.full(len(xs), magnitude, dtype=float))
 

@@ -9,7 +9,6 @@ overprediction.
 
 from __future__ import annotations
 
-import io
 import warnings
 from dataclasses import dataclass, field, replace
 
@@ -53,14 +52,12 @@ class ResidualSet:
 
     def to_csv(self) -> str:
         """CSV: x, y, label, transform, seed."""
-        out = io.StringIO()
-        out.write("x,y,label,transform,seed\n")
         seed = "" if self.seed is None else str(self.seed)
-        for (x, y), sim in zip(self.points, self.simulated):
-            label = "simulated" if sim else "retained"
-            out.write("%.12g,%.12g,%s,%s,%s\n" % (x, y, label,
-                                                  self.transform, seed))
-        return out.getvalue()
+        tail = f"{self.transform},{seed}\n".replace("%", "%%")
+        row = "%.12g,%.12g,%s," + tail
+        labels = np.where(self.simulated, "simulated", "retained").tolist()
+        return "x,y,label,transform,seed\n" + "".join(
+            row % r for r in zip(*self.points.T.tolist(), labels))
 
 
 def rescale(catalog: Catalog, fld: IntensityField,

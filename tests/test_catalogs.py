@@ -1,3 +1,5 @@
+import csv
+import io
 import itertools
 from datetime import datetime, timedelta, timezone
 
@@ -8,7 +10,7 @@ from quakeresid import (DEFAULT_WINDOW_END, DEFAULT_WINDOW_START, Catalog,
                         ParseError, ValidationError, filter_catalog,
                         format_time, parse_catalog, parse_forecast, parse_time,
                         serialize_catalog)
-from quakeresid.catalogs import HEADER
+from quakeresid.catalogs import HEADER, _bulk_columns, _rows_by_line
 
 CSV_TEXT = """\
 time,lon,lat,depth,mag
@@ -118,6 +120,130 @@ def test_serialize_round_trip():
     for name in HEADER:
         assert np.array_equal(getattr(again, name), getattr(cat, name))
         assert getattr(again, name).dtype == getattr(cat, name).dtype
+
+
+def _serialize_by_event(catalog):
+    """The catalog CSV written one event at a time through datetime and
+    csv.writer: the reference writer for years 1000-9999."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(HEADER)
+    epoch = datetime(1970, 1, 1, tzinfo=timezone.utc)
+    columns = (getattr(catalog, name).tolist() for name in HEADER[1:])
+    for us, *values in zip(catalog.time.astype(np.int64).tolist(), *columns):
+        t = epoch + timedelta(microseconds=us)
+        writer.writerow([t.strftime("%Y-%m-%dT%H:%M:%S.%f")[:-3] + "Z"]
+                        + ["%.12g" % v for v in values])
+    return out.getvalue()
+
+
+def _random_catalog(rng, n):
+    """n events over years 1000-9999, some before 1970 and most off the
+    millisecond, with NaN, infinities, -0.0 and tiny or huge numbers."""
+    lo, hi = np.array(["1000-01-01", "9999-12-31T23:59:59.999999"],
+                      dtype="datetime64[us]").astype(np.int64)
+    micros = np.concatenate([[lo, hi, -1, 0, 1, -999, -1000, -1001, 999],
+                             rng.integers(lo, hi, n - 9, endpoint=True)])
+    special = [np.nan, np.inf, -np.inf, -0.0, 0.0, 1e-300, -1e-300, 5e-324,
+               1.7976931348623157e308, 0.1 + 0.2, 1e16 + 1, 123456.7890123456]
+    values = rng.normal(0.0, 10.0 ** rng.integers(-12, 13, (n, 4)))
+    pick = rng.random((n, 4)) < 0.2
+    values[pick] = rng.choice(special, pick.sum())
+    return Catalog(np.sort(micros).astype("datetime64[us]"), *values.T)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_serialize_matches_event_writer(seed):
+    cat = _random_catalog(np.random.default_rng(seed), 3000)
+    assert serialize_catalog(cat) == _serialize_by_event(cat)
+
+
+def test_years_below_1000_are_padded_and_round_trip():
+    time = np.array(["0001-01-01T00:00:00", "0999-05-05T01:02:03.123456",
+                     "9999-12-31T23:59:59.999"], dtype="datetime64[us]")
+    text = serialize_catalog(Catalog(time, [0.1, 0.2, 0.3], [0, 0, 0],
+                                     [5, 5, 5], [4, 4, 4]))
+    assert text.splitlines()[1:] == ["0001-01-01T00:00:00.000Z,0.1,0,5,4",
+                                     "0999-05-05T01:02:03.123Z,0.2,0,5,4",
+                                     "9999-12-31T23:59:59.999Z,0.3,0,5,4"]
+    assert np.array_equal(parse_catalog(text).time,
+                          time.astype("datetime64[ms]"))
+    assert (format_time(datetime(999, 5, 5, 1, 2, 3, 123456,
+                                 tzinfo=timezone.utc))
+            == "0999-05-05T01:02:03.123Z")
+    # a naive datetime is UTC, as parse_time reads it
+    assert format_time(datetime(999, 5, 5)) == "0999-05-05T00:00:00.000Z"
+
+
+@pytest.mark.parametrize("stamp, event, instant", [
+    ("0001-01-01T00:30:00+01:00", 1, "0000-12-31T23:30:00"),
+    ("9999-12-31T23:30:00-01:00", 3, "10000-01-01T00:30:00")])
+def test_years_outside_1_9999_are_a_validation_error(stamp, event, instant):
+    cat = parse_catalog(CSV_TEXT + f"{stamp},0.2,0.3,5,4\n")
+    with pytest.raises(ValidationError, match=(
+            f"^event {event} at {instant}.000000 is outside years 1-9999")):
+        serialize_catalog(cat)
+    with pytest.raises(ValidationError, match="outside years 1-9999"):
+        format_time(parse_time(stamp))
+
+
+# Canonical text in number forms serialize_catalog does not write but
+# np.loadtxt reads, with times out of order and tied.
+LOADTXT_FORMS = """\
+time,lon,lat,depth,mag
+2006-03-01T12:00:00.000Z,-nan,Infinity,+1,.5
+1969-12-31T23:59:59.999Z,1.,1E5,1e5000,-0
+2006-03-01T12:00:00.000Z,-inf,nan,1e-320,-1e-5000
+"""
+
+
+def _bit_equal(a, b):
+    return (a.dtype == b.dtype and a.shape == b.shape
+            and np.array_equal(a.view(np.int64), b.view(np.int64)))
+
+
+@pytest.mark.parametrize("text", [
+    serialize_catalog(_random_catalog(np.random.default_rng(seed), 3000))
+    for seed in range(3)] + [CSV_TEXT.replace(":00Z", ":00.000Z"),
+                             LOADTXT_FORMS])
+def test_bulk_pass_equals_row_reader(text):
+    bulk = _bulk_columns(text)
+    assert bulk is not None
+    time, values = _rows_by_line(text)
+    assert _bit_equal(bulk[0], time) and _bit_equal(bulk[1], values)
+
+
+def _edit(*pairs):
+    text = CSV_TEXT.replace(":00Z", ":00.000Z")
+    for old, new in pairs:
+        text = text.replace(old, new)
+    return text
+
+
+@pytest.mark.parametrize("text", [
+    _edit(("12:00:00.000Z", "12:00:00.000+00:00")),     # offset
+    _edit(("12:00:00.000Z", "12:00:00.000")),           # naive
+    _edit(("00:30:00.000Z", "00:30:00Z")),              # no milliseconds
+    _edit(("2006-03-01T", "2006-03-01 ")),              # space separator
+    _edit(("2007-06-15", "0000-06-15")),                # year 0
+    _edit((",0.3,", ',"0.3",')),                        # quoted field
+    _edit(("2007-06-15T00:30:00.000Z", "2007")),        # short last line
+    _edit(("\n", "\r\n")),                              # CRLF
+    _edit(("4.1\n", "4.1\n\n")),                        # blank line
+    _edit(("4.6\n", "4.6")),                            # no final newline
+    _edit((",0.7,", ",\u22120.7,")),                    # U+2212
+    _edit((",12.0,", ",1_2.0,")),                       # underscore
+    _edit((",12.0,", ", 12.0,")),                       # padded number
+    _edit((",12.0,", ",12.0\t,")),                      # tab after a number
+    _edit((",4.1\n", ",4.1,1\n")),                      # six fields
+    _edit((",4.1\n", ",4.1,1\n"), (",12.0,", ",")),     # ragged, 4 commas
+    _edit((",0.3,", ",0\x003,")),                       # NUL
+    _edit((",12.0,", f",{'1' * 200_000},")),            # over csv's limit
+    _edit(("time,", "Time,")),                          # header variant
+])
+def test_bulk_pass_declines_other_text(text):
+    assert _bulk_columns(_edit()) is not None
+    assert _bulk_columns(text) is None
 
 
 def test_filter_catalog_drop_accounting():

@@ -648,6 +648,26 @@ def test_only_secondorder_computes_a_k_band():
     assert callers and all(c.startswith("secondorder.py:") for c in callers)
 
 
+def test_one_timestamp_codec():
+    # catalogs is the one module that writes or reads a timestamp, so the
+    # bulk pass and the row reader cannot drift from another codec, and
+    # simulated times are built in bulk, not one timedelta at a time
+    pkg = pathlib.Path(quakeresid.__file__).parent
+    callers, simulate_imports = [], []
+    for path in sorted(pkg.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "id", getattr(func, "attr", None))
+                if name in ("strftime", "fromisoformat", "datetime_as_string"):
+                    callers.append(f"{path.name}:{node.lineno}: {name}")
+            elif path.name == "simulate.py" and isinstance(
+                    node, (ast.Import, ast.ImportFrom)):
+                simulate_imports += [alias.name for alias in node.names]
+    assert callers and all(c.startswith("catalogs.py:") for c in callers)
+    assert "timedelta" not in simulate_imports
+
+
 def test_one_edge_correction_routine():
     # circle_fraction_mask is the one edge-correction routine: only it calls
     # the rectangle arithmetic, and only secondorder calls it, so its

@@ -1,15 +1,17 @@
 import hashlib
+from datetime import timedelta
 
 import numpy as np
 import pytest
 
-from quakeresid import (Grid, IntensityField, RowIntervalRegion,
-                        SeededStream, ValidationError, integrate,
-                        serialize_catalog, simulate_catalog,
-                        simulate_cox_complement, simulate_homogeneous,
-                        simulated_counts)
+from quakeresid import (DEFAULT_WINDOW_END, DEFAULT_WINDOW_START, Grid,
+                        IntensityField, RowIntervalRegion, SeededStream,
+                        ValidationError, integrate, serialize_catalog,
+                        simulate_catalog, simulate_cox_complement,
+                        simulate_homogeneous, simulated_counts)
+from quakeresid.catalogs import utc64
 from quakeresid.consistency import observed_counts
-from quakeresid.simulate import _BLOCK_COUNTS, replicate_counts
+from quakeresid.simulate import _BLOCK_COUNTS, _window_times, replicate_counts
 
 
 def _field():
@@ -23,6 +25,25 @@ def test_catalog_points_inside_active_pixels():
     cat = simulate_catalog(fld, SeededStream(1, 0))
     assert np.all(fld.grid.contains(cat.lon, cat.lat))
     assert np.all(cat.time[1:] >= cat.time[:-1])
+
+
+def test_window_times_round_as_timedelta():
+    rng = np.random.default_rng(5)
+    span = (DEFAULT_WINDOW_END - DEFAULT_WINDOW_START).total_seconds()
+    # offsets whose fraction is often exactly half a microsecond, near zero
+    # and across the window, among uniform ones
+    half = (np.arange(20_000) + 0.5) / 1e6
+    offsets = np.concatenate([
+        np.sort(rng.random(100_000)) * span, half,
+        np.floor(rng.random(20_000) * span) + half, [0.0, 5e-7, 1.5e-6, span]])
+    micros = (offsets - np.trunc(offsets)) * 1e6
+    ties = micros[micros - np.floor(micros) == 0.5]
+    # ties below an even and below an odd microsecond both occur
+    assert np.count_nonzero(ties % 2 < 1) > 1000
+    assert np.count_nonzero(ties % 2 > 1) > 1000
+    expected = utc64([DEFAULT_WINDOW_START + timedelta(seconds=dt)
+                      for dt in offsets.tolist()])
+    assert np.array_equal(_window_times(offsets), expected)
 
 
 def test_counts_stage_shared_with_catalog():

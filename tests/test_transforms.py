@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 
@@ -344,6 +346,31 @@ def test_residual_set_needs_finite_positive_null_rate(rate):
     with pytest.raises(ValidationError, match="null rate must be finite"):
         ResidualSet(np.zeros((0, 2)), np.zeros(0, bool), rate,
                     _grid(), "null")
+
+
+def _csv_by_row(rset):
+    """The residual CSV written one row at a time: the reference writer."""
+    out = io.StringIO()
+    out.write("x,y,label,transform,seed\n")
+    seed = "" if rset.seed is None else str(rset.seed)
+    for (x, y), sim in zip(rset.points, rset.simulated):
+        label = "simulated" if sim else "retained"
+        out.write("%.12g,%.12g,%s,%s,%s\n" % (x, y, label, rset.transform,
+                                              seed))
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("n, transform, seed", [
+    (2000, "superthin", 7), (2000, "rescale", None), (50, "50%-thin", 0),
+    (0, "thin", 3)])
+def test_residual_csv_matches_row_writer(n, transform, seed):
+    rng = np.random.default_rng(n)
+    pts = rng.normal(0.0, 10.0 ** rng.integers(-12, 13, (n, 1)), (n, 2))
+    pts[:n // 10] = rng.choice([np.nan, np.inf, -np.inf, -0.0, 1e-300,
+                                0.1 + 0.2], (n // 10, 2))
+    rset = ResidualSet(pts, rng.random(n) < 0.4, 1.0, _grid(), transform,
+                       seed)
+    assert rset.to_csv() == _csv_by_row(rset)
 
 
 def test_residual_set_csv():
