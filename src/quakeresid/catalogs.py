@@ -72,14 +72,6 @@ def parse_time(text: str) -> datetime:
     return t
 
 
-def format_time(t: datetime) -> str:
-    """A datetime as a catalog timestamp; a naive one is taken as UTC, as
-    parse_time reads it."""
-    if t.tzinfo is None:
-        t = t.replace(tzinfo=timezone.utc)
-    return _stamps(utc64([t]))[0] + "Z"
-
-
 def _stamps(time: np.ndarray) -> list:
     """datetime64 instants as YYYY-MM-DDTHH:MM:SS.mmm strings, truncated to
     the millisecond; an instant outside years 1-9999 is a ValidationError

@@ -1,8 +1,9 @@
 """Numerical summary tests: gridded Poisson log-likelihood and the L/N
 quantile tests.
 
-Both quantile scores use strict inequality in the indicator sums, so ties
-count as "not less"; this is recorded in the score metadata.
+The simulated N- and L-tests share one scorer over replicate_counts,
+_simulated_score.  Both quantile scores count strictly smaller values, so
+ties count as "not less"; this is recorded in the score metadata.
 
 The analytic N-test reads one Poisson CDF value, computed here with math
 and numpy alone (_poisson_cdf): Loader's saddle-point log pmf at one
@@ -114,17 +115,25 @@ def log_likelihood(fld: IntensityField, catalog: Catalog) -> float:
     return float(_loglik_rows(lam, observed_counts(fld, catalog)[None])[0])
 
 
+def _simulated_score(name: str, per_row, observed, fld: IntensityField,
+                     stream: SeededStream | None, n_sims: int) -> QuantileScore:
+    """Quantile score `name` of a simulated test: the fraction of replicates
+    0..n_sims-1 of replicate_counts whose statistic is strictly below the
+    observed one.  per_row maps a count block to one statistic per row."""
+    if stream is None or n_sims < 1:
+        raise ValidationError("simulation method needs a stream and n_sims >= 1")
+    below = sum(int(np.count_nonzero(per_row(block) < observed))
+                for block in replicate_counts(fld, stream, n_sims))
+    return QuantileScore(name, below / n_sims, n_sims, float(observed),
+                         "simulation", seed=stream.seed)
+
+
 def l_test(fld: IntensityField, catalog: Catalog, n_sims: int,
            stream: SeededStream) -> QuantileScore:
     """Fraction of simulated log-likelihoods strictly below the observed one."""
-    if n_sims < 1:
-        raise ValidationError("n_sims must be >= 1")
     lam = fld.active_rates() * fld.grid.pixel_area
-    ell_obs = log_likelihood(fld, catalog)
-    below = sum(int(np.count_nonzero(_loglik_rows(lam, block) < ell_obs))
-                for block in replicate_counts(fld, stream, n_sims))
-    return QuantileScore("gamma", below / n_sims, n_sims, ell_obs,
-                         "simulation", seed=stream.seed)
+    return _simulated_score("gamma", lambda block: _loglik_rows(lam, block),
+                            log_likelihood(fld, catalog), fld, stream, n_sims)
 
 
 # Loader's Stirling-series error stirlerr(n) = log(n!) - log(sqrt(2 pi n)
@@ -205,9 +214,5 @@ def n_test(fld: IntensityField, catalog: Catalog, n_sims: int = 0,
         return QuantileScore("delta", delta, 0, float(n_obs), "analytic")
     if method != "simulation":
         raise ValidationError(f"unknown method {method!r}")
-    if stream is None or n_sims < 1:
-        raise ValidationError("simulation method needs a stream and n_sims >= 1")
-    below = sum(int(np.count_nonzero(block.sum(axis=1) < n_obs))
-                for block in replicate_counts(fld, stream, n_sims))
-    return QuantileScore("delta", below / n_sims, n_sims, float(n_obs),
-                         "simulation", seed=stream.seed)
+    return _simulated_score("delta", lambda block: block.sum(axis=1), n_obs,
+                            fld, stream, n_sims)

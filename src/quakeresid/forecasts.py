@@ -5,8 +5,9 @@ Forecast files are UTF-8 text with ten whitespace-separated columns per row:
     lon_min lon_max lat_min lat_max depth_min depth_max mag_lo mag_hi rate mask_flag
 
 '#' starts a comment line.  A row with mask_flag 0 deactivates its pixel;
-pixels never mentioned are inactive.  parse_forecast takes the file's
-content as bytes (read without decoding) or as str.
+pixels never mentioned are inactive; depths are read, not kept.
+parse_forecast takes the file's content as bytes (read without decoding)
+or as str.
 """
 
 from __future__ import annotations
@@ -40,8 +41,6 @@ class Forecast:
     mag_lo: np.ndarray = field(repr=False)
     mag_hi: np.ndarray = field(repr=False)
     rate: np.ndarray = field(repr=False)
-    depth_lo: np.ndarray = field(repr=False)
-    depth_hi: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         """The bin checks: each bin lies in a pixel of the grid, has a
@@ -245,9 +244,8 @@ def _build(arr: np.ndarray) -> Forecast:
     if len(arr) == 0:
         grid = Grid(0.0, 1.0, 0.0, 1.0, 1.0, 1.0, 1, 1, np.zeros((1, 1), bool))
         z = np.zeros(0)
-        return Forecast(grid, z.astype(int), z, z, z, z, z)
-    (lon_lo, lon_hi, lat_lo, lat_hi, depth_lo, depth_hi, mag_lo, mag_hi,
-     rate, flag) = arr.T
+        return Forecast(grid, z.astype(int), z, z, z)
+    lon_lo, lon_hi, lat_lo, lat_hi, _, _, mag_lo, mag_hi, rate, flag = arr.T
     buf = np.empty(len(arr))
     # non-finite edges and sizes are stopped below, as typed errors
     with np.errstate(over="ignore", invalid="ignore"):
@@ -309,6 +307,6 @@ def _build(arr: np.ndarray) -> Forecast:
     grid = Grid(float(lon_min), float(lon_max), float(lat_min), float(lat_max),
                 float(dx), float(dy), n_x, n_y, active.reshape(n_y, n_x))
     # contiguous columns are kept as they are; strided ones are copied out
-    return Forecast(grid, pixel, *map(np.ascontiguousarray, (
-        mag_lo, mag_hi, rate, depth_lo, depth_hi)))
+    return Forecast(grid, pixel, *map(np.ascontiguousarray,
+                                      (mag_lo, mag_hi, rate)))
 

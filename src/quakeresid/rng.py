@@ -86,8 +86,9 @@ def poisson_rows(gens, mu) -> np.ndarray:
 
 
 def _check_means(mu):
+    """The one check of Poisson means; a bad one is a ValidationError."""
     if np.any(mu < 0) or np.any(~np.isfinite(mu)):
-        raise ValueError("poisson mean must be finite and non-negative")
+        raise ValidationError("poisson mean must be finite and non-negative")
     if np.any(mu > MAX_POISSON_MEAN):
         raise ValidationError(
             f"poisson mean {float(mu.max())!r} is above the largest "

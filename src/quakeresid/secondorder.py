@@ -33,7 +33,6 @@ exactly 1 and skips that sum; most circles of a large region do.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass, field, replace
 
@@ -127,15 +126,14 @@ class KCurve:
     def to_csv(self) -> str:
         """CSV: r, k, centered_l, lower, upper, kind (bands on centered-L
         scale; empty when absent)."""
-        cb = self.centered_bands
-        out = io.StringIO()
-        out.write("r,k,centered_l,lower,upper,kind\n")
-        for i, r in enumerate(self.radii):
-            lo = "%.12g" % cb[0][i] if cb is not None else ""
-            hi = "%.12g" % cb[1][i] if cb is not None else ""
-            out.write("%.12g,%.12g,%.12g,%s,%s,%s\n" % (
-                r, self.k_values[i], self.centered_l[i], lo, hi, self.kind))
-        return out.getvalue()
+        columns = [self.radii, self.k_values, self.centered_l]
+        row = "%.12g,%.12g,%.12g,,"
+        if self.bands is not None:
+            columns += self.centered_bands
+            row = "%.12g,%.12g,%.12g,%.12g,%.12g"
+        row += f",{self.kind}\n".replace("%", "%%")
+        return "r,k,centered_l,lower,upper,kind\n" + "".join(
+            row % r for r in zip(*(c.tolist() for c in columns)))
 
 
 # ---------------------------------------------------------------------------

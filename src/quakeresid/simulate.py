@@ -1,7 +1,8 @@
 """Seeded simulation: synthetic catalogs, Cox complements, homogeneous draws.
 
-Everything here is a pure function of (inputs, stream); replicates should
-use stream.substream(replicate_index) so runs are order-independent.
+Everything here is a pure function of (inputs, stream).  Replicate j reads
+stream.substream(j), so runs are order-independent; rng._check_means
+rejects a negative or non-finite Poisson mean as a ValidationError.
 """
 
 from __future__ import annotations
@@ -111,7 +112,8 @@ def simulate_cox_complement(fld: IntensityField, level: float,
     """simulate_cox_complement(fld, level, stream) -> (x, y) arrays of
     points from the complement rate max(0, level - rate); for a level at or
     above the field's supremum that is level - rate everywhere."""
-    if level < 0:
+    # a negative level clamps every mean to 0, so _check_means cannot see it
+    if not level >= 0:
         raise ValidationError("level must be non-negative")
     means = np.maximum(0.0, level - fld.active_rates()) * fld.grid.pixel_area
     return _poisson_points(stream.generator(), fld.grid, means)
@@ -121,10 +123,8 @@ def simulate_homogeneous(region, rate: float, stream: SeededStream):
     """Homogeneous Poisson draw over a region (a Grid or a rescaled
     row-interval region): Poisson(rate * area) total, each point placed
     uniformly in a cell drawn by area.  Returns (x, y) arrays.  The
-    expected count is checked against MAX_SIMULATED_POINTS before drawing.
+    expected count is checked by _check_point_means before drawing.
     """
-    if rate < 0:
-        raise ValidationError("rate must be non-negative")
     _check_point_means(rate * region.area)
     rng = stream.generator()
     return region.sample(rng, int(poisson(rng, rate * region.area)))

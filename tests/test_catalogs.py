@@ -8,7 +8,7 @@ import pytest
 
 from quakeresid import (DEFAULT_WINDOW_END, DEFAULT_WINDOW_START, Catalog,
                         ParseError, ValidationError, filter_catalog,
-                        format_time, parse_catalog, parse_forecast, parse_time,
+                        parse_catalog, parse_forecast, parse_time,
                         serialize_catalog)
 from quakeresid.catalogs import HEADER, _bulk_columns, _rows_by_line
 
@@ -39,12 +39,6 @@ def test_parse_time_accepts_z_suffix_and_naive():
     assert t == datetime(2006, 3, 1, 12, tzinfo=timezone.utc)
     t2 = parse_time("2006-03-01T12:00:00")
     assert t2 == t
-
-
-def test_format_time_round_trip():
-    t = datetime(2006, 3, 1, 12, 0, 0, 123000, tzinfo=timezone.utc)
-    assert format_time(t) == "2006-03-01T12:00:00.123Z"
-    assert parse_time(format_time(t)) == t
 
 
 def test_out_of_order_rows_sorted():
@@ -168,11 +162,6 @@ def test_years_below_1000_are_padded_and_round_trip():
                                      "9999-12-31T23:59:59.999Z,0.3,0,5,4"]
     assert np.array_equal(parse_catalog(text).time,
                           time.astype("datetime64[ms]"))
-    assert (format_time(datetime(999, 5, 5, 1, 2, 3, 123456,
-                                 tzinfo=timezone.utc))
-            == "0999-05-05T01:02:03.123Z")
-    # a naive datetime is UTC, as parse_time reads it
-    assert format_time(datetime(999, 5, 5)) == "0999-05-05T00:00:00.000Z"
 
 
 @pytest.mark.parametrize("stamp, event, instant", [
@@ -183,8 +172,6 @@ def test_years_outside_1_9999_are_a_validation_error(stamp, event, instant):
     with pytest.raises(ValidationError, match=(
             f"^event {event} at {instant}.000000 is outside years 1-9999")):
         serialize_catalog(cat)
-    with pytest.raises(ValidationError, match="outside years 1-9999"):
-        format_time(parse_time(stamp))
 
 
 # Canonical text in number forms serialize_catalog does not write but

@@ -695,6 +695,33 @@ def test_one_edge_correction_routine():
         for c in callers["circle_fraction_mask"])
 
 
+def test_one_replicate_scorer_and_stream_addressing():
+    # the simulated quantile tests score replicates through one function,
+    # and only three loops derive replicate substreams, so no statistic
+    # invents its own replicate loop or stream addressing
+    pkg = pathlib.Path(quakeresid.__file__).parent
+    callers = {"replicate_counts": set(), "substream": set()}
+    for path in sorted(pkg.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        parent = {child: node for node in ast.walk(tree)
+                  for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name in callers:
+                scope = node
+                while scope in parent and not isinstance(
+                        scope, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    scope = parent[scope]
+                callers[name].add(f"{path.name}:{getattr(scope, 'name', '')}")
+    assert callers == {
+        "replicate_counts": {"consistency.py:_simulated_score"},
+        "substream": {"simulate.py:replicate_counts",
+                      "secondorder.py:envelope_bands",
+                      "transforms.py:super_thin"}}
+
+
 def test_ptrs_draws_leave_scipy_special_unloaded(tmp_path):
     # every pixel mean is at least 10, so every Poisson draw of these
     # commands is PTRS, which needs no scipy

@@ -36,8 +36,8 @@ def _outcome(text):
     except Exception as exc:  # compared, never swallowed
         return type(exc), str(exc)
     return (fc.pixel_index.tolist(), fc.mag_lo.tolist(), fc.mag_hi.tolist(),
-            fc.rate.tolist(), fc.depth_lo.tolist(), fc.depth_hi.tolist(),
-            fc.grid.active_mask.tolist(), fc.grid.lon_min, fc.grid.lat_min)
+            fc.rate.tolist(), fc.grid.active_mask.tolist(), fc.grid.lon_min,
+            fc.grid.lat_min)
 
 
 def _reader_outcomes(text, monkeypatch):
@@ -320,8 +320,7 @@ def test_forecast_reports_first_duplicate_in_row_order():
     with pytest.raises(ValidationError,
                        match=r"^duplicate \(pixel, magnitude-bin\) key: "
                              r"pixel 3, mag_lo 5.0$"):
-        forecasts.Forecast(fc.grid, pixel, mag_lo, mag_lo + 0.1,
-                           np.ones(5), np.zeros(5), np.ones(5))
+        forecasts.Forecast(fc.grid, pixel, mag_lo, mag_lo + 0.1, np.ones(5))
 
 
 @pytest.mark.parametrize("bad", [-1, 4])
@@ -332,9 +331,9 @@ def test_forecast_rejects_pixel_index_off_the_grid(bad):
                        match=rf"^pixel index {bad} is outside the grid's 4 "
                              r"pixels$"):
         forecasts.Forecast(fc.grid, pixel, np.full(3, 4.0), np.full(3, 4.1),
-                           np.ones(3), np.zeros(3), np.ones(3))
+                           np.ones(3))
     forecasts.Forecast(fc.grid, np.array([0, 3]), np.full(2, 4.0),
-                       np.full(2, 4.1), np.ones(2), np.zeros(2), np.ones(2))
+                       np.full(2, 4.1), np.ones(2))
 
 
 def test_unicode_minus_and_comments():

@@ -40,7 +40,8 @@ def test_poisson_zero_mean():
 
 def test_poisson_negative_mean_rejected():
     rng = SeededStream(0, 0).generator()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError,
+                       match="poisson mean must be finite and non-negative"):
         poisson(rng, -1.0)
 
 

@@ -555,6 +555,35 @@ def test_centered_l_zero_under_null_mean():
     assert np.allclose(curve.centered_l, 0.0, atol=1e-12)
 
 
+def _row_loop_csv(curve):
+    """KCurve.to_csv as one write per row, its earlier form (with
+    centered_l evaluated once, not once a row)."""
+    cb, cl = curve.centered_bands, curve.centered_l
+    lines = ["r,k,centered_l,lower,upper,kind\n"]
+    for i, r in enumerate(curve.radii):
+        lo = "%.12g" % cb[0][i] if cb is not None else ""
+        hi = "%.12g" % cb[1][i] if cb is not None else ""
+        lines.append("%.12g,%.12g,%.12g,%s,%s,%s\n" % (
+            r, curve.k_values[i], cl[i], lo, hi, curve.kind))
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("n", [1, 70, secondorder.MAX_RADII])
+@pytest.mark.parametrize("with_bands", [False, True])
+def test_k_curve_csv_matches_row_loop(n, with_bands):
+    rng = np.random.default_rng(n)
+    radii = radii_grid(np.linspace(0.01, 0.7, n))
+    k = np.pi * radii ** 2 * rng.uniform(0.0, 2.0, n)
+    k[::7] = 0.0
+    bands = None
+    if with_bands:
+        half = rng.uniform(0.0, 1.0, n) * k
+        bands = (k - 2.0 * half, k + half)    # a negative lower is clipped
+    curve = KCurve(radii, k, "weighted", bands=bands)
+    assert curve.to_csv() == _row_loop_csv(curve)
+    assert len(curve.to_csv().splitlines()) == n + 1
+
+
 def test_circle_fraction_rect_exact_values():
     # fully interior circle
     assert circle_fraction_rect(0.5, 0.5, 0.2, 0, 1, 0, 1) == pytest.approx(1.0)

@@ -145,6 +145,24 @@ def test_homogeneous_zero_area_rejected():
         simulate_homogeneous(g, 1.0, SeededStream(0, 0))
 
 
+@pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf, -np.inf])
+def test_bad_homogeneous_rate_is_a_validation_error(bad):
+    # rng._check_means is the one check of a mean's sign and finiteness
+    g = Grid.regular(0, 1, 0, 1, 0.5, 0.5)
+    with pytest.raises(ValidationError, match="finite and non-negative"):
+        simulate_homogeneous(g, bad, SeededStream(0, 0))
+
+
+@pytest.mark.parametrize("bad, message", [
+    (-1.0, "level must be non-negative"),
+    (np.nan, "level must be non-negative"),
+    (np.inf, "finite and non-negative")])
+def test_bad_cox_level_is_a_validation_error(bad, message):
+    # a negative level clamps every mean to 0, so it has its own check
+    with pytest.raises(ValidationError, match=message):
+        simulate_cox_complement(_field(), bad, SeededStream(0, 0))
+
+
 def test_expected_points_above_cap_rejected_before_drawing():
     # pixel means of 1e11, under the Poisson cap: their points cannot be
     # allocated, so only a check before the draw gives a typed error
