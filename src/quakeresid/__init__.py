@@ -8,15 +8,14 @@ with homogeneity assessments.
 
 from .catalogs import (Catalog, filter_catalog, parse_catalog, parse_time,
                        serialize_catalog)
-from .consistency import (QuantileScore, l_test, log_likelihood, n_test,
-                          observed_counts)
+from .consistency import QuantileScore, l_test, log_likelihood, n_test
 from .errors import (DegenerateInfimumError, OutsideRegionError, ParseError,
                      QuakeResidError, SchemaError, ValidationError)
 from .forecasts import (DEFAULT_WINDOW_END, DEFAULT_WINDOW_START, Forecast,
                         parse_forecast)
 from .grids import Grid
 from .intensity import (IntensityField, aggregate, evaluate, extremes,
-                        integrate, scale_window)
+                        integrate, observed_counts, scale_window)
 from .manifest import TOOLKIT_VERSION, RunManifest, build_manifest
 from .regions import RowIntervalRegion, TransposedRegion
 from .residuals import (PixelResidualMap, deviance_residuals, lr_score,

@@ -6,7 +6,8 @@ command is a pure function of (input files, flags, seed); outputs written
 with --out get a manifest sidecar at <out>.manifest.json.  Every command
 writes all of its outputs or none, and stdout comes last.  Parsed forecast
 rows are cached per user, keyed by the sha256 of the file's bytes (see
-parse_forecast); the cache never changes an output.
+parse_forecast); the cache never changes an output, and a hit reads the
+file only to hash it.
 """
 
 from __future__ import annotations
@@ -58,6 +59,15 @@ def _read_bytes(path: str) -> tuple[bytes, str]:
     with open(path, "rb") as fh:
         data = fh.read()
     return data, hashlib.sha256(data).hexdigest()
+
+
+def _file_digest(path: str) -> str:
+    """The sha256 digest of a file's bytes, read 1 MiB at a time."""
+    sha = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            sha.update(chunk)
+    return sha.hexdigest()
 
 
 def _read(path: str) -> tuple[str, str]:
@@ -121,37 +131,43 @@ def _store_rows(path: str, rows) -> None:
         pass
 
 
-def parse_forecast(data: bytes, digest: str) -> Forecast:
-    """forecasts.parse_forecast(data), its rows loaded from the cache entry
-    of digest when one holds them.
+def parse_forecast(path: str, digest: str) -> Forecast:
+    """forecasts.parse_forecast of the file at path, whose bytes hash to
+    digest: its rows loaded from the cache entry of digest when one holds
+    them, and the file read only on a miss.
 
     An entry stores the rows column-major, so each column build_forecast
     checks is contiguous on a hit.  A hit holds the same bits as a fresh
     read, and every check runs on it again; an entry that fails one is a
     miss, so a fault is only ever reported against the file's own lines
-    and the entry is rewritten.  Only rows that pass the checks are stored.
-    Any OSError on the cache path leaves the parse as it would be without a
-    cache.  This keeps the library function's name, so per-layer timing
-    that wraps the CLI's parse_forecast (bench/tracing.py) times the cached
-    parse.
+    and the entry is rewritten.  The bytes a miss reads must hash to
+    digest, so the manifest and the cache key name the bytes parsed; a file
+    that changed since it was hashed is a ValidationError.  Only rows that
+    pass the checks are stored.  Any OSError on the cache path leaves the
+    parse as it would be without a cache.  This keeps the library
+    function's name, so per-layer timing that wraps the CLI's
+    parse_forecast (bench/tracing.py) times the cached parse.
     """
-    path = os.path.join(_cache_dir(), f"cols-{TOOLKIT_VERSION}-{digest}.npy")
-    rows = _cached_rows(path)
+    entry = os.path.join(_cache_dir(), f"cols-{TOOLKIT_VERSION}-{digest}.npy")
+    rows = _cached_rows(entry)
     if rows is not None:
         try:
-            return build_forecast(rows, data)
+            return build_forecast(rows, None)
         except QuakeResidError:
             pass
+    data, read_digest = _read_bytes(path)
+    if read_digest != digest:
+        raise ValidationError(f"forecast {path} changed while it was read")
     rows = read_rows(data)
     forecast = build_forecast(rows, data)
-    _store_rows(path, rows)
+    _store_rows(entry, rows)
     return forecast
 
 
 def _load_forecast(path: str) -> tuple[Forecast, str]:
     """The forecast in a file and the sha256 digest of the bytes parsed."""
-    data, digest = _read_bytes(path)
-    return parse_forecast(data, digest), digest
+    digest = _file_digest(path)
+    return parse_forecast(path, digest), digest
 
 
 def _write_outputs(outputs) -> None:

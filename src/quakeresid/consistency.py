@@ -1,9 +1,11 @@
 """Numerical summary tests: gridded Poisson log-likelihood and the L/N
 quantile tests.
 
-The simulated N- and L-tests share one scorer over replicate_counts,
-_simulated_score.  Both quantile scores count strictly smaller values, so
-ties count as "not less"; this is recorded in the score metadata.
+Both tests read the per-pixel vectors of intensity.py,
+IntensityField.expected_counts and observed_counts.  The simulated N- and
+L-tests share one scorer over simulate.replicate_counts, _simulated_score.
+Both quantile scores count strictly smaller values, so ties count as "not
+less"; this is recorded in the score metadata.
 
 The analytic N-test reads one Poisson CDF value, computed here with math
 and numpy alone (_poisson_cdf): Loader's saddle-point log pmf at one
@@ -25,7 +27,7 @@ import numpy as np
 
 from .catalogs import Catalog
 from .errors import ValidationError
-from .intensity import IntensityField, integrate
+from .intensity import IntensityField, integrate, observed_counts
 from .rng import SeededStream
 from .simulate import replicate_counts
 
@@ -69,15 +71,6 @@ class QuantileScore:
         }
 
 
-def observed_counts(fld: IntensityField, catalog: Catalog) -> np.ndarray:
-    """Event count per active pixel, row-major active order; an event in no
-    active pixel is not counted."""
-    grid = fld.grid
-    pix = grid.active_pixel(catalog.lon, catalog.lat)
-    counts = np.bincount(pix[pix >= 0], minlength=grid.n_y * grid.n_x)
-    return counts[grid.active_mask.ravel()]
-
-
 def _loglik_rows(lam: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Poisson log-likelihood of each row of a (rows, n_active) count matrix.
 
@@ -111,8 +104,8 @@ def log_likelihood(fld: IntensityField, catalog: Catalog) -> float:
 
     Returns -inf when an event falls in a pixel with zero expected count.
     """
-    lam = fld.active_rates() * fld.grid.pixel_area
-    return float(_loglik_rows(lam, observed_counts(fld, catalog)[None])[0])
+    return float(_loglik_rows(fld.expected_counts(),
+                              observed_counts(fld, catalog)[None])[0])
 
 
 def _simulated_score(name: str, per_row, observed, fld: IntensityField,
@@ -131,7 +124,7 @@ def _simulated_score(name: str, per_row, observed, fld: IntensityField,
 def l_test(fld: IntensityField, catalog: Catalog, n_sims: int,
            stream: SeededStream) -> QuantileScore:
     """Fraction of simulated log-likelihoods strictly below the observed one."""
-    lam = fld.active_rates() * fld.grid.pixel_area
+    lam = fld.expected_counts()
     return _simulated_score("gamma", lambda block: _loglik_rows(lam, block),
                             log_likelihood(fld, catalog), fld, stream, n_sims)
 

@@ -211,19 +211,23 @@ def parse_forecast(text: bytes | str) -> Forecast:
     return build_forecast(read_rows(text), text)
 
 
-def build_forecast(arr: np.ndarray, data: bytes) -> Forecast:
+def build_forecast(arr: np.ndarray, data: bytes | None) -> Forecast:
     """The Forecast of rows that read_rows(data) returned, after every check.
 
     The grid is inferred from the union of rows; all rows must describe
     pixels of one common size on one common lattice.  The geometry checks
     run first, then Forecast's bin checks.  The rows are checked as arrays;
     data is decoded and read again line by line only to name the lines of
-    a fault.  The Forecast takes the columns of a column-major arr as they
-    are, without a copy, so arr must not change afterwards.
+    a fault.  Without data (rows whose file was not read) a fault is a
+    ValidationError that names no line.  The Forecast takes the columns of
+    a column-major arr as they are, without a copy, so arr must not change
+    afterwards.
     """
     try:
         return _build(arr)
     except _RowFault as fault:
+        if data is None:
+            raise
         linenos = _rows_by_line(data)[0]
         raise fault.kind(fault.lines.format(
             *(linenos[i] for i in fault.rows))) from None

@@ -3,6 +3,11 @@
 A field stores one rate per active pixel, in expected events per square
 degree over the field's time window.  Values are undefined (not zero)
 outside active pixels.
+
+The two per-pixel vectors that the gridded tests, the pixel residuals and
+the replicate engine read live here, both in row-major active order:
+IntensityField.expected_counts (rate times pixel area) and observed_counts
+(events per pixel).
 """
 
 from __future__ import annotations
@@ -11,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .catalogs import Catalog
 from .errors import OutsideRegionError, ValidationError
 from .forecasts import Forecast
 from .grids import Grid
@@ -40,6 +46,19 @@ class IntensityField:
     def active_rates(self) -> np.ndarray:
         """Rates of active pixels, row-major order."""
         return self.rate_per_area[self.grid.active_mask]
+
+    def expected_counts(self) -> np.ndarray:
+        """Expected count per active pixel, row-major active order."""
+        return self.active_rates() * self.grid.pixel_area
+
+
+def observed_counts(fld: IntensityField, catalog: Catalog) -> np.ndarray:
+    """Event count per active pixel, row-major active order; an event in no
+    active pixel is not counted."""
+    grid = fld.grid
+    pix = grid.active_pixel(catalog.lon, catalog.lat)
+    counts = np.bincount(pix[pix >= 0], minlength=grid.n_y * grid.n_x)
+    return counts[grid.active_mask.ravel()]
 
 
 def aggregate(forecast: Forecast, mag_min: float) -> IntensityField:

@@ -1,22 +1,28 @@
 """Per-pixel diagnostics: raw, Pearson, and deviance residuals.
 
-Fields are piecewise constant, so every integral here is closed form;
-there is no quadrature anywhere.
+Every residual reads the per-pixel vectors of intensity.py,
+IntensityField.expected_counts and observed_counts, which the gridded
+tests of consistency.py read too.  Fields are piecewise constant, so every
+integral here is closed form; there is no quadrature anywhere.
+
+An event in a pixel where one deviance model is zero gives a +-inf
+sentinel.  A value that is not defined is listed in skipped_pixels with its
+reason and written as skipped: a zero-rate pixel's Pearson residual, and a
+deviance pixel where both models are zero and an event fell.
 """
 
 from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .catalogs import Catalog
-from .consistency import observed_counts
 from .errors import ValidationError
 from .grids import Grid
-from .intensity import IntensityField
+from .intensity import IntensityField, observed_counts
 
 
 @dataclass(frozen=True)
@@ -49,10 +55,9 @@ class PixelResidualMap:
 
 def raw_residuals(fld: IntensityField, catalog: Catalog) -> PixelResidualMap:
     """Observed count minus expected count per active pixel."""
-    grid = fld.grid
     counts = observed_counts(fld, catalog)
-    lam = fld.active_rates() * grid.pixel_area
-    return PixelResidualMap(grid, "raw", grid.active_indices(), counts - lam)
+    return PixelResidualMap(fld.grid, "raw", fld.grid.active_indices(),
+                            counts - fld.expected_counts())
 
 
 def pearson_residuals(fld: IntensityField, catalog: Catalog) -> PixelResidualMap:
@@ -79,28 +84,29 @@ def deviance_residuals(field_1: IntensityField, field_2: IntensityField,
     """Per-pixel difference of the two models' log-likelihood terms.
 
     Positive values mean field_1 fits better in that pixel.  An event in a
-    pixel where either field is zero produces a +-inf sentinel there.
+    pixel where one field is zero produces a +-inf sentinel there; where
+    both are zero the difference is undefined (NaN) and the pixel is
+    skipped.
     """
     if not field_1.grid.same_layout(field_2.grid):
         raise ValidationError("deviance requires a shared grid layout")
     g1, g2 = field_1.grid, field_2.grid
-    shared_mask = g1.active_mask & g2.active_mask
     dropped = [(int(p), "inactive in one model")
                for p in np.flatnonzero(g1.active_mask ^ g2.active_mask)]
-    grid = Grid(g1.lon_min, g1.lon_max, g1.lat_min, g1.lat_max,
-                g1.dx, g1.dy, g1.n_x, g1.n_y, shared_mask)
-    area = grid.pixel_area
-    counts = observed_counts(field_1, catalog)[shared_mask[g1.active_mask]]
-    v1 = field_1.rate_per_area[shared_mask]
-    v2 = field_2.rate_per_area[shared_mask]
+    grid = replace(g1, active_mask=g1.active_mask & g2.active_mask)
+    shared = [replace(f, grid=grid) for f in (field_1, field_2)]
+    counts = observed_counts(shared[0], catalog)
 
     # events on a zero rate give log(0): -inf for that model's term
     with np.errstate(divide="ignore", invalid="ignore"):
-        term1 = np.where(counts > 0, counts * np.log(v1), 0.0) - v1 * area
-        term2 = np.where(counts > 0, counts * np.log(v2), 0.0) - v2 * area
+        term1, term2 = (np.where(counts > 0, counts * np.log(f.active_rates()),
+                                 0.0) - f.expected_counts() for f in shared)
         values = term1 - term2
-    return PixelResidualMap(grid, "deviance", grid.active_indices(), values,
-                            tuple(dropped))
+    pix = grid.active_indices()
+    undefined = [(int(p), "event where both models have zero rate")
+                 for p in pix[np.isnan(values)]]
+    return PixelResidualMap(grid, "deviance", pix, values,
+                            tuple(sorted(dropped + undefined)))
 
 
 def lr_score(residual_map: PixelResidualMap) -> float:
@@ -110,5 +116,6 @@ def lr_score(residual_map: PixelResidualMap) -> float:
         raise ValidationError("lr_score requires a deviance residual map")
     if np.any(~np.isfinite(residual_map.values)):
         raise ValidationError(
-            "deviance map contains infinity sentinels; lr_score is undefined")
+            "deviance map contains infinity or NaN values; lr_score is "
+            "undefined")
     return float(np.sum(residual_map.values))

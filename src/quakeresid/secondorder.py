@@ -43,7 +43,7 @@ from .errors import (DegenerateInfimumError, ValidationError,
 from .grids import Grid
 from .intensity import IntensityField, evaluate, extremes, integrate
 from .rng import SeededStream
-from .simulate import simulate_homogeneous
+from .simulate import replicate_patterns
 
 DEFAULT_R_MAX = 0.7
 DEFAULT_R_STEP = 0.01
@@ -509,8 +509,8 @@ def envelope_bands(region, rate: float, radii, n_sims: int,
     _check_edge_correction(edge_correction)
     check_finite_positive("null rate", rate)
     sims = np.zeros((n_sims, len(radii)))   # fewer than two points: K = 0
-    for j in range(n_sims):
-        xs, ys = simulate_homogeneous(region, rate, stream.substream(j))
+    for j, (xs, ys) in enumerate(
+            replicate_patterns(region, rate, stream, n_sims)):
         if len(xs) >= 2:
             sims[j] = weighted_k(np.column_stack([xs, ys]), rate, radii,
                                  edge_correction, region).k_values

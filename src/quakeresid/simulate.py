@@ -1,8 +1,12 @@
 """Seeded simulation: synthetic catalogs, Cox complements, homogeneous draws.
 
 Everything here is a pure function of (inputs, stream).  Replicate j reads
-stream.substream(j), so runs are order-independent; rng._check_means
-rejects a negative or non-finite Poisson mean as a ValidationError.
+stream.substream(j), so runs are order-independent, and this module is
+where that addressing lives: replicate_counts yields the gridded counts
+of replicates 0..n_sims-1 and replicate_patterns their homogeneous
+patterns.  Pixel means are IntensityField.expected_counts.
+rng._check_means rejects a negative or non-finite Poisson mean as a
+ValidationError.
 """
 
 from __future__ import annotations
@@ -38,11 +42,6 @@ def _check_point_means(means):
             f"{MAX_SIMULATED_POINTS:g}")
 
 
-def _pixel_means(fld: IntensityField) -> np.ndarray:
-    """Expected count per active pixel (row-major active order)."""
-    return fld.active_rates() * fld.grid.pixel_area
-
-
 def _poisson_points(rng, grid, means):
     """Poisson(means[i]) points placed uniformly in the i-th active pixel;
     the means are checked before anything is drawn."""
@@ -70,7 +69,7 @@ def simulate_catalog(fld: IntensityField, stream: SeededStream,
     gets the constant magnitude argument and depth zero.
     """
     rng = stream.generator()
-    xs, ys = _poisson_points(rng, fld.grid, _pixel_means(fld))
+    xs, ys = _poisson_points(rng, fld.grid, fld.expected_counts())
     span = (DEFAULT_WINDOW_END - DEFAULT_WINDOW_START).total_seconds()
     times = _window_times(np.sort(rng.random(len(xs))) * span)
     return Catalog(times, xs, ys, np.zeros(len(xs)),
@@ -83,7 +82,7 @@ def simulated_counts(fld: IntensityField, stream: SeededStream) -> np.ndarray:
     Shares the count-drawing stage with simulate_catalog bit-for-bit, so
     gridded statistics of a simulation can skip point placement.
     """
-    return poisson(stream.generator(), _pixel_means(fld))
+    return poisson(stream.generator(), fld.expected_counts())
 
 
 def replicate_counts(fld: IntensityField, stream: SeededStream, n_sims: int):
@@ -93,7 +92,7 @@ def replicate_counts(fld: IntensityField, stream: SeededStream, n_sims: int):
     Row j equals simulated_counts(fld, stream.substream(j)) bit for bit;
     a block holds at most _BLOCK_COUNTS counts (at least one row).
     """
-    lam = _pixel_means(fld)
+    lam = fld.expected_counts()
     # a replicate's total is Poisson with the summed mean: keep it in range
     with np.errstate(over="ignore"):
         total = float(lam.sum())
@@ -128,3 +127,10 @@ def simulate_homogeneous(region, rate: float, stream: SeededStream):
     _check_point_means(rate * region.area)
     rng = stream.generator()
     return region.sample(rng, int(poisson(rng, rate * region.area)))
+
+
+def replicate_patterns(region, rate: float, stream: SeededStream, n_sims: int):
+    """The (x, y) arrays of replicates 0..n_sims-1, yielded in order;
+    replicate j is simulate_homogeneous(region, rate, stream.substream(j))."""
+    for j in range(n_sims):
+        yield simulate_homogeneous(region, rate, stream.substream(j))

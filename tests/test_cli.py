@@ -131,6 +131,29 @@ def test_resid_deviance_identical_forecasts(workspace, capsys):
     assert values == [0.0] * 4
 
 
+def test_resid_deviance_pixel_zero_in_both_models_is_skipped(tmp_path,
+                                                             capsys):
+    # an event where both models have zero rate: log(0) - log(0) is not
+    # defined, so the pixel is skipped, not written as nan
+    row = "0 0.5 0 0.5 0 30 3.95 4.05 0.0 1\n0.5 1 0 0.5 0 30 3.95 4.05 {} 1\n"
+    (tmp_path / "a.txt").write_text(row.format("0.1"))
+    (tmp_path / "b.txt").write_text(row.format("0.2"))
+    (tmp_path / "cat.csv").write_text(
+        "time,lon,lat,depth,mag\n2007-01-01T00:00:00Z,0.25,0.25,5,4.0\n"
+        "2007-01-02T00:00:00Z,0.75,0.25,5,4.0\n")
+    out = tmp_path / "dev.csv"
+    assert main(["resid", "--kind", "deviance",
+                 "--forecast-a", str(tmp_path / "a.txt"),
+                 "--forecast-b", str(tmp_path / "b.txt"),
+                 "--catalog", str(tmp_path / "cat.csv"),
+                 "--out", str(out), "--svg", str(tmp_path / "dev.svg")]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "lr_score": None, "lr_score_defined": False}
+    assert out.read_text().splitlines()[1:] == [
+        "0,0.25,0.25,,skipped", "1,0.75,0.25,-0.59314718056,ok"]
+    xml.dom.minidom.parseString((tmp_path / "dev.svg").read_text())
+
+
 def test_resid_deviance_missing_forecast_usage_error(workspace):
     tmp, fc, cat = workspace
     with pytest.raises(SystemExit) as exc:
@@ -697,8 +720,9 @@ def test_one_edge_correction_routine():
 
 def test_one_replicate_scorer_and_stream_addressing():
     # the simulated quantile tests score replicates through one function,
-    # and only three loops derive replicate substreams, so no statistic
-    # invents its own replicate loop or stream addressing
+    # and replicate substreams are derived only in simulate.py (plus
+    # super_thin's keep/add split, which is not a replicate loop), so no
+    # statistic invents its own replicate loop or stream addressing
     pkg = pathlib.Path(quakeresid.__file__).parent
     callers = {"replicate_counts": set(), "substream": set()}
     for path in sorted(pkg.rglob("*.py")):
@@ -715,11 +739,37 @@ def test_one_replicate_scorer_and_stream_addressing():
                         scope, (ast.FunctionDef, ast.AsyncFunctionDef)):
                     scope = parent[scope]
                 callers[name].add(f"{path.name}:{getattr(scope, 'name', '')}")
-    assert callers == {
-        "replicate_counts": {"consistency.py:_simulated_score"},
-        "substream": {"simulate.py:replicate_counts",
-                      "secondorder.py:envelope_bands",
-                      "transforms.py:super_thin"}}
+    assert callers["replicate_counts"] == {"consistency.py:_simulated_score"}
+    assert {c for c in callers["substream"]
+            if not c.startswith("simulate.py:")} == {"transforms.py:super_thin"}
+
+
+def test_one_home_for_per_pixel_counts():
+    # the expected count per pixel is IntensityField.expected_counts alone,
+    # and the residuals take both count vectors from intensity.py, not from
+    # the test module
+    pkg = pathlib.Path(quakeresid.__file__).parent
+    products, residual_imports = set(), []
+
+    def is_rates_call(node):
+        return (isinstance(node, ast.Call)
+                and getattr(node.func, "attr", None) == "active_rates")
+
+    for path in sorted(pkg.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+                sides = (node.left, node.right)
+                if any(map(is_rates_call, sides)) and any(
+                        getattr(side, "attr", None) == "pixel_area"
+                        for side in sides):
+                    products.add(path.name)
+            elif path.name == "residuals.py" and isinstance(
+                    node, (ast.Import, ast.ImportFrom)):
+                residual_imports += [getattr(node, "module", None) or ""] + [
+                    alias.name for alias in node.names]
+    assert products == {"intensity.py"}
+    assert residual_imports and not [
+        name for name in residual_imports if "consistency" in name]
 
 
 def test_ptrs_draws_leave_scipy_special_unloaded(tmp_path):

@@ -209,6 +209,22 @@ def test_simulated_scores_are_pinned():
     assert (gamma.value, gamma.observed_stat) == (0.696, -23.173523055389524)
 
 
+def test_simulated_n_test_counts_ties_as_not_less():
+    # expected total 2: about a quarter of the replicates tie the observed
+    # count of 2, so the fraction strictly below and the fraction at or
+    # below are far apart; the totals are drawn one replicate at a time
+    fld = _uniform_field(2.0)
+    cat = _catalog([(0.25, 0.25), (0.75, 0.75)])
+    stream = SeededStream(64, 0)
+    totals = np.array([simulated_counts(fld, stream.substream(j)).sum()
+                       for j in range(500)])
+    below, at_most = int((totals < 2).sum()), int((totals <= 2).sum())
+    assert at_most - below > 100
+    score = n_test(fld, cat, 500, stream)
+    assert score.value == below / 500
+    assert score.value != at_most / 500
+
+
 def _loglik_one_row(lam, counts):
     """Reference: one count vector scored on its own, the lgamma terms
     added one by one from the left."""

@@ -44,6 +44,14 @@ def _no_read(data):
     raise AssertionError("a cache hit read the rows again")
 
 
+def _parse_file(directory, data: bytes):
+    """cli.parse_forecast of data written to a file in directory."""
+    digest = hashlib.sha256(data).hexdigest()
+    path = directory / f"fc-{digest}.txt"
+    path.write_bytes(data)
+    return cli.parse_forecast(str(path), digest)
+
+
 def _relm_like(n_x=12, n_y=9, n_mag=10, split=False):
     """A grid of 0.1-degree pixels, one run of rising bins per pixel as RELM
     files are written, with one pixel masked; split moves the upper half of
@@ -84,17 +92,21 @@ def _relm_like(n_x=12, n_y=9, n_mag=10, split=False):
         "lone-cr", "file-separator", "line-separator", "comment-only", "empty",
         "relm-like", "relm-like-split-run"])
 @pytest.mark.parametrize("bulk", [True, False], ids=["bulk", "by-line"])
-def test_hit_matches_a_fresh_parse_bit_for_bit(text, bulk, monkeypatch):
+def test_hit_matches_a_fresh_parse_bit_for_bit(text, bulk, tmp_path,
+                                               monkeypatch):
     data = text.encode("utf-8")
     if not bulk:
         monkeypatch.setattr(forecasts, "_bulk_rows", lambda data: None)
     fresh = _bits(parse_forecast(data))
-    digest = hashlib.sha256(data).hexdigest()
-    assert _bits(cli.parse_forecast(data, digest)) == fresh
+    assert _bits(_parse_file(tmp_path, data)) == fresh
     # column-major, so each column is contiguous on a hit
     assert np.load(_entry(data)).flags.f_contiguous
     monkeypatch.setattr(cli, "read_rows", _no_read)
-    assert _bits(cli.parse_forecast(data, digest)) == fresh
+    assert _bits(_parse_file(tmp_path, data)) == fresh
+    # a hit does not open the file: its digest alone finds the entry
+    digest = hashlib.sha256(data).hexdigest()
+    assert _bits(cli.parse_forecast(str(tmp_path / "absent.txt"),
+                                    digest)) == fresh
 
 
 @pytest.mark.parametrize("text, message", [
@@ -122,6 +134,35 @@ def test_bad_forecast_names_its_line_twice_and_leaves_no_entry(
         errors.append(capsys.readouterr().err)
     assert errors[0] == errors[1]
     assert errors[0].startswith("error: " + message)
+    assert not os.path.exists(_cache_dir()) or not os.listdir(_cache_dir())
+
+
+def test_entry_of_a_bad_file_is_a_miss_naming_its_line(tmp_path, capsys):
+    # an entry is only written for rows that pass; one found for a bad
+    # file fails its checks on the hit, and the miss names the file's line
+    text = ROW + "\n# note\n" + ROW2.replace("0.1 1", "-0.1 1") + "\n"
+    fc, cat = tmp_path / "fc.txt", tmp_path / "cat.csv"
+    fc.write_text(text)
+    cat.write_text(CATALOG)
+    os.makedirs(_cache_dir(), mode=0o700)
+    np.save(_entry(text.encode()), forecasts.read_rows(text.encode()))
+    assert cli.main(["ntest", "--forecast", str(fc), "--catalog", str(cat),
+                     "--analytic"]) == 3
+    assert capsys.readouterr().err.startswith("error: line 3: negative rate")
+
+
+def test_forecast_changed_after_hashing_is_an_error(tmp_path, monkeypatch,
+                                                    capsys):
+    # the bytes a miss parses must be the bytes the digest names, which the
+    # manifest records and the cache entry is keyed by
+    (tmp_path / "fc.txt").write_text(FORECAST)
+    monkeypatch.setattr(cli, "_file_digest",
+                        lambda path: hashlib.sha256(b"other").hexdigest())
+    out = tmp_path / "out.csv"
+    assert cli.main(["simulate", "--forecast", str(tmp_path / "fc.txt"),
+                     "--seed", "3", "--out", str(out)]) == 3
+    assert "changed while it was read" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["fc.txt"]
     assert not os.path.exists(_cache_dir()) or not os.listdir(_cache_dir())
 
 
@@ -176,16 +217,14 @@ def test_file_in_place_of_cache_directory_parses_as_without_cache(
     assert (tmp_path / "home" / "quakeresid").read_text() == "not a directory"
 
 
-def _parse(text: str) -> str:
-    """Parse text through the cache; the path of its entry."""
-    data = text.encode()
-    cli.parse_forecast(data, hashlib.sha256(data).hexdigest())
-    return _entry(data)
-
-
-def test_eviction_keeps_the_cache_under_its_bound(monkeypatch):
+def test_eviction_keeps_the_cache_under_its_bound(tmp_path, monkeypatch):
     texts = [FORECAST.replace("0.1 1", f"0.{k} 1") for k in range(1, 8)]
     paths = [_entry(text.encode()) for text in texts]
+
+    def _parse(text):
+        _parse_file(tmp_path, text.encode())
+        return _entry(text.encode())
+
     monkeypatch.setattr(cli, "CACHE_MAX_BYTES",
                         3 * os.path.getsize(_parse(texts[0])))
 
@@ -214,7 +253,8 @@ def test_eviction_keeps_the_cache_under_its_bound(monkeypatch):
     assert names() == sorted(os.path.basename(paths[k]) for k in (3, 5, 6))
 
 
-def test_grouped_forecast_is_checked_without_a_key_sort(monkeypatch):
+def test_grouped_forecast_is_checked_without_a_key_sort(tmp_path,
+                                                        monkeypatch):
     # each pixel's bins rise in file order, so the stable sort by pixel
     # settles the duplicate check, on a miss and on a hit
     calls = []
@@ -222,9 +262,8 @@ def test_grouped_forecast_is_checked_without_a_key_sort(monkeypatch):
     monkeypatch.setattr(np, "lexsort",
                         lambda keys: calls.append(1) or lexsort(keys))
     data = _relm_like().encode()
-    digest = hashlib.sha256(data).hexdigest()
     for _ in range(2):
-        assert cli.parse_forecast(data, digest).n_bins == 12 * 9 * 10
+        assert _parse_file(tmp_path, data).n_bins == 12 * 9 * 10
     assert os.path.exists(_entry(data)) and calls == []
     # a pixel's bins split across the file, one of them repeated
     text = _relm_like(split=True)
@@ -234,11 +273,12 @@ def test_grouped_forecast_is_checked_without_a_key_sort(monkeypatch):
         with pytest.raises(ValidationError,
                            match=rf"^line {len(lines) + 1}: duplicate \(pixel, "
                                  r"magnitude-bin\) key \(first seen on line 1\)"):
-            cli.parse_forecast(data, hashlib.sha256(data).hexdigest())
+            _parse_file(tmp_path, data)
     assert calls == [1, 1]
 
 
-def test_row_major_entry_of_the_old_name_is_never_read(monkeypatch):
+def test_row_major_entry_of_the_old_name_is_never_read(tmp_path,
+                                                       monkeypatch):
     data = FORECAST.encode()
     digest = hashlib.sha256(data).hexdigest()
     fresh = _bits(parse_forecast(data))
@@ -250,11 +290,11 @@ def test_row_major_entry_of_the_old_name_is_never_read(monkeypatch):
     rows[:, 8] *= 2
     np.save(old, rows)
     os.utime(old, (0, 0))
-    assert _bits(cli.parse_forecast(data, digest)) == fresh
+    assert _bits(_parse_file(tmp_path, data)) == fresh
     assert np.load(_entry(data)).tobytes() == forecasts.read_rows(data).tobytes()
     # least recently used, the old entry is the first to go
     size = os.path.getsize(_entry(data))
     os.remove(_entry(data))
     monkeypatch.setattr(cli, "CACHE_MAX_BYTES", size)
-    assert _bits(cli.parse_forecast(data, digest)) == fresh
+    assert _bits(_parse_file(tmp_path, data)) == fresh
     assert os.listdir(_cache_dir()) == [os.path.basename(_entry(data))]
